@@ -6,11 +6,50 @@ the key attribute of the paper's schemas: it is globally unique within a
 relation, is preserved by both vertical and horizontal fragmentation,
 and is the unit in which violations are reported (``V(Sigma, D)`` is a
 set of tuples, identified by their tids).
+
+Physically a tuple is a values tuple plus a *layout* (attribute name ->
+position) that every tuple with the same attribute list shares, so a
+row costs one small object and ``8 * arity`` bytes instead of a private
+``dict`` per row.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping
+
+
+class _Layout(dict):
+    """Attribute name -> position in the values tuple (shared, never mutated)."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        # Re-share on load: an unpickled tuple gets the receiving
+        # process's layout for its attribute list, not a private copy.
+        return (_shared_layout, (tuple(self),))
+
+
+# One layout per distinct attribute list seen by the process; bounded by
+# the number of schemas and fragment attribute lists, not by |D|.
+_LAYOUTS: dict[tuple[str, ...], _Layout] = {}
+
+
+def _shared_layout(attributes: tuple[str, ...]) -> _Layout:
+    layout = _LAYOUTS.get(attributes)
+    if layout is None:
+        # dict.fromkeys drops repeated names, keeping positions contiguous.
+        layout = _Layout((a, i) for i, a in enumerate(dict.fromkeys(attributes)))
+        layout = _LAYOUTS.setdefault(attributes, layout)
+    return layout
+
+
+def _from_layout(tid: Any, layout: _Layout, values: tuple[Any, ...]) -> "Tuple":
+    t = Tuple.__new__(Tuple)
+    t._tid = tid
+    t._layout = layout
+    t._vals = values
+    t._hash = None
+    return t
 
 
 class Tuple(Mapping[str, Any]):
@@ -26,23 +65,34 @@ class Tuple(Mapping[str, Any]):
         semantics requires.
     """
 
-    __slots__ = ("_tid", "_values", "_hash")
+    __slots__ = ("_tid", "_layout", "_vals", "_hash")
 
     def __init__(self, tid: Any, values: Mapping[str, Any]):
         self._tid = tid
-        self._values = dict(values)
+        if type(values) is Tuple:
+            self._layout = values._layout
+            self._vals = values._vals
+        else:
+            layout = self._layout = _shared_layout(tuple(values))
+            if type(values) is dict and len(layout) == len(values):
+                self._vals = tuple(values.values())
+            else:
+                self._vals = tuple(values[a] for a in layout)
         self._hash: int | None = None
 
     # -- mapping protocol ----------------------------------------------------
 
     def __getitem__(self, attribute: str) -> Any:
-        return self._values[attribute]
+        return self._vals[self._layout[attribute]]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._values)
+        return iter(self._layout)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._vals)
+
+    def __contains__(self, attribute: object) -> bool:
+        return attribute in self._layout
 
     # -- identity ------------------------------------------------------------
 
@@ -53,13 +103,22 @@ class Tuple(Mapping[str, Any]):
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._tid, frozenset(self._values.items())))
+            self._hash = hash((self._tid, frozenset(zip(self._layout, self._vals))))
         return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tuple):
             return NotImplemented
-        return self._tid == other._tid and self._values == other._values
+        if self._tid != other._tid:
+            return False
+        if self._layout is other._layout:
+            return self._vals == other._vals
+        # Same attributes listed in another order: compare as mappings.
+        return self.as_dict() == other.as_dict()
+
+    def __reduce__(self):
+        # The cached hash stays behind: string hashes differ per process.
+        return (_from_layout, (self._tid, self._layout, self._vals))
 
     # -- projection and helpers ----------------------------------------------
 
@@ -69,11 +128,14 @@ class Tuple(Mapping[str, Any]):
         This is the ``t[X]`` notation of the paper for a list of
         attributes X.
         """
-        return tuple(self._values[a] for a in attributes)
+        layout, vals = self._layout, self._vals
+        return tuple(vals[layout[a]] for a in attributes)
 
     def project(self, attributes: Iterable[str]) -> "Tuple":
         """Return a new tuple restricted to ``attributes`` (same tid)."""
-        return Tuple(self._tid, {a: self._values[a] for a in attributes})
+        mine, vals = self._layout, self._vals
+        layout = _shared_layout(tuple(attributes))
+        return _from_layout(self._tid, layout, tuple(vals[mine[a]] for a in layout))
 
     def merge(self, other: "Tuple") -> "Tuple":
         """Join two fragments of the same logical tuple (same tid)."""
@@ -81,9 +143,9 @@ class Tuple(Mapping[str, Any]):
             raise ValueError(
                 f"cannot merge tuples with different tids: {self._tid!r} != {other.tid!r}"
             )
-        merged = dict(self._values)
-        for attr, value in other.items():
-            if attr in merged and merged[attr] != value:
+        merged = self.as_dict()
+        for attr, value in zip(other._layout, other._vals):
+            if merged.get(attr, value) != value:
                 raise ValueError(
                     f"conflicting values for attribute {attr!r} while merging tid {self._tid!r}"
                 )
@@ -92,14 +154,14 @@ class Tuple(Mapping[str, Any]):
 
     def with_values(self, **updates: Any) -> "Tuple":
         """Return a copy with some attribute values replaced."""
-        values = dict(self._values)
+        values = self.as_dict()
         values.update(updates)
         return Tuple(self._tid, values)
 
     def as_dict(self) -> dict[str, Any]:
         """A plain ``dict`` copy of the attribute values."""
-        return dict(self._values)
+        return dict(zip(self._layout, self._vals))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cols = ", ".join(f"{k}={v!r}" for k, v in self._values.items())
+        cols = ", ".join(f"{k}={v!r}" for k, v in zip(self._layout, self._vals))
         return f"Tuple(tid={self._tid!r}, {cols})"

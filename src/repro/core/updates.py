@@ -130,25 +130,32 @@ class UpdateBatch:
         operations of the same kind on the same tid are collapsed to the
         last occurrence.
         """
-        surviving: list[Update] = []
+        # Linear: per tid, the position in ``surviving`` of its last
+        # surviving insertion and deletion (None when there is none).
+        # At most one of each kind survives per tid, so "the nearest
+        # earlier update on the tid" is whichever of the two sits later.
+        # Dropped updates leave a None hole, compacted at the end, which
+        # keeps every recorded position valid.
+        surviving: list[Update | None] = []
+        last: dict[Any, list[int | None]] = {}
         for update in self._updates:
-            cancelled = False
-            if update.is_delete():
-                for i in range(len(surviving) - 1, -1, -1):
-                    prior = surviving[i]
-                    if prior.tid == update.tid:
-                        if prior.is_insert():
-                            del surviving[i]
-                            cancelled = True
-                        break
-            if not cancelled:
-                for i in range(len(surviving) - 1, -1, -1):
-                    prior = surviving[i]
-                    if prior.tid == update.tid and prior.kind == update.kind:
-                        del surviving[i]
-                        break
-                surviving.append(update)
-        return UpdateBatch(surviving)
+            slots = last.setdefault(update.tid, [None, None])
+            ins, dele = slots
+            if update.is_insert():
+                if ins is not None:
+                    surviving[ins] = None
+                slots[0] = len(surviving)
+            elif ins is not None and (dele is None or dele < ins):
+                # the nearest earlier update on the tid is an insertion: both cancel
+                surviving[ins] = None
+                slots[0] = None
+                continue
+            else:
+                if dele is not None:
+                    surviving[dele] = None
+                slots[1] = len(surviving)
+            surviving.append(update)
+        return UpdateBatch(u for u in surviving if u is not None)
 
     # -- application ------------------------------------------------------------------
 

@@ -15,12 +15,52 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping
 
+# The marks of a tid are an immutable frozenset shared by every tid (in
+# every ViolationSet and ViolationDelta of the process) that carries the
+# same CFD names: per tid the containers hold one pointer, not one
+# mutable set.  The table holds one entry per distinct combination of
+# CFD names ever marked, which is bounded by the rule sets in use, not
+# by |D|.  Sharing is an optimisation only — nothing compares marks by
+# identity, so unpickled (unshared) marks behave the same.
+_Marks = frozenset
+_SHARED: dict[_Marks, _Marks] = {}
+
+
+def _with(marks: _Marks, cfd_name: str) -> _Marks:
+    grown = marks | {cfd_name}
+    return _SHARED.setdefault(grown, grown)
+
+
+def _without(marks: _Marks, cfd_name: str) -> _Marks:
+    shrunk = marks - {cfd_name}
+    return _SHARED.setdefault(shrunk, shrunk)
+
+
+_NO_MARKS: _Marks = frozenset()
+
+
+def _discard(store: dict[Any, _Marks], tid: Any, cfd_name: str) -> bool:
+    """Drop one (tid, CFD) mark from ``store``; False if it was not there."""
+    marks = store.get(tid, _NO_MARKS)
+    if cfd_name not in marks:
+        return False
+    if len(marks) == 1:
+        del store[tid]
+    else:
+        store[tid] = _without(marks, cfd_name)
+    return True
+
+
+def _mutable(store: dict[Any, _Marks]) -> dict[Any, set[str]]:
+    """A deep copy callers may mutate: fresh ``set`` per tid."""
+    return {tid: set(marks) for tid, marks in store.items()}
+
 
 class ViolationSet:
     """A set of violating tuples, each tagged with the CFDs it violates."""
 
     def __init__(self, entries: Mapping[Any, Iterable[str]] | None = None):
-        self._by_tid: dict[Any, set[str]] = {}
+        self._by_tid: dict[Any, _Marks] = {}
         if entries:
             for tid, cfd_names in entries.items():
                 for name in cfd_names:
@@ -30,25 +70,19 @@ class ViolationSet:
 
     def add(self, tid: Any, cfd_name: str) -> bool:
         """Mark ``tid`` as violating ``cfd_name``.  Returns True if new."""
-        marks = self._by_tid.setdefault(tid, set())
+        marks = self._by_tid.get(tid, _NO_MARKS)
         if cfd_name in marks:
             return False
-        marks.add(cfd_name)
+        self._by_tid[tid] = _with(marks, cfd_name)
         return True
 
     def remove(self, tid: Any, cfd_name: str) -> bool:
         """Unmark ``tid`` for ``cfd_name``.  Returns True if it was marked."""
-        marks = self._by_tid.get(tid)
-        if not marks or cfd_name not in marks:
-            return False
-        marks.discard(cfd_name)
-        if not marks:
-            del self._by_tid[tid]
-        return True
+        return _discard(self._by_tid, tid, cfd_name)
 
     def discard_tuple(self, tid: Any) -> set[str]:
         """Drop every mark of ``tid`` (used when the tuple is deleted)."""
-        return self._by_tid.pop(tid, set())
+        return set(self._by_tid.pop(tid, _NO_MARKS))
 
     def apply(self, delta: "ViolationDelta") -> None:
         """Apply a delta in place: additions then removals."""
@@ -74,11 +108,11 @@ class ViolationSet:
 
     def cfds_of(self, tid: Any) -> set[str]:
         """The names of the CFDs that ``tid`` violates (empty if none)."""
-        return set(self._by_tid.get(tid, ()))
+        return set(self._by_tid.get(tid, _NO_MARKS))
 
     def violates(self, tid: Any, cfd_name: str) -> bool:
         """Whether ``tid`` is marked as violating ``cfd_name``."""
-        return cfd_name in self._by_tid.get(tid, ())
+        return cfd_name in self._by_tid.get(tid, _NO_MARKS)
 
     def tids_for(self, cfd_name: str) -> set[Any]:
         """All tids violating a given CFD, i.e. ``V(phi, D)``."""
@@ -86,11 +120,11 @@ class ViolationSet:
 
     def as_dict(self) -> dict[Any, set[str]]:
         """A copy of the tid -> {cfd names} mapping."""
-        return {tid: set(marks) for tid, marks in self._by_tid.items()}
+        return _mutable(self._by_tid)
 
     def copy(self) -> "ViolationSet":
         clone = ViolationSet()
-        clone._by_tid = {tid: set(marks) for tid, marks in self._by_tid.items()}
+        clone._by_tid = dict(self._by_tid)
         return clone
 
     # -- comparison --------------------------------------------------------------
@@ -98,7 +132,7 @@ class ViolationSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ViolationSet):
             return NotImplemented
-        return self.as_dict() == other.as_dict()
+        return self._by_tid == other._by_tid
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ViolationSet({len(self._by_tid)} tuples)"
@@ -120,32 +154,22 @@ class ViolationDelta:
     """
 
     def __init__(self) -> None:
-        self._added: dict[Any, set[str]] = {}
-        self._removed: dict[Any, set[str]] = {}
-
-    @staticmethod
-    def _discard(store: dict[Any, set[str]], tid: Any, cfd_name: str) -> bool:
-        names = store.get(tid)
-        if names and cfd_name in names:
-            names.discard(cfd_name)
-            if not names:
-                del store[tid]
-            return True
-        return False
+        self._added: dict[Any, _Marks] = {}
+        self._removed: dict[Any, _Marks] = {}
 
     # -- mutation ----------------------------------------------------------------
 
     def add(self, tid: Any, cfd_name: str) -> None:
         """Record that ``tid`` becomes a violation of ``cfd_name``."""
-        if self._discard(self._removed, tid, cfd_name):
+        if _discard(self._removed, tid, cfd_name):
             return
-        self._added.setdefault(tid, set()).add(cfd_name)
+        self._added[tid] = _with(self._added.get(tid, _NO_MARKS), cfd_name)
 
     def remove(self, tid: Any, cfd_name: str) -> None:
         """Record that ``tid`` stops being a violation of ``cfd_name``."""
-        if self._discard(self._added, tid, cfd_name):
+        if _discard(self._added, tid, cfd_name):
             return
-        self._removed.setdefault(tid, set()).add(cfd_name)
+        self._removed[tid] = _with(self._removed.get(tid, _NO_MARKS), cfd_name)
 
     def merge(self, other: "ViolationDelta") -> None:
         """Fold another delta into this one (net semantics are preserved)."""
@@ -161,12 +185,12 @@ class ViolationDelta:
     @property
     def added(self) -> dict[Any, set[str]]:
         """tid -> CFD names newly violated (``delta-V+``)."""
-        return {tid: set(names) for tid, names in self._added.items()}
+        return _mutable(self._added)
 
     @property
     def removed(self) -> dict[Any, set[str]]:
         """tid -> CFD names no longer violated (``delta-V-``)."""
-        return {tid: set(names) for tid, names in self._removed.items()}
+        return _mutable(self._removed)
 
     def added_tids(self) -> set[Any]:
         return set(self._added)
@@ -196,7 +220,7 @@ class ViolationDelta:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ViolationDelta):
             return NotImplemented
-        return self.added == other.added and self.removed == other.removed
+        return self._added == other._added and self._removed == other._removed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ViolationDelta(+{len(self._added)}, -{len(self._removed)})"
@@ -205,12 +229,12 @@ class ViolationDelta:
 def diff_violations(old: ViolationSet, new: ViolationSet) -> ViolationDelta:
     """Compute the delta turning ``old`` into ``new`` (reference helper)."""
     delta = ViolationDelta()
-    old_map = old.as_dict()
-    new_map = new.as_dict()
+    old_map = old._by_tid
+    new_map = new._by_tid
     for tid, names in new_map.items():
-        for name in names - old_map.get(tid, set()):
+        for name in names - old_map.get(tid, _NO_MARKS):
             delta.add(tid, name)
     for tid, names in old_map.items():
-        for name in names - new_map.get(tid, set()):
+        for name in names - new_map.get(tid, _NO_MARKS):
             delta.remove(tid, name)
     return delta

@@ -8,8 +8,8 @@ normalized and processed in order; per CFD one of three cases applies:
 2. *Locally checkable variable CFDs* — when every fragment's selection
    predicate only mentions attributes of the CFD's LHS, two tuples from
    different fragments can never agree on the LHS, so each site can run
-   the constant-time single-update logic on its own index with no
-   shipment at all.
+   the single-update logic (``O(1 + |delta-V|)``, no group is copied) on
+   its own index with no shipment at all.
 3. *General variable CFDs* — handled by the broadcast protocol of
    :class:`~repro.horizontal.single.GeneralCFDProtocol`, which ships the
    updated tuple (or its MD5 digest) at most once per update and skips
@@ -131,9 +131,16 @@ class HorizontalIncrementalDetector:
         )
 
     def _bind_protocols(self) -> None:
-        self._protocols = {}
+        """One protocol per general CFD with its mark/unmark callables.
+
+        The callables are bound here, once per layout, rather than per
+        (update x CFD) in the wave loop; they write to ``_wave_delta``,
+        the delta of the wave :meth:`apply` is processing.
+        """
+        self._wave_delta = ViolationDelta()
+        self._protocols = []
         for cfd in self._general_cfds:
-            self._protocols[cfd.name] = GeneralCFDProtocol(
+            protocol = GeneralCFDProtocol(
                 cfd,
                 self._site_indices[cfd.name],
                 self._violations,
@@ -141,6 +148,14 @@ class HorizontalIncrementalDetector:
                 eligible_sites=self._eligible_sites(cfd),
                 use_md5=self._use_md5,
             )
+
+            def mark(tid: Any, name: str = cfd.name) -> None:
+                self._mark(self._wave_delta, tid, name)
+
+            def unmark(tid: Any, name: str = cfd.name) -> None:
+                self._unmark(self._wave_delta, tid, name)
+
+            self._protocols.append((protocol, mark, unmark))
 
     def rehome(self, cluster: Cluster, moved: Any) -> None:
         """Warm re-homing after an in-place cluster migration.
@@ -218,19 +233,6 @@ class HorizontalIncrementalDetector:
         if self._violations.remove(tid, cfd_name):
             delta.remove(tid, cfd_name)
 
-    # -- per-update processing ------------------------------------------------------------------
-
-    def _process_general(
-        self, cfd: CFD, update: Update, site_id: int, delta: ViolationDelta
-    ) -> None:
-        protocol = self._protocols[cfd.name]
-        mark = lambda tid: self._mark(delta, tid, cfd.name)  # noqa: E731
-        unmark = lambda tid: self._unmark(delta, tid, cfd.name)  # noqa: E731
-        if update.is_insert():
-            protocol.insert(site_id, update.tuple, mark, unmark)
-        else:
-            protocol.delete(site_id, update.tuple, mark, unmark)
-
     # -- the batch algorithm (Fig. 8) ---------------------------------------------------------------
 
     def apply(self, updates: UpdateBatch) -> ViolationDelta:
@@ -243,7 +245,7 @@ class HorizontalIncrementalDetector:
         general variable CFDs then runs at the coordinator in update
         order.
         """
-        delta = ViolationDelta()
+        delta = self._wave_delta = ViolationDelta()
         routed: list[tuple[Update, int]] = []
         by_site: dict[int, list[tuple[int, Update]]] = {}
         for seq, update in enumerate(updates.normalized()):
@@ -291,6 +293,11 @@ class HorizontalIncrementalDetector:
                     self._unmark(delta, tid, name)
 
         for update, site_id in routed:
-            for cfd in self._general_cfds:
-                self._process_general(cfd, update, site_id, delta)
+            t = update.tuple
+            if update.is_insert():
+                for protocol, mark, unmark in self._protocols:
+                    protocol.insert(site_id, t, mark, unmark)
+            else:
+                for protocol, mark, unmark in self._protocols:
+                    protocol.delete(site_id, t, mark, unmark)
         return delta

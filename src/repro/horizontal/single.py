@@ -19,7 +19,7 @@ update — independent of |D| — and many updates ship nothing at all:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.cfd import CFD
 from repro.core.tuples import Tuple
@@ -113,42 +113,59 @@ class GeneralCFDProtocol:
 
     # -- insertion -------------------------------------------------------------------
 
+    @staticmethod
+    def _conflicts(group: Mapping[Any, Any], rhs_value: Any) -> bool:
+        """Whether ``group`` holds a class with an RHS value other than ``rhs_value``."""
+        return len(group) > (1 if rhs_value in group else 0)
+
+    def _group_is_marked(self, members: Iterable[Any]) -> bool:
+        """The violation status of an LHS group, read off one member.
+
+        All members of a global LHS group share one violation status for
+        the CFD (the group violates exactly when it holds two distinct
+        RHS values anywhere), and the protocol keeps the violation set in
+        step with the indices update by update — so one representative
+        answers for the group, and a marked representative means no
+        other member is left to mark.
+        """
+        for tid in members:
+            return self._violations.violates(tid, self._cfd.name)
+        return False
+
     def insert(
         self, home_site: int, t: Tuple, mark: MarkFn, unmark: MarkFn
     ) -> None:
-        """Process the insertion of ``t`` at ``home_site``."""
+        """Process the insertion of ``t`` at ``home_site``.
+
+        ``O(n + |delta-V|)`` for ``n`` sites: the local and remote groups
+        are read through live views, never copied or scanned.
+        """
         cfd = self._cfd
         if not cfd.lhs_matches(t):
             return
         index = self._indices[home_site]
         key = index.lhs_key(t)
-        local_classes = index.classes(key)
+        local = index.view(key)
         rhs_value = t[cfd.rhs]
-        same_class = local_classes.get(rhs_value, set())
-        diff_classes = {v: tids for v, tids in local_classes.items() if v != rhs_value}
+        same_class = local.get(rhs_value, ())
+        has_diff_classes = self._conflicts(local, rhs_value)
 
         t_violates = False
         if same_class:
             # Local tuples share t's (X, B): t's status equals theirs, and no tuple
             # anywhere changes status, so no shipment is needed.
-            if diff_classes:
-                t_violates = True
-            else:
-                t_violates = any(
-                    self._violations.violates(tid, cfd.name) for tid in same_class
-                )
+            t_violates = has_diff_classes or self._group_is_marked(same_class)
         else:
-            local_conflict_known = any(
-                self._violations.violates(tid, cfd.name)
-                for tids in diff_classes.values()
-                for tid in tids
-            )
-            if diff_classes:
+            local_conflict_known = False
+            if has_diff_classes:
                 t_violates = True
-                # Existing local tuples that were not violations become ones now.
-                for tids in diff_classes.values():
-                    for tid in tids:
-                        if not self._violations.violates(tid, cfd.name):
+                local_conflict_known = self._group_is_marked(
+                    next(iter(local.values()))
+                )
+                if not local_conflict_known:
+                    # Existing local tuples were not violations; they become ones now.
+                    for tids in local.values():
+                        for tid in tids:
                             mark(tid)
             if not local_conflict_known:
                 # Either there is no local conflict at all (t's status must be
@@ -159,23 +176,32 @@ class GeneralCFDProtocol:
                 # a known violation, every other tuple that could conflict with
                 # t is a known violation too (Example 9 of the paper).
                 for target in self._broadcast(home_site, t, f"{cfd.name}:ins"):
-                    remote = self._indices[target]
-                    for value, tids in remote.classes(key).items():
-                        if value != rhs_value:
-                            t_violates = True
-                            for tid in tids:
-                                if not self._violations.violates(tid, cfd.name):
+                    remote = self._indices[target].view(key)
+                    if self._conflicts(remote, rhs_value):
+                        t_violates = True
+                        if len(remote) == 1:
+                            # A single remote class may belong to a group that
+                            # was clean until now; a multi-class group is
+                            # already marked throughout.
+                            (tids,) = remote.values()
+                            if not self._group_is_marked(tids):
+                                for tid in tids:
                                     mark(tid)
         if t_violates:
             mark(t.tid)
-        index.add_tuple(t)
+        index.add(key, rhs_value, t.tid)
 
     # -- deletion ----------------------------------------------------------------------
 
     def delete(
         self, home_site: int, t: Tuple, mark: MarkFn, unmark: MarkFn
     ) -> None:
-        """Process the deletion of ``t`` from ``home_site``."""
+        """Process the deletion of ``t`` from ``home_site``.
+
+        ``O(n + |delta-V|)`` for ``n`` sites: deciding whether the group
+        is left with a single RHS value stops at the second distinct
+        value, and only a group that does become clean is walked.
+        """
         cfd = self._cfd
         if not cfd.lhs_matches(t):
             return
@@ -183,39 +209,41 @@ class GeneralCFDProtocol:
         key = index.lhs_key(t)
         rhs_value = t[cfd.rhs]
         was_violation = self._violations.violates(t.tid, cfd.name)
-        index.remove_tuple(t)
+        index.remove(key, rhs_value, t.tid)
         if not was_violation:
             # Deletions never create violations; a non-violating tuple leaves quietly.
             return
         unmark(t.tid)
 
-        if index.class_of(key, rhs_value):
+        local = index.view(key)
+        if rhs_value in local:
             # Other local tuples still carry t's (X, B) value: the global picture of
             # the group is unchanged, nothing else loses its violation status.
             return
 
         # t's class might now be empty globally; consult the other sites.
-        remaining_local = index.classes(key)
-        members_by_value: dict[Any, set[Any]] = {
-            value: set(tids) for value, tids in remaining_local.items()
-        }
-        remote_members_by_site: dict[int, dict[Any, set[Any]]] = {}
-        for target in self._broadcast(home_site, t, f"{cfd.name}:del"):
-            remote = self._indices[target]
-            remote_classes = remote.classes(key)
-            remote_members_by_site[target] = remote_classes
-            for value, tids in remote_classes.items():
-                members_by_value.setdefault(value, set()).update(tids)
-
-        if rhs_value in members_by_value:
-            # t's class survives at some other site: nothing else changes.
+        remotes = [
+            (target, self._indices[target].view(key))
+            for target in self._broadcast(home_site, t, f"{cfd.name}:del")
+        ]
+        remaining: set[Any] = set()
+        for view in (local, *(remote for _target, remote in remotes)):
+            if rhs_value in view or len(view) > 1:
+                # t's class survives at some other site, or the group still holds
+                # two RHS values: nothing else changes.
+                return
+            remaining.update(view)
+            if len(remaining) > 1:
+                return
+        if not remaining:
             return
-        if len(members_by_value) == 1:
-            # The group is left with a single RHS value: its members no longer
-            # violate the CFD.  Unmark them wherever they live.
-            ((_, tids),) = members_by_value.items()
-            for tid in tids:
-                unmark(tid)
-            for target, remote_classes in remote_members_by_site.items():
-                if any(remote_classes.values()):
-                    self._notify(home_site, target, {"unmark": key}, f"{cfd.name}:unmark")
+        # The group is left with a single RHS value: its members no longer
+        # violate the CFD.  Unmark them wherever they live.
+        (survivor,) = remaining
+        for tid in local.get(survivor, ()):
+            unmark(tid)
+        for target, remote in remotes:
+            if remote:
+                for tid in remote[survivor]:
+                    unmark(tid)
+                self._notify(home_site, target, {"unmark": key}, f"{cfd.name}:unmark")

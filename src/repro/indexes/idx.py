@@ -14,8 +14,9 @@ site the HEV plan assigns to the CFD).
 
 from __future__ import annotations
 
+from collections.abc import Set
 from time import perf_counter
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from repro.core.cfd import CFD, UNNAMED
 from repro.core.tuples import Tuple
@@ -24,6 +25,59 @@ from repro.obs import profile as _prof
 
 class IndexError_(RuntimeError):
     """Raised when the index is asked to remove an unknown tuple."""
+
+
+class ClassView(Set):
+    """Read-only live view of one RHS class ``[t]_{X ∪ {B}}`` (its tids)."""
+
+    __slots__ = ("_tids",)
+
+    def __init__(self, tids: set[Any]):
+        self._tids = tids
+
+    def __contains__(self, tid: object) -> bool:
+        return tid in self._tids
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._tids)
+
+    def __len__(self) -> int:
+        return len(self._tids)
+
+    @classmethod
+    def _from_iterable(cls, tids: Iterable[Any]) -> set[Any]:
+        # set algebra on a view (view | other, ...) yields a plain set
+        return set(tids)
+
+
+class GroupView(Mapping[Any, ClassView]):
+    """Read-only live view of one LHS group ``set(t[X])``: RHS value -> class.
+
+    Building a view and every access through it is O(1) — nothing is
+    copied — which is what lets a single-update probe cost the same for
+    a group of ten and of ten thousand members.  The view follows later
+    changes of the index; callers that need a snapshot copy it.
+    """
+
+    __slots__ = ("_group",)
+
+    def __init__(self, group: Mapping[Any, set[Any]]):
+        self._group = group
+
+    def __getitem__(self, rhs_value: Any) -> ClassView:
+        return ClassView(self._group[rhs_value])
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._group)
+
+    def __len__(self) -> int:
+        return len(self._group)
+
+    def __contains__(self, rhs_value: object) -> bool:
+        return rhs_value in self._group
+
+
+_NO_GROUP: dict[Any, set[Any]] = {}
 
 
 class CFDIndex:
@@ -67,13 +121,18 @@ class CFDIndex:
 
     # -- queries -----------------------------------------------------------------------
 
+    def view(self, lhs_key: tuple[Hashable, ...]) -> GroupView:
+        """``set(t[X])`` as a read-only live view (O(1); empty if no such group)."""
+        return GroupView(self._groups.get(lhs_key, _NO_GROUP))
+
     def classes(self, lhs_key: tuple[Hashable, ...]) -> dict[Any, set[Any]]:
         """``set(t[X])``: distinct B values of the group, each with its tids.
 
-        The returned mapping is a shallow copy; mutating it does not
-        affect the index.
+        A deep copy for tests and diagnostics — O(|group|) to build, so
+        the update path reads :meth:`view` instead.  Mutating the result
+        does not affect the index.
         """
-        group = self._groups.get(lhs_key, {})
+        group = self._groups.get(lhs_key, _NO_GROUP)
         return {value: set(tids) for value, tids in group.items()}
 
     def class_count(self, lhs_key: tuple[Hashable, ...]) -> int:
@@ -81,15 +140,19 @@ class CFDIndex:
         return len(self._groups.get(lhs_key, ()))
 
     def class_of(self, lhs_key: tuple[Hashable, ...], rhs_value: Any) -> set[Any]:
-        """``[t]_{X ∪ {B}}``: the tids sharing both the LHS key and the B value."""
-        return set(self._groups.get(lhs_key, {}).get(rhs_value, ()))
+        """``[t]_{X ∪ {B}}``: the tids sharing both the LHS key and the B value.
+
+        A copy (O(|class|)) for tests and diagnostics; the update path
+        reads ``view(lhs_key)`` instead.
+        """
+        return set(self._groups.get(lhs_key, _NO_GROUP).get(rhs_value, ()))
 
     def group_size(self, lhs_key: tuple[Hashable, ...]) -> int:
         """Total number of tuples in the LHS group."""
-        return sum(len(tids) for tids in self._groups.get(lhs_key, {}).values())
+        return sum(len(tids) for tids in self._groups.get(lhs_key, _NO_GROUP).values())
 
     def groups(self) -> Iterable[tuple[tuple[Hashable, ...], dict[Any, set[Any]]]]:
-        """Iterate over (lhs_key, {rhs_value: tids}) pairs (diagnostics/tests)."""
+        """Iterate over (lhs_key, {rhs_value: tids}) copies (diagnostics/tests)."""
         for key, group in self._groups.items():
             yield key, {value: set(tids) for value, tids in group.items()}
 

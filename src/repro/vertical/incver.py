@@ -13,8 +13,9 @@ cases of the paper:
    one fragment; detection happens at that site with no shipment.
 3. *General variable CFDs* — the IDX lives at the site chosen by the HEV
    plan; processing an update ships at most ``|X|`` eqids (shared HEVs
-   ship once per update), after which ``incVIns`` / ``incVDel`` run in
-   constant time.
+   ship once per update), after which ``incVIns`` / ``incVDel`` probe
+   the IDX a constant number of times and touch only the tids whose
+   status changes.
 
 The communication and computational costs are therefore
 ``O(|delta-D| + |delta-V|)``, independent of ``|D|`` (Proposition 6).
@@ -35,6 +36,11 @@ from repro.indexes.hev import HEVPlan, ShipmentCache
 from repro.indexes.idx import CFDIndex
 from repro.indexes.planner import HEVPlanner, naive_chain_plan
 from repro.runtime.executor import SiteTask
+
+
+#: What one site ships for a constant CFD's check: (site, the LHS attributes
+#: it holds, the pattern constants among them).
+_Shipper = tuple[int, list[str], list[tuple[str, Any]]]
 
 
 def _variable_cfd_task(
@@ -124,18 +130,35 @@ class VerticalIncrementalDetector:
                 self._cfds, fusion=self._fusion
             ).detect(snapshot)
 
-        self._constant_coordinator = {
-            cfd.name: self._partitioner.home_site(cfd.rhs) for cfd in self._constant_cfds
-        }
-
     def _classify(self) -> None:
-        """Split the CFDs into the three cases of Fig. 5 for the current layout."""
+        """Split the CFDs into the three cases of Fig. 5 for the current layout.
+
+        Also resolves, once per layout instead of once per (update x
+        CFD), what a constant CFD's check ships: its coordinator (the
+        home of the RHS attribute) and, for every other site holding LHS
+        attributes, those attributes and the pattern constants among
+        them.
+        """
         self._constant_cfds = []
+        self._constant_shippers: dict[str, tuple[int, list[_Shipper]]] = {}
         self._local_cfds = []
         self._general_cfds = []
         for cfd in self._cfds:
             if cfd.is_constant():
                 self._constant_cfds.append(cfd)
+                coordinator = self._partitioner.home_site(cfd.rhs)
+                shippers: list[_Shipper] = []
+                for frag in self._partitioner.fragments:
+                    relevant = [a for a in frag.attributes if a in cfd.lhs]
+                    if frag.site == coordinator or not relevant:
+                        continue
+                    constants = [
+                        (a, cfd.pattern.entry(a))
+                        for a in relevant
+                        if cfd.pattern.entry(a) is not UNNAMED
+                    ]
+                    shippers.append((frag.site, relevant, constants))
+                self._constant_shippers[cfd.name] = (coordinator, shippers)
                 continue
             local_site = self._partitioner.is_local(cfd.attributes)
             if local_site is not None:
@@ -172,9 +195,6 @@ class VerticalIncrementalDetector:
             self._plan = planner.plan(self._cfds)
         else:
             self._plan = naive_chain_plan(self._cfds, self._partitioner)
-        self._constant_coordinator = {
-            cfd.name: self._partitioner.home_site(cfd.rhs) for cfd in self._constant_cfds
-        }
 
     # -- public state ----------------------------------------------------------------
 
@@ -222,24 +242,15 @@ class VerticalIncrementalDetector:
 
     def _process_constant(self, cfd: CFD, update: Update, delta: ViolationDelta) -> None:
         t = update.tuple
-        coordinator = self._constant_coordinator[cfd.name]
-        pattern = cfd.pattern
-        constants = {
-            a: pattern.entry(a) for a in cfd.lhs if pattern.entry(a) is not UNNAMED
-        }
+        coordinator, shippers = self._constant_shippers[cfd.name]
         # Each site holding LHS attributes checks its local projection against the
         # pattern; locally matching partial tuples are shipped to the coordinator
         # together with the RHS value if stored there (Fig. 5, lines 5-6).
-        for frag in self._partitioner.fragments:
-            if frag.site == coordinator:
-                continue
-            relevant = [a for a in frag.attributes if a in cfd.lhs]
-            if not relevant:
-                continue
-            if all(t[a] == constants[a] for a in relevant if a in constants):
+        for site, relevant, constants in shippers:
+            if all(t[a] == constant for a, constant in constants):
                 payload = {a: t[a] for a in relevant}
                 self._network.send(
-                    frag.site,
+                    site,
                     coordinator,
                     MessageKind.PARTIAL_TUPLE,
                     {"tid": t.tid, **payload},

@@ -4,7 +4,16 @@ These are the algorithms ``incVIns`` and ``incVDel`` of Fig. 4,
 expressed over the :class:`~repro.indexes.idx.CFDIndex` group index
 (``set(t[X])`` and ``[t]_{X ∪ {B}}`` in the paper's notation).  They
 return the per-CFD change to the violation set and maintain the index in
-the same pass; both take constant time per update.
+the same pass.  Both read the live group through
+:meth:`~repro.indexes.idx.CFDIndex.view` — nothing is copied — so an
+update costs ``O(1 + |delta-V|)``: a constant number of index probes
+plus the tids whose status it changes, whatever the size of the group.
+
+They rest on one invariant: all members of an LHS group share one
+violation status for the CFD — the group is violating exactly when it
+holds more than one distinct RHS value.  The number of classes before
+the update therefore decides, without visiting any member, whether the
+existing members already are violations.
 
 The routines are pure index/tuple logic: communication (which eqids are
 shipped to compute the IDX key) is accounted for separately by the HEV
@@ -32,20 +41,20 @@ def incremental_insert(index: CFDIndex, t: Tuple) -> set[Any]:
     * exactly one class holding the same RHS value, or no class at all —
       nothing changes.
     """
-    cfd = index.cfd
     if not index.applies_to(t):
         return set()
     key = index.lhs_key(t)
-    classes = index.classes(key)
+    rhs_value = t[index.cfd.rhs]
+    group = index.view(key)
     added: set[Any] = set()
-    if len(classes) > 1:
+    if len(group) > 1:
         added.add(t.tid)
-    elif len(classes) == 1:
-        ((existing_value, existing_tids),) = classes.items()
-        if existing_value != t[cfd.rhs]:
+    elif len(group) == 1:
+        ((existing_value, existing_tids),) = group.items()
+        if existing_value != rhs_value:
             added.add(t.tid)
             added.update(existing_tids)
-    index.add_tuple(t)
+    index.add(key, rhs_value, t.tid)
     return added
 
 
@@ -64,18 +73,18 @@ def incremental_delete(index: CFDIndex, t: Tuple) -> set[Any]:
       — ``t`` and the entire remaining class leave;
     * otherwise nothing was a violation and nothing changes.
     """
-    cfd = index.cfd
     if not index.applies_to(t):
         return set()
     key = index.lhs_key(t)
-    classes = index.classes(key)
-    own_class = classes.get(t[cfd.rhs], set())
+    rhs_value = t[index.cfd.rhs]
+    group = index.view(key)
+    own_class = group.get(rhs_value, ())
     if t.tid not in own_class:
         raise ValueError(
-            f"tuple {t.tid!r} is not indexed for CFD {cfd.name!r}; cannot delete"
+            f"tuple {t.tid!r} is not indexed for CFD {index.cfd.name!r}; cannot delete"
         )
     removed: set[Any] = set()
-    n_classes = len(classes)
+    n_classes = len(group)
     if len(own_class) > 1:
         if n_classes > 1:
             removed.add(t.tid)
@@ -84,8 +93,8 @@ def incremental_delete(index: CFDIndex, t: Tuple) -> set[Any]:
             removed.add(t.tid)
         elif n_classes == 2:
             removed.add(t.tid)
-            for value, tids in classes.items():
-                if value != t[cfd.rhs]:
+            for value, tids in group.items():
+                if value != rhs_value:
                     removed.update(tids)
-    index.remove_tuple(t)
+    index.remove(key, rhs_value, t.tid)
     return removed

@@ -1,5 +1,7 @@
 """Tests for the IDX group index."""
 
+import pickle
+
 import pytest
 
 from repro.core.cfd import CFD
@@ -100,3 +102,43 @@ class TestMaintenance:
         index.add_tuple(t(2, zip_="EH2", street="Crichton"))
         assert index.class_count((44, "EH4")) == 1
         assert index.class_count((44, "EH2")) == 1
+
+
+class TestReadOnlyViews:
+    def test_view_is_live_and_copies_nothing(self, index):
+        view = index.view((44, "EH4"))
+        assert len(view) == 0 and not view and "Mayfield" not in view
+        index.add_tuple(t(1))
+        index.add_tuple(t(2, street="Crichton"))
+        view = index.view((44, "EH4"))
+        assert dict(view.items()) == {"Mayfield": {1}, "Crichton": {2}}
+        index.add_tuple(t(3))
+        assert view["Mayfield"] == {1, 3} and 3 in view["Mayfield"]
+        assert view.get("Preston", ()) == ()
+
+    def test_views_cannot_change_the_index(self, index):
+        index.add_tuple(t(1))
+        view = index.view((44, "EH4"))
+        with pytest.raises(TypeError):
+            view["Crichton"] = {9}
+        with pytest.raises(TypeError):
+            del view["Mayfield"]
+        members = view["Mayfield"]
+        for mutator in ("add", "discard", "remove", "clear", "update", "pop"):
+            assert not hasattr(members, mutator)
+        grown = members | {9}
+        assert grown == {1, 9} and type(grown) is set
+        assert index.class_of((44, "EH4"), "Mayfield") == {1}
+
+    def test_view_of_a_missing_group_stays_empty(self, index):
+        missing = index.view((44, "nowhere"))
+        index.add_tuple(t(1))
+        assert len(missing) == 0 and len(index.view((44, "nowhere"))) == 0
+
+    def test_pickle_round_trip(self, index):
+        index.build_from([t(1), t(2, street="Crichton"), t(3, zip_="EH2")])
+        loaded = pickle.loads(pickle.dumps(index))
+        assert dict(loaded.groups()) == dict(index.groups())
+        assert loaded.cfd == index.cfd
+        loaded.add_tuple(t(4))
+        assert index.total_tuples() == 3 and loaded.total_tuples() == 4

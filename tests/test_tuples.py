@@ -1,5 +1,7 @@
 """Tests for repro.core.tuples."""
 
+import pickle
+
 import pytest
 
 from repro.core.tuples import Tuple
@@ -85,3 +87,53 @@ class TestTupleOperations:
     def test_merge_overlapping_consistent_values(self):
         merged = Tuple(1, {"a": 1, "b": 2}).merge(Tuple(1, {"b": 2, "c": 3}))
         assert dict(merged) == {"a": 1, "b": 2, "c": 3}
+
+
+class TestCompactLayout:
+    """A tuple is a values tuple plus a layout shared per attribute list."""
+
+    def test_attribute_order_does_not_affect_equality_or_hash(self):
+        a = Tuple(1, {"k": 1, "a": "x", "b": 10})
+        b = Tuple(1, {"b": 10, "k": 1, "a": "x"})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Tuple(1, {"b": 11, "k": 1, "a": "x"})
+        assert a != Tuple(1, {"k": 1, "a": "x"})
+
+    def test_same_attribute_list_shares_one_layout(self):
+        a = Tuple(1, {"k": 1, "a": "x"})
+        b = Tuple(2, {"k": 2, "a": "y"})
+        assert a._layout is b._layout
+        assert a.project(["a"])._layout is b.project(["a"])._layout
+
+    def test_built_from_a_non_dict_mapping_or_another_tuple(self, t):
+        from types import MappingProxyType
+
+        assert Tuple(1, MappingProxyType({"k": 1, "a": "x", "b": 10})) == t
+        assert Tuple(1, t) == t
+        assert Tuple(2, t).tid == 2 and Tuple(2, t)["a"] == "x"
+
+    def test_project_keeps_the_requested_order_and_drops_repeats(self, t):
+        p = t.project(["b", "a", "b"])
+        assert list(p) == ["b", "a"]
+        assert p == Tuple(1, {"a": "x", "b": 10})
+
+    def test_contains_and_items(self, t):
+        assert "a" in t and "zzz" not in t
+        assert dict(t.items()) == {"k": 1, "a": "x", "b": 10}
+        assert list(t.values()) == [1, "x", 10]
+
+    def test_pickle_round_trip_is_equal_and_reshares_the_layout(self, t):
+        other = Tuple(2, {"k": 2, "a": "y", "b": 20})
+        hash(t)  # a cached hash must not travel: string hashes differ per process
+        loaded_t, loaded_other = pickle.loads(pickle.dumps([t, other]))
+        assert loaded_t._hash is None
+        assert loaded_t == t and hash(loaded_t) == hash(t)
+        assert loaded_other == other
+        assert loaded_t._layout is t._layout is loaded_other._layout
+
+    def test_pickle_is_smaller_than_a_dict_per_tuple(self):
+        rows = [{f"attr{i}": f"v{tid}_{i}" for i in range(12)} for tid in range(50)]
+        as_tuples = pickle.dumps([Tuple(tid, row) for tid, row in enumerate(rows)])
+        as_dicts = pickle.dumps([(tid, row) for tid, row in enumerate(rows)])
+        assert len(as_tuples) < len(as_dicts)

@@ -1,6 +1,8 @@
 """Tests for the update/delta model."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.relation import Relation
 from repro.core.schema import Schema
@@ -99,6 +101,55 @@ class TestNormalization:
         assert len(normalized) == 1
         assert normalized[0].is_insert()
         assert normalized[0].tuple["a"] == "v2"
+
+
+def quadratic_normalized(updates):
+    """The backward-scanning ``normalized()`` this module used to have (oracle)."""
+    surviving = []
+    for update in updates:
+        cancelled = False
+        if update.is_delete():
+            for i in range(len(surviving) - 1, -1, -1):
+                prior = surviving[i]
+                if prior.tid == update.tid:
+                    if prior.is_insert():
+                        del surviving[i]
+                        cancelled = True
+                    break
+        if not cancelled:
+            for i in range(len(surviving) - 1, -1, -1):
+                prior = surviving[i]
+                if prior.tid == update.tid and prior.kind == update.kind:
+                    del surviving[i]
+                    break
+            surviving.append(update)
+    return surviving
+
+
+class TestNormalizationMatchesQuadraticOracle:
+    # Few tids and many updates: long insert/delete histories per tid.
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(1, 4), st.integers(0, 50)),
+            max_size=40,
+        )
+    )
+    def test_same_updates_in_the_same_order(self, draws):
+        updates = [
+            (Update.insert if inserting else Update.delete)(row(tid, a=version))
+            for inserting, tid, version in draws
+        ]
+        normalized = list(UpdateBatch(updates).normalized())
+        expected = quadratic_normalized(updates)
+        assert len(normalized) == len(expected)
+        # the very same Update objects, element for element
+        assert all(got is want for got, want in zip(normalized, expected))
+
+    def test_linear_in_the_batch_size(self):
+        # 20 000 updates on distinct tids took tens of seconds quadratically.
+        batch = UpdateBatch.inserts(row(tid) for tid in range(20_000))
+        batch.extend(Update.delete(row(tid)) for tid in range(0, 20_000, 2))
+        assert [u.tid for u in batch.normalized()] == list(range(1, 20_000, 2))
 
 
 class TestApplication:

@@ -138,3 +138,19 @@ class TestAgainstCentralizedDetector:
                 violations |= incremental_insert(index, new)
             expected = CentralizedDetector.violations_of(phi1, live.values())
             assert violations == expected
+
+
+class TestReturnedSetsAreTheCallers:
+    def test_mutating_the_returned_sets_leaves_the_index_alone(self, index):
+        incremental_insert(index, t(1))
+        incremental_insert(index, t(2))
+        added = incremental_insert(index, t(3, street="Crichton"))
+        assert added == {1, 2, 3}
+        added.clear()
+        assert index.class_of((44, "EH4"), "Mayfield") == {1, 2}
+        assert index.class_of((44, "EH4"), "Crichton") == {3}
+        removed = incremental_delete(index, t(3, street="Crichton"))
+        assert removed == {1, 2, 3}
+        removed.clear()
+        assert index.class_of((44, "EH4"), "Mayfield") == {1, 2}
+        assert incremental_insert(index, t(4, cc=99)) == set()

@@ -1,5 +1,6 @@
 """Tests for repro.core.violations."""
 
+import pickle
 
 from repro.core.violations import ViolationDelta, ViolationSet, diff_violations
 
@@ -150,3 +151,66 @@ class TestDiffViolations:
     def test_diff_of_identical_sets_is_empty(self):
         v = ViolationSet({1: ["a"]})
         assert diff_violations(v, v.copy()).is_empty()
+
+
+class TestValueSemantics:
+    """Marks are shared immutable values inside; callers get fresh mutable sets."""
+
+    def test_violation_set_accessors_return_fresh_mutable_sets(self):
+        v = ViolationSet({1: ["phi1", "phi2"], 2: ["phi1", "phi2"], 3: ["phi1"]})
+        v.cfds_of(1).add("bogus")
+        v.as_dict()[2].clear()
+        v.tids().clear()
+        v.tids_for("phi1").clear()
+        assert v.as_dict() == {1: {"phi1", "phi2"}, 2: {"phi1", "phi2"}, 3: {"phi1"}}
+        dropped = v.discard_tuple(1)
+        dropped.add("bogus")
+        assert v.cfds_of(2) == {"phi1", "phi2"} and 1 not in v
+        assert v.discard_tuple(99) == set()
+
+    def test_mutating_one_tid_leaves_tids_with_equal_marks_alone(self):
+        v = ViolationSet({1: ["phi1", "phi2"], 2: ["phi1", "phi2"]})
+        v.remove(1, "phi2")
+        v.add(1, "phi3")
+        assert v.cfds_of(1) == {"phi1", "phi3"}
+        assert v.cfds_of(2) == {"phi1", "phi2"}
+
+    def test_copy_is_independent_in_both_directions(self):
+        v = ViolationSet({1: ["phi1"], 2: ["phi1"]})
+        clone = v.copy()
+        clone.add(1, "phi2")
+        v.remove(2, "phi1")
+        assert v.as_dict() == {1: {"phi1"}}
+        assert clone.as_dict() == {1: {"phi1", "phi2"}, 2: {"phi1"}}
+
+    def test_delta_views_return_fresh_mutable_sets(self):
+        d = ViolationDelta()
+        d.add(1, "phi1")
+        d.add(2, "phi1")
+        d.remove(3, "phi1")
+        d.added[1].add("bogus")
+        d.added.clear()
+        d.removed[3].clear()
+        assert d.added == {1: {"phi1"}, 2: {"phi1"}}
+        assert d.removed == {3: {"phi1"}}
+        assert d.size() == 3
+
+    def test_equality_ignores_insertion_order(self):
+        a = ViolationSet({1: ["phi1", "phi2"], 2: ["phi2"]})
+        b = ViolationSet({2: ["phi2"], 1: ["phi2", "phi1"]})
+        assert a == b
+        b.add(2, "phi1")
+        assert a != b
+
+    def test_pickle_round_trip(self):
+        v = ViolationSet({tid: ["phi1", "phi2"] for tid in range(100)})
+        d = ViolationDelta()
+        d.add(1, "phi1")
+        d.remove(2, "phi2")
+        loaded_v, loaded_d = pickle.loads(pickle.dumps((v, d)))
+        assert loaded_v == v and loaded_d == d
+        loaded_v.add(0, "phi3")
+        loaded_v.remove(1, "phi1")
+        assert loaded_v.cfds_of(0) == {"phi1", "phi2", "phi3"}
+        assert loaded_v.cfds_of(1) == {"phi2"}
+        assert v.cfds_of(0) == {"phi1", "phi2"}
