@@ -39,7 +39,7 @@ from pathlib import Path
 import bench_utils as bu
 from repro.core.cfd import UNNAMED
 from repro.core.detector import CentralizedDetector
-from repro.distributed.serialization import estimate_tuple_bytes
+from repro.distributed.serialization import PriceTable, estimate_tuple_bytes
 from repro.engine.session import session
 from repro.sqlstore import kernels, sql_store_of
 
@@ -90,8 +90,9 @@ def measure_pushdown(n, cfds, rounds):
         best["check_push"] = min(best["check_push"], time.perf_counter() - start)
 
         start = time.perf_counter()
+        prices = PriceTable()
         push_scans = [
-            kernels.constant_ship_scan(store, relevant, constants)
+            kernels.constant_ship_scan(store, relevant, constants, prices)
             for _, relevant, constants in specs
         ]
         best["scan_push"] = min(best["scan_push"], time.perf_counter() - start)
@@ -105,7 +106,7 @@ def measure_pushdown(n, cfds, rounds):
         rows = list(rel_sql)
         fetch_scans = [
             [
-                (t.tid, estimate_tuple_bytes(t, relevant))
+                estimate_tuple_bytes(t, relevant)
                 for t in rows
                 if all(t[a] == v for a, v in constants.items())
             ]
@@ -114,7 +115,7 @@ def measure_pushdown(n, cfds, rounds):
         best["scan_fetch"] = min(best["scan_fetch"], time.perf_counter() - start)
 
         assert [set(v) for v in push_checks] == [set(v) for v in fetch_checks]
-        assert push_scans == fetch_scans
+        assert push_scans == [(len(scan), sum(scan)) for scan in fetch_scans]
     return best
 
 

@@ -244,124 +244,95 @@ def build_cfd_index(index: Any, store: ColumnStore) -> None:
 # -- shipment scans (batch baselines) ---------------------------------------------------
 
 
+def _shipment(
+    store: ColumnStore, attributes: Sequence[str], rows: Any
+) -> tuple[int, int]:
+    """``(count, bytes)`` of shipping ``rows`` projected onto ``attributes``.
+
+    A tid per row plus, per attribute, the dictionary's cached per-code
+    wire sizes summed over the rows' codes — ``estimate_tuple_bytes``
+    byte for byte, with no Python-level step per row.  ``rows`` is any
+    sized iterable of physical row indices.
+    """
+    nbytes = TID_BYTES * len(rows)
+    for a in attributes:
+        sizes = store.dictionary(a).byte_sizes()
+        nbytes += sum(map(sizes.__getitem__, map(store.codes(a).__getitem__, rows)))
+    return len(rows), nbytes
+
+
 def horizontal_batch_scan(
-    store: ColumnStore, cfd: CFD, want_ship: bool, compact: bool = False
-) -> tuple[Any, Any]:
+    store: ColumnStore, cfd: CFD, want_ship: bool
+) -> tuple[tuple[int, int], tuple[list[int], list[int]]]:
     """One site's scan for a general CFD in ``batHor``.
 
-    Returns ``(shipments, groups)``: the ``(tid, bytes)`` of every
-    pattern-matching tuple (when this site ships for the CFD) and the
-    fragment's decoded partial LHS groups for the coordinator merge —
-    the columnar twin of the per-tuple loop in ``_site_batch_task``.
+    Returns ``(shipment, groups)``.  ``shipment`` is the ``(count,
+    bytes)`` total of the pattern-matching tuples' ``cfd.attributes``
+    projections, ``(0, 0)`` unless this site ships for the CFD.
+    ``groups`` holds the fragment's partial LHS groups for the
+    coordinator merge, flattened to one ``(LHS key, RHS value)`` bucket
+    each and kept in row space as ``(singles, multis)``: a bare row
+    index for the common singleton bucket, a row bitset otherwise.
 
-    With ``compact=True`` nothing is decoded and *nothing leaves row
-    space*: the shipment is one row bitset (the coordinator re-derives
-    each row's tid and wire-size estimate from its own copy — values at
-    row ``r`` are identical on both sides), and the groups flatten to
-    one ``(LHS key, RHS value)`` bucket each, encoded as a bare row
-    index for the common singleton bucket and a row bitset otherwise.
-    That is the wire form a warm worker sends back: a replica built
-    from the coordinator's full physical export plus its journal deltas
-    assigns identical row indices (codes may drift — fragment
-    dictionaries are shared across stores coordinator-side — which is
-    why no code crosses the pipe), so the coordinator recovers each
-    bucket's key and RHS value from any member row of its own copy of
-    the fragment (see ``HorizontalBatchDetector.detect``).
+    Nothing is decoded.  That is the wire form a warm worker sends back:
+    a replica built from the coordinator's full physical export plus its
+    journal deltas assigns identical row indices (codes may drift —
+    fragment dictionaries are shared across stores coordinator-side —
+    which is why no code crosses the pipe), so the coordinator recovers
+    each bucket's key and RHS value from any member row of its own copy
+    of the fragment (see ``HorizontalBatchDetector.detect``).  Bytes are
+    priced here, from this store's own per-code sizes.
     """
     if _prof.enabled:
         _t0 = perf_counter()
     rhs_col = store.codes(cfd.rhs)
-    if compact:
-        ship_mask = 0
-        singles: list[int] = []
-        multis: list[int] = []
-        for _key, rows in _matching_group_items(store, cfd):
-            by_code: dict[int, int] = {}
-            for r in rows:
-                bit = 1 << r
-                if want_ship:
-                    ship_mask |= bit
-                code = rhs_col[r]
-                by_code[code] = by_code.get(code, 0) | bit
-            for mask in by_code.values():
-                if mask & (mask - 1):
-                    multis.append(mask)
-                else:
-                    singles.append(mask.bit_length() - 1)
-        if _prof.enabled:
-            _prof.note("shipment.batch_scan", perf_counter() - _t0, len(store))
-        return ship_mask, (singles, multis)
-    needed = cfd.attributes
-    col_tables = [(store.codes(a), store.dictionary(a).byte_sizes()) for a in needed]
-    ship: list[tuple[Any, int]] = []
-    rhs_dict = store.dictionary(cfd.rhs)
-    tids = store.tids_list()
-    groups_out: dict[tuple[Any, ...], dict[Any, set[Any]]] = {}
-    for key, rows in _matching_group_items(store, cfd):
-        by_rhs: dict[int, set[Any]] = {}
+    ship_rows: list[int] = []
+    singles: list[int] = []
+    multis: list[int] = []
+    for _key, rows in _matching_group_items(store, cfd):
+        if want_ship:
+            ship_rows.extend(rows)
+        by_code: dict[int, int] = {}
         for r in rows:
-            tid = tids[r]
-            if want_ship:
-                nbytes = TID_BYTES
-                for col, table in col_tables:
-                    nbytes += table[col[r]]
-                ship.append((tid, nbytes))
             code = rhs_col[r]
-            bucket = by_rhs.get(code)
-            if bucket is None:
-                by_rhs[code] = {tid}
+            by_code[code] = by_code.get(code, 0) | (1 << r)
+        for mask in by_code.values():
+            if mask & (mask - 1):
+                multis.append(mask)
             else:
-                bucket.add(tid)
-        groups_out[store.decode_key(cfd.lhs, key)] = {
-            rhs_dict.value(code): tids for code, tids in by_rhs.items()
-        }
+                singles.append(mask.bit_length() - 1)
+    shipment = _shipment(store, cfd.attributes, ship_rows)
     if _prof.enabled:
         _prof.note("shipment.batch_scan", perf_counter() - _t0, len(store))
-    return ship, groups_out
+    return shipment, (singles, multis)
 
 
 def constant_ship_scan(
     store: ColumnStore, relevant: Sequence[str], constants: Mapping[str, Any]
-) -> list[tuple[Any, int]]:
-    """``batVer``: (tid, bytes) of tuples whose ``relevant`` projection
-    matches the pattern constants (column sweep, cached byte sizes)."""
-    tests: list[tuple[list[int], int]] = []
+) -> tuple[int, int]:
+    """``batVer``: the ``(count, bytes)`` total of shipping the
+    ``relevant`` projection of every tuple that matches the pattern
+    constants on it (column sweep, cached per-code sizes)."""
+    if _prof.enabled:
+        _t0 = perf_counter()
+    rows: Any = store.iter_rows()
     for a in relevant:
         if a in constants:
             code = store.dictionary(a).code_of(constants[a])
-            if code is None:
-                return []
-            tests.append((store.codes(a), code))
-    if _prof.enabled:
-        _t0 = perf_counter()
-    byte_tables = [(store.codes(a), store.dictionary(a).byte_sizes()) for a in relevant]
-    tid_at = store.tid_of_row
-    out: list[tuple[Any, int]] = []
-    for r in store.iter_rows():
-        if all(col[r] == code for col, code in tests):
-            nbytes = TID_BYTES
-            for col, table in byte_tables:
-                nbytes += table[col[r]]
-            out.append((tid_at(r), nbytes))
+            col = store.codes(a)
+            rows = [r for r in rows if col[r] == code] if code is not None else ()
+    shipment = _shipment(store, relevant, rows)
     if _prof.enabled:
         _prof.note("shipment.constant_scan", perf_counter() - _t0, len(store))
-    return out
+    return shipment
 
 
-def project_ship_scan(
-    store: ColumnStore, supplied: Sequence[str]
-) -> list[tuple[Any, int]]:
-    """``batVer``: (tid, bytes) of every tuple's ``supplied`` projection."""
+def project_ship_scan(store: ColumnStore, supplied: Sequence[str]) -> tuple[int, int]:
+    """``batVer``: the ``(count, bytes)`` total of shipping every
+    tuple's ``supplied`` projection."""
     if _prof.enabled:
         _t0 = perf_counter()
-    byte_tables = [(store.codes(a), store.dictionary(a).byte_sizes()) for a in supplied]
-    tid_at = store.tid_of_row
-    out: list[tuple[Any, int]] = []
-    for r in store.iter_rows():
-        nbytes = TID_BYTES
-        for col, table in byte_tables:
-            nbytes += table[col[r]]
-        out.append((tid_at(r), nbytes))
+    shipment = _shipment(store, supplied, store.iter_rows())
     if _prof.enabled:
         _prof.note("shipment.project_scan", perf_counter() - _t0, len(store))
-    return out
+    return shipment

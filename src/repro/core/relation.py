@@ -51,6 +51,9 @@ class Relation:
         storage: str | Any = "rows",
     ):
         self._schema = schema
+        #: The tuple layout that last passed :meth:`_check` (tuples with
+        #: one attribute list share one layout object).
+        self._checked_layout: Any = None
         if isinstance(storage, str):
             self._store = make_storage(storage, schema)
         else:
@@ -135,6 +138,13 @@ class Relation:
     # -- mutation ----------------------------------------------------------------
 
     def _check(self, t: Tuple) -> None:
+        """Raise unless ``t`` carries exactly the schema's attributes.
+
+        The verdict depends only on the tuple's attribute list, so a
+        layout that has passed is not tested again.
+        """
+        if t._layout is self._checked_layout:
+            return
         missing = [a for a in self._schema.attribute_names if a not in t]
         if missing:
             raise RelationError(
@@ -147,6 +157,7 @@ class Relation:
                 f"tuple {t.tid!r} carries attributes {extra} not in schema "
                 f"{self._schema.name!r}"
             )
+        self._checked_layout = t._layout
 
     def insert(self, t: Tuple) -> None:
         """Insert a tuple; its tid must be fresh."""

@@ -74,6 +74,8 @@ class Schema:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "key", key)
+        # Derived once, outside the dataclass fields (so outside ==, hash and repr).
+        object.__setattr__(self, "_names", tuple(names))
         object.__setattr__(self, "_index", {a.name: i for i, a in enumerate(attrs)})
 
     # -- basic introspection -------------------------------------------------
@@ -81,7 +83,7 @@ class Schema:
     @property
     def attribute_names(self) -> tuple[str, ...]:
         """Attribute names, in schema order."""
-        return tuple(a.name for a in self.attributes)
+        return self._names  # type: ignore[attr-defined]
 
     def __contains__(self, attribute: str) -> bool:
         return attribute in self._index  # type: ignore[attr-defined]

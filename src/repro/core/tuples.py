@@ -43,6 +43,23 @@ def _shared_layout(attributes: tuple[str, ...]) -> _Layout:
     return layout
 
 
+# One merge plan per ordered pair of layouts joined by :meth:`Tuple.merge`,
+# keyed by identity (a plan holds both layouts, so the ids stay taken).
+_MERGE_PLANS: dict[tuple[int, int], tuple] = {}
+
+
+def _merge_plan(left: _Layout, right: _Layout) -> tuple:
+    """``(merged layout, right positions to append, shared (attribute,
+    left position, right position) triples, the two layouts)``."""
+    plan = _MERGE_PLANS[id(left), id(right)] = (
+        _shared_layout((*left, *(a for a in right if a not in left))),
+        tuple(i for a, i in right.items() if a not in left),
+        tuple((a, left[a], i) for a, i in right.items() if a in left),
+        (left, right),
+    )
+    return plan
+
+
 def _from_layout(tid: Any, layout: _Layout, values: tuple[Any, ...]) -> "Tuple":
     t = Tuple.__new__(Tuple)
     t._tid = tid
@@ -138,19 +155,29 @@ class Tuple(Mapping[str, Any]):
         return _from_layout(self._tid, layout, tuple(vals[mine[a]] for a in layout))
 
     def merge(self, other: "Tuple") -> "Tuple":
-        """Join two fragments of the same logical tuple (same tid)."""
-        if other.tid != self._tid:
+        """Join two fragments of the same logical tuple (same tid).
+
+        The result lists this tuple's attributes, then the other's new
+        ones; values of shared attributes must agree (``ValueError``
+        otherwise) and this tuple's are kept.
+        """
+        if other._tid != self._tid:
             raise ValueError(
-                f"cannot merge tuples with different tids: {self._tid!r} != {other.tid!r}"
+                f"cannot merge tuples with different tids: {self._tid!r} != {other._tid!r}"
             )
-        merged = self.as_dict()
-        for attr, value in zip(other._layout, other._vals):
-            if merged.get(attr, value) != value:
+        left, right = self._layout, other._layout
+        layout, appended, shared, _ = _MERGE_PLANS.get(
+            (id(left), id(right))
+        ) or _merge_plan(left, right)
+        mine, theirs = self._vals, other._vals
+        for attr, i, j in shared:
+            if mine[i] != theirs[j]:
                 raise ValueError(
                     f"conflicting values for attribute {attr!r} while merging tid {self._tid!r}"
                 )
-            merged[attr] = value
-        return Tuple(self._tid, merged)
+        return _from_layout(
+            self._tid, layout, mine + tuple(map(theirs.__getitem__, appended))
+        )
 
     def with_values(self, **updates: Any) -> "Tuple":
         """Return a copy with some attribute values replaced."""

@@ -82,7 +82,15 @@ class NetworkStats:
 
 
 class Network:
-    """Synchronous message delivery with full shipment accounting.
+    """The shipment ledger: synchronous delivery with full accounting.
+
+    Two ways in.  :meth:`send` / :meth:`ship` deliver one payload and
+    charge one message — what the incremental detectors use, a handful
+    per update.  :meth:`charge` takes a *total*: ``messages`` unit-sized
+    messages of ``size_bytes`` altogether from one site to another —
+    what the batch baselines use, once per (site, CFD), so a wave over
+    ``|D|`` tuples costs the ledger ``O(#sites * |Sigma|)`` operations
+    while the counters read exactly as after that many single sends.
 
     Counter accumulation is guarded by a lock, so detector tasks running
     on the thread backend may ship concurrently without corrupting the
@@ -126,6 +134,37 @@ class Network:
     ) -> Any:
         """Convenience wrapper building and shipping a :class:`Message`."""
         return self.ship(Message(sender, receiver, kind, payload, size_bytes, units, tag))
+
+    def charge(
+        self,
+        sender: int,
+        receiver: int,
+        kind: MessageKind,
+        messages: int,
+        size_bytes: int,
+        tag: str = "",
+    ) -> None:
+        """Account for ``messages`` one-unit messages totalling ``size_bytes``.
+
+        Moves every counter as ``messages`` single :meth:`send` calls of
+        that kind between that pair would, under one lock acquisition,
+        and rejects what a :class:`Message` rejects.  Nothing is
+        delivered (the caller computed the totals where the data lives);
+        a recording network logs the one payload-less :class:`Message`
+        whose ``units`` is the message count.  Zero messages charge
+        nothing.
+        """
+        entry = Message(sender, receiver, kind, None, size_bytes, messages, tag)
+        if not messages:
+            return
+        with self._lock:
+            self._messages += messages
+            self._bytes += size_bytes
+            self._units_by_kind[kind.value] += messages
+            self._bytes_by_kind[kind.value] += size_bytes
+            self._messages_by_pair[(sender, receiver)] += messages
+            if self._record_messages:
+                self._log.append(entry)
 
     def broadcast(
         self,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 #: Size, in bytes, of an equivalence-class identifier on the wire.
 EQID_BYTES = 8
@@ -62,6 +62,40 @@ def estimate_value_bytes(value: Any) -> int:
     if isinstance(value, float):
         return 8
     return len(str(value).encode("utf-8"))
+
+
+class PriceTable:
+    """:func:`estimate_value_bytes`, estimated once per distinct value.
+
+    A batch shipment scan prices whole columns of a fragment, and a
+    column repeats its values; the table keys each estimate by ``(type,
+    value)`` — ``1``, ``1.0`` and ``True`` compare equal but cost 8, 8
+    and 1 bytes — and sums a column with C-level loops.  One table
+    serves every column a site task prices, so a value shipped for
+    several CFDs is estimated once.
+    """
+
+    def __init__(self) -> None:
+        self._sizes: dict[tuple[type, Any], int] = {}
+
+    def total(self, values: Sequence[Any]) -> int:
+        """``sum(estimate_value_bytes(v) for v in values)``."""
+        sizes = self._sizes
+        try:
+            for key in set(zip(map(type, values), values)).difference(sizes):
+                sizes[key] = estimate_value_bytes(key[1])
+        except TypeError:  # an unhashable value: nothing to key it by
+            return sum(map(estimate_value_bytes, values))
+        return sum(map(sizes.__getitem__, zip(map(type, values), values)))
+
+    def shipment(self, count: int, columns: Iterable[Sequence[Any]]) -> tuple[int, int]:
+        """``(count, bytes)`` of shipping ``count`` partial tuples.
+
+        ``columns`` holds the shipped values attribute by attribute
+        (``count`` values each); the wire form adds a tid per tuple, as
+        :func:`estimate_tuple_bytes` does.
+        """
+        return count, TID_BYTES * count + sum(map(self.total, columns))
 
 
 def estimate_tuple_bytes(values: Mapping[str, Any], attributes: Iterable[str] | None = None) -> int:

@@ -30,7 +30,7 @@ from repro.core.tuples import Tuple
 from repro.core.violations import ViolationSet
 from repro.distributed.cluster import Cluster
 from repro.distributed.message import MessageKind
-from repro.distributed.serialization import TID_BYTES, estimate_tuple_bytes
+from repro.distributed.serialization import PriceTable
 from repro.obs import profile as _prof
 from repro.runtime.executor import SiteTask
 
@@ -41,7 +41,7 @@ def _site_batch_task(
     ship_names: frozenset[str],
     tuples: "list[Tuple] | Any",
     fusion: bool = True,
-) -> tuple[list, dict[str, list[tuple[Any, int]]], dict, bool]:
+) -> tuple[list, dict[str, tuple[int, int]], dict, bool]:
     """One site's whole batch-detection contribution (pure, picklable).
 
     ``tuples`` is the site's fragment: a tuple list for row storage, or
@@ -53,28 +53,29 @@ def _site_batch_task(
 
     * per locally-checkable CFD, the tids violating it inside this
       fragment;
-    * per general CFD this site must ship for, the ``(tid, bytes)`` of
-      every locally pattern-matching tuple;
+    * per general CFD this site must ship for, the ``(count, bytes)``
+      total of its locally pattern-matching tuples' (tid + X + B)
+      projections — two ints, priced here where the values live;
     * per general CFD, the fragment's partial LHS groups
-      ``{lhs_key: {rhs_value: {tids}}}`` for the coordinator to merge.
+      ``{lhs_key: {rhs_value: [tids]}}`` for the coordinator to merge
+      (fragments are disjoint, so a tid is listed once).
 
     Column-backed fragments return the *compact* wire form instead
-    (``compact=True``): local violations as row bitsets, shipments as
-    one bitset of shipping rows per CFD, and groups as ``(singles,
-    multis)`` — bare row indices for singleton ``(LHS key, RHS value)``
-    buckets, row bitsets for the rest — a few ints per group rather
-    than decoded values and tid sets.  A fragment replica in a warm
-    worker assigns row
-    indices identical to the coordinator's copy (it is built from the
-    coordinator's own full physical export plus its journal deltas), so
-    the coordinator decodes every mask against its local store —
-    compact results are what keep a shared-memory round's pickled bytes
-    proportional to the *changes*, not the database.
+    (``compact=True``): local violations as row bitsets and groups as
+    ``(singles, multis)`` — bare row indices for singleton ``(LHS key,
+    RHS value)`` buckets, row bitsets for the rest — a few ints per
+    group rather than decoded values and tid lists.  A fragment replica
+    in a warm worker assigns row indices identical to the coordinator's
+    copy (it is built from the coordinator's own full physical export
+    plus its journal deltas), so the coordinator decodes every mask
+    against its local store — compact results are what keep a
+    shared-memory round's pickled bytes proportional to the *changes*,
+    not the database.
     """
     from repro.columnar.store import column_store_of
     from repro.sqlstore.store import sql_store_of
 
-    shipments: dict[str, list[tuple[Any, int]]] = {}
+    shipments: dict[str, tuple[int, int]] = {}
     groups: dict[str, dict] = {}
     store = column_store_of(tuples)
     if store is not None:
@@ -95,13 +96,12 @@ def _site_batch_task(
             ]
         for cfd in general_cfds:
             want_ship = cfd.name in ship_names
-            ship, by_key = kernels.horizontal_batch_scan(
-                store, cfd, want_ship, compact=True
-            )
+            ship, by_key = kernels.horizontal_batch_scan(store, cfd, want_ship)
             if want_ship:
                 shipments[cfd.name] = ship
             groups[cfd.name] = by_key
         return local_masks, shipments, groups, True
+    prices = PriceTable()
     sql_store = sql_store_of(tuples)
     if sql_store is not None:
         # SQL-backed fragments run every scan as a pushed-down query
@@ -125,7 +125,7 @@ def _site_batch_task(
         for cfd in general_cfds:
             want_ship = cfd.name in ship_names
             ship, by_key = sql_kernels.horizontal_batch_scan(
-                sql_store, cfd, want_ship
+                sql_store, cfd, want_ship, prices
             )
             if want_ship:
                 shipments[cfd.name] = ship
@@ -146,18 +146,19 @@ def _site_batch_task(
     if _prof.enabled:
         _t0 = perf_counter()
     for cfd in general_cfds:
-        needed = list(cfd.attributes)
-        ship = shipments.setdefault(cfd.name, []) if cfd.name in ship_names else None
-        by_key = groups.setdefault(cfd.name, {})
-        lhs = cfd.lhs
-        rhs = cfd.rhs
+        want_ship = cfd.name in ship_names
+        shipped: list[tuple] = []
+        by_key = groups[cfd.name] = {}
+        needed = cfd.attributes
         for t in tuples:
             if not cfd.lhs_matches(t):
                 continue
-            if ship is not None:
-                ship.append((t.tid, estimate_tuple_bytes(t, needed)))
-            key = tuple(t[a] for a in lhs)
-            by_key.setdefault(key, {}).setdefault(t[rhs], set()).add(t.tid)
+            values = t.values_for(needed)
+            if want_ship:
+                shipped.append(values)
+            by_key.setdefault(values[:-1], {}).setdefault(values[-1], []).append(t.tid)
+        if want_ship:
+            shipments[cfd.name] = prices.shipment(len(shipped), zip(*shipped))
     if _prof.enabled:
         _prof.note("shipment.row_scan", perf_counter() - _t0, len(tuples))
     return local_violations, shipments, groups, False
@@ -236,20 +237,18 @@ class HorizontalBatchDetector:
         results = self._cluster.scheduler.run(tasks)
 
         # Merge in site order: local verdicts first, then per general CFD the
-        # shipments (charged per matching tuple, exactly as each site would
-        # send them) and the group union.  Compact results stay in row
-        # space on the wire and are decoded here against the coordinator's
-        # own copy of the site's fragment (identical row indices by
-        # construction; values at row r are identical on both sides, so
-        # the re-derived wire-size estimates match what the site itself
-        # would have computed).
+        # site's shipment total (one ledger entry for all its matching
+        # tuples) and the group union.  Compact groups stay in row space
+        # on the wire and are decoded here against the coordinator's own
+        # copy of the site's fragment (identical row indices by
+        # construction).
         from repro.columnar.masks import iter_mask_rows, mask_to_tids
 
         stores = {
             site.site_id: column_store_of(site.fragment) for site in sites
         }
         general_by_name = {cfd.name: cfd for cfd in self._general_cfds}
-        merged: dict[str, dict[tuple, dict[Any, set[Any]]]] = {
+        merged: dict[str, dict[tuple, dict[Any, list[Any]]]] = {
             cfd.name: {} for cfd in self._general_cfds
         }
         for result in results:
@@ -260,28 +259,19 @@ class HorizontalBatchDetector:
                     tids = mask_to_tids(store, tids)
                 for tid in tids:
                     violations.add(tid, cfd_name)
-            for cfd_name, shipment in shipments.items():
-                if compact:
-                    cfd = general_by_name[cfd_name]
-                    tables = [
-                        (store.codes(a), store.dictionary(a).byte_sizes())
-                        for a in cfd.attributes
-                    ]
-                    shipment = (
-                        (store.tid_of_row(r), TID_BYTES + sum(t[c[r]] for c, t in tables))
-                        for r in iter_mask_rows(shipment)
-                    )
-                for tid, nbytes in shipment:
-                    self._network.send(
-                        result.site,
-                        coordinator,
-                        MessageKind.PARTIAL_TUPLE,
-                        {"tid": tid},
-                        nbytes,
-                        units=1,
-                        tag=cfd_name,
-                    )
-            for cfd_name, by_key in groups.items():
+            for cfd_name, (count, nbytes) in shipments.items():
+                self._network.charge(
+                    result.site,
+                    coordinator,
+                    MessageKind.PARTIAL_TUPLE,
+                    count,
+                    nbytes,
+                    tag=cfd_name,
+                )
+            # Each CFD's partial groups are dropped as soon as they are
+            # merged, so the wave never holds every site's copy twice.
+            while groups:
+                cfd_name, by_key = groups.popitem()
                 target = merged[cfd_name]
                 if compact:
                     # Each bucket is (LHS key, RHS value)-uniform, so any
@@ -289,25 +279,24 @@ class HorizontalBatchDetector:
                     cfd = general_by_name[cfd_name]
                     lhs = cfd.lhs
                     rhs = cfd.rhs
+                    tid_at = store.tid_of_row
                     singles, multis = by_key
                     for r in singles:
                         key = tuple(store.value_at(r, a) for a in lhs)
                         slot = target.setdefault(key, {})
-                        slot.setdefault(store.value_at(r, rhs), set()).add(
-                            store.tid_of_row(r)
-                        )
+                        slot.setdefault(store.value_at(r, rhs), []).append(tid_at(r))
                     for mask in multis:
                         first = (mask & -mask).bit_length() - 1
                         key = tuple(store.value_at(first, a) for a in lhs)
                         slot = target.setdefault(key, {})
-                        slot.setdefault(store.value_at(first, rhs), set()).update(
-                            mask_to_tids(store, mask)
+                        slot.setdefault(store.value_at(first, rhs), []).extend(
+                            map(tid_at, iter_mask_rows(mask))
                         )
                     continue
                 for key, by_rhs in by_key.items():
                     slot = target.setdefault(key, {})
                     for rhs_value, tids in by_rhs.items():
-                        slot.setdefault(rhs_value, set()).update(tids)
+                        slot.setdefault(rhs_value, []).extend(tids)
 
         for cfd in self._general_cfds:
             for by_rhs in merged[cfd.name].values():

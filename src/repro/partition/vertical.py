@@ -279,7 +279,7 @@ class VerticalPartition:
             return Relation(schema, storage=store.reorder_columns(schema.attribute_names))
         base = Relation(schema, storage=result.storage)
         for t in result:
-            base.insert(Tuple(t.tid, {a: t[a] for a in schema.attribute_names}))
+            base.insert(t.project(schema.attribute_names))
         return base
 
     def total_tuples(self) -> int:

@@ -217,7 +217,7 @@ def fused_rows_violations(cfds: Sequence[CFD], tuples: Iterable[Any]) -> list[se
                     if not (t[rhs] == rhs_const):
                         out[m].add(tid)
                 else:
-                    buckets.setdefault(key, {}).setdefault(t[rhs], set()).add(tid)
+                    buckets.setdefault(key, {}).setdefault(t[rhs], []).append(tid)
     for _lhs, plan in plans:
         for m, _consts, _rhs, _rhs_const, buckets in plan:
             if buckets is None:

@@ -9,7 +9,7 @@ dict grouping, and the decoded projections reproduce
 the set-oriented part — pattern filters, LHS grouping, distinct-RHS
 counting, semi-joins — which runs in C over data that never has to fit
 on the Python heap; what stays in Python is the (much smaller) decoded
-result: violating tids, shipment ``(tid, bytes)`` pairs and group
+result: violating tids, shipment ``(count, bytes)`` totals and group
 dictionaries the coordinators merge.
 """
 
@@ -19,7 +19,11 @@ from time import perf_counter
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.cfd import CFD
-from repro.distributed.serialization import TID_BYTES, estimate_value_bytes
+from repro.distributed.serialization import (
+    TID_BYTES,
+    PriceTable,
+    estimate_value_bytes,
+)
 from repro.obs import profile as _prof
 from repro.sqlstore import compiler
 from repro.sqlstore.store import SqlStore, decode_value
@@ -87,75 +91,84 @@ def build_cfd_index(index: Any, store: SqlStore) -> None:
 # -- shipment scans (batch baselines) ---------------------------------------------------
 
 
+def _decoded_columns(rows: list[tuple]) -> list[Sequence[Any]]:
+    """Raw result rows transposed into decoded columns.
+
+    Natively stored values decode to themselves, so only a column that
+    holds a tagged blob is decoded value by value.
+    """
+    return [
+        list(map(decode_value, col)) if bytes in set(map(type, col)) else col
+        for col in zip(*rows)
+    ]
+
+
 def horizontal_batch_scan(
-    store: SqlStore, cfd: CFD, want_ship: bool
-) -> tuple[list[tuple[Any, int]], dict[tuple, dict[Any, set[Any]]]]:
+    store: SqlStore, cfd: CFD, want_ship: bool, prices: PriceTable
+) -> tuple[tuple[int, int], dict[tuple, dict[Any, list[Any]]]]:
     """One site's scan for a general CFD in ``batHor``.
 
-    Returns ``(shipments, groups)``: the ``(tid, bytes)`` of every
-    pattern-matching tuple (when this site ships for the CFD) and the
-    fragment's decoded partial LHS groups for the coordinator merge —
-    the filter runs as one pushed-down query, only ``cfd.attributes``
-    come back.
+    Returns ``(shipment, groups)``: the ``(count, bytes)`` total of the
+    pattern-matching tuples' ``cfd.attributes`` projections — ``(0, 0)``
+    unless this site ships for the CFD — and the fragment's decoded
+    partial LHS groups ``{lhs_key: {rhs_value: [tids]}}`` for the
+    coordinator merge.  The filter runs as one pushed-down query, only
+    ``cfd.attributes`` come back, and ``prices`` estimates each
+    distinct value once.
     """
     if _prof.enabled:
         _t0 = perf_counter()
-    needed = cfd.attributes
-    n_lhs = len(cfd.lhs)
-    sql, params = compiler.pattern_scan_query(store, cfd, needed)
-    ship: list[tuple[Any, int]] = []
-    groups: dict[tuple, dict[Any, set[Any]]] = {}
-    for row in store.query_all(sql, params):
-        tid = decode_value(row[0])
-        values = [decode_value(v) for v in row[1:]]
+    sql, params = compiler.pattern_scan_query(store, cfd, cfd.attributes)
+    rows = store.query_all(sql, params)
+    shipment = (0, 0)
+    groups: dict[tuple, dict[Any, list[Any]]] = {}
+    if rows:
+        tids, *lhs_cols, rhs_col = _decoded_columns(rows)
         if want_ship:
-            ship.append(
-                (tid, TID_BYTES + sum(estimate_value_bytes(v) for v in values))
-            )
-        key = tuple(values[:n_lhs])
-        groups.setdefault(key, {}).setdefault(values[n_lhs], set()).add(tid)
+            shipment = prices.shipment(len(rows), (*lhs_cols, rhs_col))
+        for tid, key, rhs_value in zip(tids, zip(*lhs_cols), rhs_col):
+            groups.setdefault(key, {}).setdefault(rhs_value, []).append(tid)
     if _prof.enabled:
         _prof.note("shipment.sql_scan", perf_counter() - _t0, len(store))
-    return ship, groups
+    return shipment, groups
+
+
+def _priced_projection(rows: list[tuple], prices: PriceTable) -> tuple[int, int]:
+    """``(count, bytes)`` of raw ``(tid, values...)`` result rows shipped
+    as partial tuples."""
+    return prices.shipment(len(rows), _decoded_columns(rows)[1:])
 
 
 def constant_ship_scan(
-    store: SqlStore, relevant: Sequence[str], constants: Mapping[str, Any]
-) -> list[tuple[Any, int]]:
-    """``batVer``: (tid, bytes) of tuples whose ``relevant`` projection
-    matches the pattern constants (pushed-down WHERE filter)."""
+    store: SqlStore,
+    relevant: Sequence[str],
+    constants: Mapping[str, Any],
+    prices: PriceTable,
+) -> tuple[int, int]:
+    """``batVer``: the ``(count, bytes)`` total of shipping the
+    ``relevant`` projection of every tuple that matches the pattern
+    constants on it (pushed-down WHERE filter)."""
     if _prof.enabled:
         _t0 = perf_counter()
     sql, params = compiler.constant_match_query(store, relevant, dict(constants))
-    out = [
-        (
-            decode_value(row[0]),
-            TID_BYTES + sum(estimate_value_bytes(decode_value(v)) for v in row[1:]),
-        )
-        for row in store.query_all(sql, params)
-    ]
+    shipment = _priced_projection(store.query_all(sql, params), prices)
     if _prof.enabled:
         _prof.note("shipment.sql_constant_scan", perf_counter() - _t0, len(store))
-    return out
+    return shipment
 
 
 def project_ship_scan(
-    store: SqlStore, supplied: Sequence[str]
-) -> list[tuple[Any, int]]:
-    """``batVer``: (tid, bytes) of every tuple's ``supplied`` projection."""
+    store: SqlStore, supplied: Sequence[str], prices: PriceTable
+) -> tuple[int, int]:
+    """``batVer``: the ``(count, bytes)`` total of shipping every
+    tuple's ``supplied`` projection."""
     if _prof.enabled:
         _t0 = perf_counter()
     sql, params = compiler.projection_query(store, supplied)
-    out = [
-        (
-            decode_value(row[0]),
-            TID_BYTES + sum(estimate_value_bytes(decode_value(v)) for v in row[1:]),
-        )
-        for row in store.query_all(sql, params)
-    ]
+    shipment = _priced_projection(store.query_all(sql, params), prices)
     if _prof.enabled:
         _prof.note("shipment.sql_project_scan", perf_counter() - _t0, len(store))
-    return out
+    return shipment
 
 
 def semi_join_ship_scan(

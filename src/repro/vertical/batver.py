@@ -28,7 +28,7 @@ from repro.core.tuples import Tuple
 from repro.core.violations import ViolationSet
 from repro.distributed.cluster import Cluster
 from repro.distributed.message import MessageKind
-from repro.distributed.serialization import estimate_tuple_bytes
+from repro.distributed.serialization import PriceTable
 from repro.runtime.executor import SiteTask
 
 
@@ -36,7 +36,7 @@ def _site_ship_task(
     constant_specs: list[tuple[str, list[str], dict[str, Any]]],
     variable_specs: list[tuple[str, list[str]]],
     tuples: "list[Tuple] | Any",
-) -> dict[str, list[tuple[Any, int]]]:
+) -> dict[str, tuple[int, int]]:
     """Plan one site's shipments for every CFD (pure, picklable).
 
     ``constant_specs`` carries ``(cfd_name, relevant_lhs_attrs,
@@ -47,50 +47,54 @@ def _site_ship_task(
     columns to: every tuple ships its ``supplied`` projection.
 
     ``tuples`` is the site's fragment: a tuple list for row storage, or
-    the fragment relation itself when column-backed (the projection
-    sweeps then run over encoded columns with cached per-code sizes).
+    the fragment relation itself when column- or SQL-backed.
+
+    Returns, per CFD, the ``(count, bytes)`` total of the partial tuples
+    the site ships for it — two ints, priced here where the values live
+    and set-at-a-time: from the dictionaries' cached per-code sizes on
+    columnar fragments, with one estimate per distinct value
+    (:class:`PriceTable`) on rows and SQL.
     """
     from repro.columnar.store import column_store_of
     from repro.sqlstore.store import sql_store_of
 
-    shipments: dict[str, list[tuple[Any, int]]] = {}
+    shipments: dict[str, tuple[int, int]] = {}
     store = column_store_of(tuples)
     if store is not None:
         from repro.columnar import kernels
 
         for cfd_name, relevant, constants in constant_specs:
-            shipments.setdefault(cfd_name, []).extend(
-                kernels.constant_ship_scan(store, relevant, constants)
-            )
+            shipments[cfd_name] = kernels.constant_ship_scan(store, relevant, constants)
         for cfd_name, supplied in variable_specs:
-            shipments.setdefault(cfd_name, []).extend(
-                kernels.project_ship_scan(store, supplied)
-            )
+            shipments[cfd_name] = kernels.project_ship_scan(store, supplied)
         return shipments
+    prices = PriceTable()
     sql_store = sql_store_of(tuples)
     if sql_store is not None:
         # SQL-backed fragments push the match filter and projection
-        # down; only (tid, projected values) rows come back to price.
+        # down; only the projected values come back to price.
         from repro.sqlstore import kernels as sql_kernels
 
         for cfd_name, relevant, constants in constant_specs:
-            shipments.setdefault(cfd_name, []).extend(
-                sql_kernels.constant_ship_scan(sql_store, relevant, constants)
+            shipments[cfd_name] = sql_kernels.constant_ship_scan(
+                sql_store, relevant, constants, prices
             )
         for cfd_name, supplied in variable_specs:
-            shipments.setdefault(cfd_name, []).extend(
-                sql_kernels.project_ship_scan(sql_store, supplied)
+            shipments[cfd_name] = sql_kernels.project_ship_scan(
+                sql_store, supplied, prices
             )
         return shipments
     for cfd_name, relevant, constants in constant_specs:
-        ship = shipments.setdefault(cfd_name, [])
-        for t in tuples:
-            if all(t[a] == constants[a] for a in relevant if a in constants):
-                ship.append((t.tid, estimate_tuple_bytes(t, relevant)))
+        tested = [a for a in relevant if a in constants]
+        shipped = [
+            t.values_for(relevant)
+            for t in tuples
+            if all(t[a] == constants[a] for a in tested)
+        ]
+        shipments[cfd_name] = prices.shipment(len(shipped), zip(*shipped))
     for cfd_name, supplied in variable_specs:
-        ship = shipments.setdefault(cfd_name, [])
-        for t in tuples:
-            ship.append((t.tid, estimate_tuple_bytes(t, supplied)))
+        shipped = [t.values_for(supplied) for t in tuples]
+        shipments[cfd_name] = prices.shipment(len(shipped), zip(*shipped))
     return shipments
 
 
@@ -224,26 +228,28 @@ class VerticalBatchDetector:
             for site in self._cluster.sites()
             if site.site_id in constant_specs or site.site_id in variable_specs
         ]
-        planned: dict[int, dict[str, list[tuple[Any, int]]]] = {
+        planned: dict[int, dict[str, tuple[int, int]]] = {
             result.site: result.value
             for result in self._cluster.scheduler.run(ship_tasks)
         }
 
-        # Charge the shipments in the serial order (per CFD, per site, per
-        # tuple), then check every CFD against the snapshot in parallel.
+        # Charge the shipments in the serial order (per CFD, per site: one
+        # ledger entry for all the partial tuples the site ships), then
+        # check every CFD against the snapshot in parallel.
         for cfd in self._cfds:
             coordinator = coordinators.get(cfd.name)
             if coordinator is None:
                 continue
             for frag in self._partitioner.fragments:
-                for tid, nbytes in planned.get(frag.site, {}).get(cfd.name, []):
-                    self._network.send(
+                shipment = planned.get(frag.site, {}).get(cfd.name)
+                if shipment is not None:
+                    count, nbytes = shipment
+                    self._network.charge(
                         frag.site,
                         coordinator,
                         MessageKind.PARTIAL_TUPLE,
-                        {"tid": tid},
+                        count,
                         nbytes,
-                        units=1,
                         tag=cfd.name,
                     )
 

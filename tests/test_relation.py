@@ -1,5 +1,7 @@
 """Tests for repro.core.relation."""
 
+import pickle
+
 import pytest
 
 from repro.core.relation import Relation, RelationError
@@ -44,6 +46,22 @@ class TestRelationBasics:
         rel = Relation(schema)
         with pytest.raises(RelationError):
             rel.insert(Tuple(1, {"k": 1, "a": "x", "b": "y", "z": "extra"}))
+
+    def test_bad_attributes_rejected_after_a_good_layout_passed(self, schema):
+        """The check is remembered per attribute list, never per relation."""
+        rel = Relation(schema)
+        rel.insert(row(1, "x", "y"))
+        rel.insert(row(2, "x", "y"))  # same layout: the remembered verdict
+        for survivor in (rel, pickle.loads(pickle.dumps(rel))):
+            with pytest.raises(RelationError, match="missing"):
+                survivor.insert(Tuple(3, {"k": 3, "a": "x"}))
+            with pytest.raises(RelationError, match="not in schema"):
+                survivor.insert(Tuple(3, {"k": 3, "a": "x", "b": "y", "zzz": 0}))
+            survivor.insert(Tuple(3, {"b": "y", "a": "x", "k": 3}))  # other order: fine
+            survivor.insert(row(4, "x", "y"))
+            with pytest.raises(RelationError, match="missing"):
+                survivor.insert(Tuple(5, {"k": 5, "b": "y"}))
+            assert sorted(survivor.tids()) == [1, 2, 3, 4]
 
     def test_delete(self, schema):
         rel = Relation(schema, [row(1, "x", "y")])

@@ -4,6 +4,7 @@ from repro.distributed.serialization import (
     EQID_BYTES,
     MD5_BYTES,
     TID_BYTES,
+    PriceTable,
     estimate_tuple_bytes,
     estimate_value_bytes,
     md5_digest,
@@ -26,6 +27,28 @@ class TestValueSizes:
 
     def test_constants_are_positive(self):
         assert EQID_BYTES > 0 and MD5_BYTES == 16 and TID_BYTES > 0
+
+
+class TestPriceTable:
+    def test_equal_values_of_different_types_keep_their_own_price(self):
+        values = [1, 1.0, True, None, 0, False, "1", "ü", 1, 1.0, True]
+        prices = PriceTable()
+        assert prices.total(values) == sum(map(estimate_value_bytes, values))
+        assert [prices.total([v]) for v in (1, 1.0, True, None)] == [8, 8, 1, 1]
+        assert [prices.total([v]) for v in (True, 1.0, 1)] == [1, 8, 8]  # any order
+
+    def test_unhashable_values_are_priced_directly(self):
+        values = ["ab", [1, 2], {"x": 1}, "ab"]
+        assert PriceTable().total(values) == sum(map(estimate_value_bytes, values))
+
+    def test_shipment_adds_a_tid_per_tuple(self):
+        rows = [{"a": "xy", "b": 1}, {"a": "xy", "b": True}, {"a": None, "b": 2.5}]
+        columns = [[r["a"] for r in rows], [r["b"] for r in rows]]
+        assert PriceTable().shipment(len(rows), columns) == (
+            3,
+            sum(estimate_tuple_bytes(r) for r in rows),
+        )
+        assert PriceTable().shipment(0, []) == (0, 0)
 
 
 class TestTupleSizes:

@@ -88,6 +88,26 @@ class TestTupleOperations:
         merged = Tuple(1, {"a": 1, "b": 2}).merge(Tuple(1, {"b": 2, "c": 3}))
         assert dict(merged) == {"a": 1, "b": 2, "c": 3}
 
+    def test_merge_lists_left_attributes_then_the_new_right_ones(self):
+        left = Tuple(7, {"k": 7, "b": "y", "a": "x"})
+        right = Tuple(7, {"d": 4, "k": 7, "c": 3, "a": "x"})
+        merged = left.merge(right)
+        assert list(merged) == ["k", "b", "a", "d", "c"]
+        assert merged.values_for(["k", "b", "a", "d", "c"]) == (7, "y", "x", 4, 3)
+        assert merged.tid == 7
+        assert list(right.merge(left)) == ["d", "k", "c", "a", "b"]
+        assert right.merge(left) == merged  # equality ignores attribute order
+
+    def test_merge_errors_survive_a_cached_plan(self):
+        """The plan is cached per pair of attribute lists; the tid and
+        conflict checks still run on every pair of tuples."""
+        left = Tuple(1, {"k": 1, "a": "x"})
+        assert dict(left.merge(Tuple(1, {"k": 1, "b": "y"}))) == {"k": 1, "a": "x", "b": "y"}
+        with pytest.raises(ValueError, match="different tids"):
+            left.merge(Tuple(2, {"k": 2, "b": "y"}))
+        with pytest.raises(ValueError, match="conflicting values for attribute 'k'"):
+            left.merge(Tuple(1, {"k": 9, "b": "y"}))
+
 
 class TestCompactLayout:
     """A tuple is a values tuple plus a layout shared per attribute list."""
