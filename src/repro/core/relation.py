@@ -16,11 +16,12 @@ column-sliced implementations when both operands are columnar.
 
 from __future__ import annotations
 
+from itertools import starmap
 from typing import Any, Callable, Iterable, Iterator, KeysView, Mapping
 
 from repro.core.schema import Schema, SchemaError
 from repro.core.storage import make_storage
-from repro.core.tuples import Tuple
+from repro.core.tuples import Tuple, rows_of, tuple_factory
 
 
 class RelationError(ValueError):
@@ -127,13 +128,19 @@ class Relation:
         if storage == self.storage:
             return self
         converted = Relation(self._schema, storage=storage)
-        bulk = getattr(converted._store, "bulk_load", None)
-        if bulk is not None:
-            bulk(iter(self))
-        else:
-            for t in self:
-                converted._store.insert(t)
+        converted._load(iter(self))
         return converted
+
+    def _load(self, tuples: Iterable[Tuple]) -> None:
+        """Append tuples whose tids are fresh and whose attributes are the
+        schema's, unchecked (bulk builders: re-hosting, projection,
+        reconstruction)."""
+        bulk = getattr(self._store, "bulk_load", None)
+        if bulk is not None:
+            bulk(tuples)
+        else:
+            for t in tuples:
+                self._store.insert(t)
 
     # -- mutation ----------------------------------------------------------------
 
@@ -199,15 +206,18 @@ class Relation:
     # -- algebra -------------------------------------------------------------------
 
     def project(self, attributes: Iterable[str], name: str | None = None) -> "Relation":
-        """Vertical projection onto ``attributes`` (the key is kept)."""
+        """Vertical projection onto ``attributes`` (the key is kept).
+
+        The fragment layout and the source positions are resolved once,
+        not per tuple, and the fragment is built in one go.
+        """
         fragment_schema = self._schema.project(attributes, name=name)
         keep = fragment_schema.attribute_names
         store = _column_store_of(self)
         if store is not None:
             return Relation(fragment_schema, storage=store.project_columns(keep))
         fragment = Relation(fragment_schema, storage=self.storage)
-        for t in self:
-            fragment.insert(t.project(keep))
+        fragment._load(starmap(tuple_factory(keep), rows_of(self, keep)))
         return fragment
 
     def select(

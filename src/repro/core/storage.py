@@ -17,7 +17,7 @@ without the callers caring about the layout.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, KeysView, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Iterator, KeysView, Protocol, runtime_checkable
 
 from repro.core.schema import Schema
 from repro.core.tuples import Tuple
@@ -95,6 +95,10 @@ class RowStore:
 
     def insert(self, t: Tuple) -> None:
         self._tuples[t.tid] = t
+
+    def bulk_load(self, tuples: Iterable[Tuple]) -> None:
+        """Append many tuples at once (caller has checked tids are fresh)."""
+        self._tuples.update((t.tid, t) for t in tuples)
 
     def pop(self, tid: Any) -> Tuple | None:
         return self._tuples.pop(tid, None)

@@ -15,7 +15,8 @@ row costs one small object and ``8 * arity`` bytes instead of a private
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class _Layout(dict):
@@ -67,6 +68,50 @@ def _from_layout(tid: Any, layout: _Layout, values: tuple[Any, ...]) -> "Tuple":
     t._vals = values
     t._hash = None
     return t
+
+
+def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``values -> tuple(values[i] for i in positions)``, at C speed."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda values: (values[i],)
+    return itemgetter(*positions)
+
+
+def rows_of(
+    tuples: Iterable["Tuple"], attributes: Sequence[str]
+) -> Iterator[tuple[Any, tuple[Any, ...]]]:
+    """``(t.tid, t.values_for(attributes))`` for every tuple, in order.
+
+    The source positions are resolved once per distinct tuple layout,
+    not once per tuple, and a tuple whose attribute list already is
+    ``attributes`` hands out its own values tuple (immutable, so sharing
+    it is safe).  Raises ``KeyError`` on a tuple lacking an attribute.
+    """
+    names = tuple(attributes)
+    source: _Layout | None = None
+    pick: Callable[[tuple], tuple] | None = None
+    for t in tuples:
+        if t._layout is not source:
+            source = t._layout
+            pick = None if tuple(source) == names else _picker([source[a] for a in names])
+        yield t._tid, (t._vals if pick is None else pick(t._vals))
+
+
+def tuple_factory(attributes: Sequence[str]) -> Callable[[Any, tuple], "Tuple"]:
+    """``make(tid, values)``: a tuple over ``attributes`` from values listed
+    in that order (taken as is — no copy and no arity check).
+
+    The layout is looked up once here instead of once per tuple, which
+    is what bulk builders (fragmentation, reconstruction, generators)
+    need.  ``attributes`` must not repeat a name.
+    """
+    layout = _shared_layout(tuple(attributes))
+
+    def make(tid: Any, values: tuple[Any, ...]) -> "Tuple":
+        return _from_layout(tid, layout, values)
+
+    return make
 
 
 class Tuple(Mapping[str, Any]):

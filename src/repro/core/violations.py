@@ -66,6 +66,35 @@ class ViolationSet:
                 for name in cfd_names:
                     self.add(tid, name)
 
+    @classmethod
+    def _from_tid_sets(cls, tids_by_cfd: Mapping[str, set[Any]]) -> "ViolationSet":
+        """Bulk-build from ``V(phi, D)`` per CFD name (the sets are not kept).
+
+        Equal to ``add(tid, name)`` for every pair, at set-algebra speed:
+        the tids are partitioned by the combination of CFDs they violate
+        (one intersection per CFD and combination class), then every tid
+        of a class gets the class's one shared frozenset.
+        """
+        classes: list[tuple[_Marks, set[Any]]] = []
+        for name, tids in tids_by_cfd.items():
+            rest = set(tids)
+            refined: list[tuple[_Marks, set[Any]]] = []
+            for marks, members in classes:
+                both = members & rest
+                if both:
+                    rest -= both
+                    members -= both
+                    refined.append((_with(marks, name), both))
+                if members:
+                    refined.append((marks, members))
+            if rest:
+                refined.append((_with(_NO_MARKS, name), rest))
+            classes = refined
+        built = cls()
+        for marks, members in classes:
+            built._by_tid.update(dict.fromkeys(members, marks))
+        return built
+
     # -- mutation -------------------------------------------------------------
 
     def add(self, tid: Any, cfd_name: str) -> bool:

@@ -29,7 +29,7 @@ from repro.core.updates import Update, UpdateBatch
 from repro.core.violations import ViolationDelta, ViolationSet
 from repro.distributed.cluster import Cluster
 from repro.horizontal.single import GeneralCFDProtocol
-from repro.indexes.idx import CFDIndex
+from repro.indexes.idx import CFDIndex, violations_from_index
 from repro.runtime.executor import SiteTask
 from repro.vertical.single import incremental_delete, incremental_insert
 
@@ -93,9 +93,13 @@ class HorizontalIncrementalDetector:
 
         self._classify()
 
-        # Per-site local indices for every variable CFD (setup phase).
-        # With fusion, each site's fragment is swept once per fused LHS
-        # group instead of once per CFD.
+        # Setup phase, O(|D| x |Sigma|) once and not charged to the network:
+        # per-site local indices for every variable CFD (with fusion, each
+        # site's fragment is swept once per fused LHS group instead of once
+        # per CFD), then V(Sigma, D) read off them -- a key's groups merged
+        # across sites form set(t[X]), and one with two or more RHS classes
+        # is exactly a set of violations.  Only the constant CFDs are
+        # scanned, fragment by fragment; the cluster is never reassembled.
         variable_cfds = self._local_cfds + self._general_cfds
         self._site_indices: dict[str, dict[int, CFDIndex]] = {
             cfd.name: {} for cfd in variable_cfds
@@ -115,9 +119,16 @@ class HorizontalIncrementalDetector:
         if violations is not None:
             self._violations = violations.copy()
         else:
-            self._violations = CentralizedDetector(
-                self._cfds, fusion=self._fusion
-            ).detect(cluster.reconstruct())
+            detector = CentralizedDetector(self._constant_cfds, fusion=self._fusion)
+            constant = (
+                [detector.detect(site.fragment) for site in cluster.sites()]
+                if self._constant_cfds
+                else []
+            )
+            self._violations = violations_from_index(
+                {name: per_site.values() for name, per_site in self._site_indices.items()},
+                constant,
+            )
 
         self._bind_protocols()
 

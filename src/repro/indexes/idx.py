@@ -20,6 +20,7 @@ from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from repro.core.cfd import CFD, UNNAMED
 from repro.core.tuples import Tuple
+from repro.core.violations import ViolationSet
 from repro.obs import profile as _prof
 
 
@@ -239,3 +240,59 @@ class CFDIndex:
             return
         for t in tuples:
             self.add_tuple(t)
+
+
+def _violating_tids(indexes: Iterable[CFDIndex]) -> set[Any]:
+    """``V(phi, D)`` of one variable CFD, read off its index slices.
+
+    A key's groups from every slice are merged first (horizontal sites
+    each index their own tuples; a key may live at several of them);
+    when the merged group holds two or more RHS values, all its members
+    violate — the group invariant of Section 4.
+    """
+    by_key: dict[tuple[Hashable, ...], list[dict[Any, set[Any]]]] = {}
+    for index in indexes:
+        for key, group in index._groups.items():
+            groups = by_key.get(key)
+            if groups is None:
+                by_key[key] = [group]
+            else:
+                groups.append(group)
+    violating: set[Any] = set()
+    for groups in by_key.values():
+        if len(groups) == 1:
+            if len(groups[0]) > 1:
+                violating.update(*groups[0].values())
+        elif len(set().union(*groups)) > 1:
+            for group in groups:
+                violating.update(*group.values())
+    return violating
+
+
+def violations_from_index(
+    indexes: Mapping[str, Iterable[CFDIndex]],
+    constant: Iterable[ViolationSet] = (),
+) -> ViolationSet:
+    """``V(Sigma, D)`` of freshly built indexes, without scanning ``D``.
+
+    ``indexes`` maps every variable CFD's name to its index (incVer) or
+    per-site index slices (incHor); ``constant`` holds the violations of
+    the constant CFDs, which no IDX covers (in parts, e.g. one per
+    horizontal fragment: a constant CFD is violated by single tuples).
+    The marks are assembled in bulk
+    (:meth:`ViolationSet._from_tid_sets`), so the result equals a
+    centralized detection over the indexed tuples.
+    """
+    if _prof.enabled:
+        _t0 = perf_counter()
+    tids_by_cfd: dict[str, set[Any]] = {}
+    for part in constant:
+        for tid in part:
+            for name in part.cfds_of(tid):
+                tids_by_cfd.setdefault(name, set()).add(tid)
+    for name, slices in indexes.items():
+        tids_by_cfd.setdefault(name, set()).update(_violating_tids(slices))
+    violations = ViolationSet._from_tid_sets(tids_by_cfd)
+    if _prof.enabled:
+        _prof.note("idx.violations_from_index", perf_counter() - _t0, len(violations))
+    return violations

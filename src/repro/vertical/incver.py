@@ -33,7 +33,7 @@ from repro.distributed.cluster import Cluster
 from repro.distributed.message import MessageKind
 from repro.distributed.serialization import estimate_tuple_bytes
 from repro.indexes.hev import HEVPlan, ShipmentCache
-from repro.indexes.idx import CFDIndex
+from repro.indexes.idx import CFDIndex, violations_from_index
 from repro.indexes.planner import HEVPlanner, naive_chain_plan
 from repro.runtime.executor import SiteTask
 
@@ -99,9 +99,12 @@ class VerticalIncrementalDetector:
         else:
             self._plan = naive_chain_plan(self._cfds, self._partitioner)
 
-        # Setup phase: build the IDX indices and the initial violation set from
-        # the current database.  This is a one-time cost (the indices exist
-        # before updates start arriving) and is not charged to the network.
+        # Setup phase, O(|D| x |Sigma|) once and not charged to the network
+        # (the paper assumes the indices and V(Sigma, D) exist before updates
+        # arrive): one join of the fragments, one sweep per fused LHS group
+        # to build the IDX indices, then V(Sigma, D) read off them -- a group
+        # with two or more RHS classes is exactly a set of violations -- so
+        # only the constant CFDs are scanned.
         snapshot = cluster.reconstruct()
         self._indices: dict[str, CFDIndex] = {}
         indexes: list[CFDIndex] = []
@@ -126,9 +129,11 @@ class VerticalIncrementalDetector:
         if violations is not None:
             self._violations = violations.copy()
         else:
-            self._violations = CentralizedDetector(
-                self._cfds, fusion=self._fusion
-            ).detect(snapshot)
+            detector = CentralizedDetector(self._constant_cfds, fusion=self._fusion)
+            constant = [detector.detect(snapshot)] if self._constant_cfds else []
+            self._violations = violations_from_index(
+                {name: (index,) for name, index in self._indices.items()}, constant
+            )
 
     def _classify(self) -> None:
         """Split the CFDs into the three cases of Fig. 5 for the current layout.

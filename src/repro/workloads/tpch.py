@@ -18,7 +18,7 @@ import random
 
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.tuples import Tuple
+from repro.core.tuples import Tuple, tuple_factory
 from repro.partition.horizontal import HorizontalPartitioner, hash_horizontal_scheme
 from repro.partition.vertical import VerticalPartitioner, even_vertical_scheme
 from repro.workloads.rules import FDSpec
@@ -47,6 +47,14 @@ _STATUSES = ["O", "F", "P"]
 _RETURNFLAGS = ["N", "R", "A"]
 _TAXCODES = [f"TAX-{chr(ord('A') + i)}" for i in range(12)]
 _SHIPBANDS = ["LOCAL", "REGIONAL", "CONTINENTAL", "OVERSEAS", "EXPRESS"]
+#: What an injected error may write into each corruptible attribute.
+_DOMAINS = {
+    "cnation": [n for n, _ in _NATIONS], "cregion": sorted({r for _, r in _NATIONS}),
+    "csegment": _SEGMENTS, "pbrand": _BRANDS, "ptype": _TYPES,
+    "snation": [n for n, _ in _NATIONS], "sregion": sorted({r for _, r in _NATIONS}),
+    "shipinstruct": _INSTRUCTIONS, "returnflag": _RETURNFLAGS,
+    "taxcode": _TAXCODES, "shipband": _SHIPBANDS,
+}
 
 
 class TPCHGenerator:
@@ -71,6 +79,13 @@ class TPCHGenerator:
         self.n_parts = n_parts
         self.n_suppliers = n_suppliers
         self.error_rate = error_rate
+        # Memos of the pure mappings below.  ``_picked`` is keyed by the
+        # option list's id; each entry holds its list, so the id stays taken.
+        self._picked: dict[int, tuple[list, dict[str, object]]] = {}
+        self._customers: dict[int, tuple[str, str, str, str]] = {}
+        self._parts: dict[int, tuple[str, str, str]] = {}
+        self._suppliers: dict[int, tuple[str, str, str]] = {}
+        self._dates: dict[tuple[int, int, int], str] = {}
         self.schema = Schema(
             "TPCH",
             [
@@ -85,77 +100,99 @@ class TPCHGenerator:
         )
 
     # -- deterministic clean mappings (these are the embedded FDs) ----------------------
+    #
+    # Each mapping is a pure function of its arguments, so it is memoised:
+    # a row costs dictionary probes instead of string hashing, and equal
+    # values are one shared string instead of one fresh copy per row.
 
-    @staticmethod
-    def _pick(options: list, key: str) -> object:
-        acc = 0
-        for ch in key:
-            acc = (acc * 1313 + ord(ch)) & 0x7FFFFFFF
-        return options[acc % len(options)]
+    def _pick(self, options: list, key: str) -> object:
+        entry = self._picked.get(id(options))
+        if entry is None:
+            entry = self._picked[id(options)] = (options, {})
+        memo = entry[1]
+        try:
+            return memo[key]
+        except KeyError:
+            acc = 0
+            for ch in key:
+                acc = (acc * 1313 + ord(ch)) & 0x7FFFFFFF
+            picked = memo[key] = options[acc % len(options)]
+            return picked
 
-    def _customer(self, index: int) -> dict:
-        name = f"Customer#{index:05d}"
-        nation, region = self._pick(_NATIONS, name)
-        return {
-            "cname": name,
-            "cnation": nation,
-            "cregion": region,
-            "csegment": self._pick(_SEGMENTS, name + "seg"),
-        }
+    def _customer(self, index: int) -> tuple[str, str, str, str]:
+        """``(cname, cnation, cregion, csegment)`` of customer ``index``."""
+        row = self._customers.get(index)
+        if row is None:
+            name = f"Customer#{index:05d}"
+            nation, region = self._pick(_NATIONS, name)
+            row = self._customers[index] = (
+                name, nation, region, self._pick(_SEGMENTS, name + "seg"),
+            )
+        return row
 
-    def _part(self, index: int) -> dict:
-        name = f"Part#{index:05d}"
-        brand = self._pick(_BRANDS, name)
-        return {
-            "pname": name,
-            "pbrand": brand,
-            "ptype": self._pick(_TYPES, str(brand)),
-        }
+    def _part(self, index: int) -> tuple[str, str, str]:
+        """``(pname, pbrand, ptype)`` of part ``index``."""
+        row = self._parts.get(index)
+        if row is None:
+            name = f"Part#{index:05d}"
+            brand = self._pick(_BRANDS, name)
+            row = self._parts[index] = (name, brand, self._pick(_TYPES, str(brand)))
+        return row
 
-    def _supplier(self, index: int) -> dict:
-        name = f"Supplier#{index:04d}"
-        nation, region = self._pick(_NATIONS, name + "sup")
-        return {"sname": name, "snation": nation, "sregion": region}
+    def _supplier(self, index: int) -> tuple[str, str, str]:
+        """``(sname, snation, sregion)`` of supplier ``index``."""
+        row = self._suppliers.get(index)
+        if row is None:
+            name = f"Supplier#{index:04d}"
+            nation, region = self._pick(_NATIONS, name + "sup")
+            row = self._suppliers[index] = (name, nation, region)
+        return row
 
-    def _clean_row(self, tid: int, rng: random.Random) -> dict:
+    def _date(self, year: int, month: int, day: int) -> str:
+        key = (year, month, day)
+        date = self._dates.get(key)
+        if date is None:
+            date = self._dates[key] = f"{year}-{month:02d}-{day:02d}"
+        return date
+
+    def _clean_row(self, tid: int, rng: random.Random) -> list:
+        """The row's values in schema order.
+
+        The order of the ``rng`` draws is part of the output: reordering
+        them changes every generated relation.
+        """
+        pick = self._pick
         customer = self._customer(rng.randrange(self.n_customers))
         part = self._part(rng.randrange(self.n_parts))
         supplier = self._supplier(rng.randrange(self.n_suppliers))
         shipmode = rng.choice(_SHIPMODES)
         linestatus = rng.choice(_STATUSES)
-        row = {
-            "okey": tid,
-            **customer,
-            **part,
-            **supplier,
-            "shipmode": shipmode,
-            "shipinstruct": self._pick(_INSTRUCTIONS, shipmode),
-            "linestatus": linestatus,
-            "returnflag": self._pick(_RETURNFLAGS, linestatus),
-            "opriority": rng.choice(_PRIORITIES),
-            "taxcode": self._pick(_TAXCODES, customer["cnation"] + customer["csegment"]),
-            "shipband": self._pick(_SHIPBANDS, supplier["snation"] + shipmode),
-            "quantity": rng.randint(1, 50),
-            "price": round(rng.uniform(900.0, 105000.0), 2),
-            "discount": round(rng.uniform(0.0, 0.1), 2),
-            "odate": f"{rng.randint(1992, 1998)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}",
-        }
-        return row
+        return [
+            tid,
+            *customer,
+            *part,
+            *supplier,
+            shipmode,
+            pick(_INSTRUCTIONS, shipmode),
+            linestatus,
+            pick(_RETURNFLAGS, linestatus),
+            rng.choice(_PRIORITIES),
+            pick(_TAXCODES, customer[1] + customer[3]),
+            pick(_SHIPBANDS, supplier[1] + shipmode),
+            rng.randint(1, 50),
+            round(rng.uniform(900.0, 105000.0), 2),
+            round(rng.uniform(0.0, 0.1), 2),
+            self._date(rng.randint(1992, 1998), rng.randint(1, 12), rng.randint(1, 28)),
+        ]
 
-    def _inject_error(self, row: dict, rng: random.Random) -> None:
+    def _inject_error(self, row: list, rng: random.Random) -> None:
         attribute = rng.choice(self._CORRUPTIBLE)
-        domains = {
-            "cnation": [n for n, _ in _NATIONS], "cregion": sorted({r for _, r in _NATIONS}),
-            "csegment": _SEGMENTS, "pbrand": _BRANDS, "ptype": _TYPES,
-            "snation": [n for n, _ in _NATIONS], "sregion": sorted({r for _, r in _NATIONS}),
-            "shipinstruct": _INSTRUCTIONS, "returnflag": _RETURNFLAGS,
-            "taxcode": _TAXCODES, "shipband": _SHIPBANDS,
-        }
-        domain = domains[attribute]
+        position = self.schema.position(attribute)
+        domain = _DOMAINS[attribute]
         wrong = rng.choice(domain)
-        if wrong == row[attribute]:
+        if wrong == row[position]:
             wrong = domain[(domain.index(wrong) + 1) % len(domain)]
-        row[attribute] = wrong
+        row[position] = wrong
 
     # -- public generation API ------------------------------------------------------------
 
@@ -163,15 +200,19 @@ class TPCHGenerator:
         """Generate ``count`` tuples with tids ``start_tid .. start_tid + count - 1``.
 
         Every tuple is a deterministic function of (seed, tid), so update
-        streams can extend a relation without regenerating it.
+        streams can extend a relation without regenerating it.  The clean
+        mappings (customer/part/supplier rows, the hashed picks, the date
+        strings) are memoised per generator, so tuples generated later
+        share their equal strings with the earlier ones.
         """
+        make = tuple_factory(self.schema.attribute_names)
         out = []
         for tid in range(start_tid, start_tid + count):
             rng = random.Random(f"{self.seed}:{tid}")
             row = self._clean_row(tid, rng)
             if rng.random() < self.error_rate:
                 self._inject_error(row, rng)
-            out.append(Tuple(tid, row))
+            out.append(make(tid, tuple(row)))
         return out
 
     def relation(self, n_tuples: int) -> Relation:

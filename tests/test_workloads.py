@@ -1,5 +1,6 @@
 """Tests for the workload generators (EMP, TPCH, DBLP, rules, updates)."""
 
+import hashlib
 import random
 
 import pytest
@@ -64,6 +65,64 @@ class TestTPCHGenerator:
         assert covered == set(tpch.schema.attribute_names)
         horizontal = tpch.horizontal_partitioner(10)
         assert horizontal.n_fragments == 10
+
+
+def _digest_tuples(tuples) -> str:
+    h = hashlib.sha256()
+    for t in tuples:
+        h.update(repr((t.tid, sorted(t.as_dict().items()))).encode())
+    return h.hexdigest()
+
+
+def _digest_updates(batch) -> str:
+    h = hashlib.sha256()
+    for u in batch:
+        kind = "+" if u.is_insert() else "-"
+        h.update(repr((kind, u.tid, sorted(u.tuple.as_dict().items()))).encode())
+    return h.hexdigest()
+
+
+class TestTPCHGeneratorPin:
+    """Recorded digests of the generator's output before its mappings were
+    memoised: a memo that is consistently wrong passes ``test_determinism``
+    (two runs of the same code) but not these."""
+
+    RELATION_2000 = "4553e46bad17d5b25a14c792af64724c4bd5ac4224dd33d1f94de830124affed"
+    UPDATES_500 = "93b4c3f7dfaf3239364ad4480565e99114ee9116588b26ad661b9ab44d792577"
+    #: ``tuples(1, 1000)`` of ``TPCHGenerator(seed=7)`` and of
+    #: ``TPCHGenerator(seed=7, n_customers=37, error_rate=0.5)``.
+    DEFAULT_1000 = "371bf11a6d11308f065e8cd662ee5a70c985d41cf6c5887ae83ae74464dbe054"
+    OTHER_1000 = "b1526761ecfce371e334fec2eb7fc7adbad05e4b072d7fa25dd2729b37f69037"
+
+    def test_relation_digest(self):
+        relation = TPCHGenerator(seed=7).relation(2_000)
+        assert _digest_tuples(relation) == self.RELATION_2000
+
+    def test_update_stream_digest(self):
+        generator = TPCHGenerator(seed=7)
+        base = generator.relation(2_000)
+        batch = generate_updates(base, generator, 500, rng=random.Random(3))
+        assert _digest_updates(batch) == self.UPDATES_500
+
+    def test_two_generators_interleaved(self):
+        other = TPCHGenerator(seed=7, n_customers=37, error_rate=0.5)
+        default = TPCHGenerator(seed=7)
+        from_other, from_default = [], []
+        for start in range(1, 1_001, 250):
+            from_other += other.tuples(start, 250)
+            from_default += default.tuples(start, 250)
+        assert _digest_tuples(from_other) == self.OTHER_1000
+        assert _digest_tuples(from_default) == self.DEFAULT_1000
+
+    def test_equal_values_share_one_string(self):
+        generator = TPCHGenerator(seed=7)
+        first = generator.tuples(1, 300)
+        later = generator.tuples(301, 300)
+        seen = {}
+        for t in first + later:
+            for attribute in ("cname", "pname", "sname", "odate"):
+                value = seen.setdefault((attribute, t[attribute]), t[attribute])
+                assert value is t[attribute]
 
 
 class TestDBLPGenerator:
