@@ -93,7 +93,7 @@ def main() -> None:
 
     print("\n== why incremental stays cheap ==")
     probe = record(8, "maria garcia", 4440003, "somewhere", "Valencia", 1.0)
-    detector = audit.detector
+    detector = audit.detector.inner
     candidates = detector.candidate_count("same_person_same_city", probe)
     print(
         f"  inserting another 'maria garcia' would be compared against only "

@@ -224,24 +224,6 @@ class Network:
         with self._lock:
             return self._snapshot_locked()
 
-    def absorb(self, stats: NetworkStats) -> None:
-        """Fold another ledger's counters into this one.
-
-        Used when a strategy that charged a private network is rebound
-        to the shared session ledger mid-session (elastic migration):
-        the history it already accrued moves with it instead of
-        vanishing from the session's reports.
-        """
-        with self._lock:
-            self._messages += stats.messages
-            self._bytes += stats.bytes
-            for kind, units in stats.units_by_kind.items():
-                self._units_by_kind[kind] += units
-            for kind, nbytes in stats.bytes_by_kind.items():
-                self._bytes_by_kind[kind] += nbytes
-            for pair, count in stats.messages_by_pair.items():
-                self._messages_by_pair[pair] += count
-
     def reset(self) -> NetworkStats:
         """Zero all counters (and drop the message log).
 

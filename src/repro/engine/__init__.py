@@ -7,22 +7,18 @@
   :func:`register_partitioner` — the pluggable strategy registry; the
   paper's algorithms are pre-registered as ``incVer``, ``batVer``,
   ``ibatVer``, ``optVer``, ``incHor``, ``batHor``, ``ibatHor``, plus
-  ``centralized``, ``md`` and ``incMD``.
+  ``centralized``, ``md`` and ``incMD`` — one :class:`StrategyRow` each
+  in :data:`STRATEGY_TABLE`, all run by the one :class:`TableStrategy`
+  adapter — and ``auto`` (:class:`AdaptiveStrategy`).
 * :class:`Detector` — the protocol every strategy satisfies.
 """
 
 from repro.engine.adaptive import AdaptiveStrategy, AdaptiveStrategyError
 from repro.engine.adapters import (
-    CentralizedStrategy,
-    HorizontalBatchStrategy,
-    HorizontalIncrementalStrategy,
-    ImprovedHorizontalBatchStrategy,
-    ImprovedVerticalBatchStrategy,
-    MDBatchStrategy,
-    MDIncrementalStrategy,
+    STRATEGY_TABLE,
+    StrategyRow,
     StrategyStateError,
-    VerticalBatchStrategy,
-    VerticalIncrementalStrategy,
+    TableStrategy,
     register_builtin_strategies,
 )
 from repro.engine.protocol import Detector, SingleSite, StrategyState
@@ -44,19 +40,13 @@ register_builtin_strategies(DEFAULT_REGISTRY)
 
 __all__ = [
     "DEFAULT_REGISTRY",
+    "STRATEGY_TABLE",
     "AdaptiveStrategy",
     "AdaptiveStrategyError",
-    "CentralizedStrategy",
     "DetectionReport",
     "DetectionSession",
     "Detector",
     "DetectorEntry",
-    "HorizontalBatchStrategy",
-    "HorizontalIncrementalStrategy",
-    "ImprovedHorizontalBatchStrategy",
-    "ImprovedVerticalBatchStrategy",
-    "MDBatchStrategy",
-    "MDIncrementalStrategy",
     "PartitionerEntry",
     "RegistryError",
     "SessionBuilder",
@@ -67,10 +57,10 @@ __all__ = [
     "SiteTiming",
     "StorageEntry",
     "StrategyRegistry",
+    "StrategyRow",
     "StrategyState",
     "StrategyStateError",
-    "VerticalBatchStrategy",
-    "VerticalIncrementalStrategy",
+    "TableStrategy",
     "register_builtin_strategies",
     "register_detector",
     "register_partitioner",

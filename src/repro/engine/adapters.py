@@ -1,22 +1,44 @@
 """Strategy adapters: every detector of the repository behind one protocol.
 
-The incremental detectors already maintain violations under ``apply``;
-their adapters are thin delegation shims.  The batch baselines have no
-incremental mode of their own — their adapters satisfy ``apply`` by
-re-running detection over the updated database and diffing against the
-previous violation set, which is exactly what deploying a batch detector
-against a live update stream costs (and why the paper's incremental
-algorithms win).
+One generic :class:`TableStrategy` runs every built-in detector; what
+differs per registered name is one :class:`StrategyRow` of
+:data:`STRATEGY_TABLE` — the registry coordinates plus
 
-``register_builtin_strategies`` wires all of them, plus the built-in
-partition schemes, into a :class:`~repro.engine.registry.StrategyRegistry`.
+* ``build(deployment, rules, violations=None, **options)``, which makes
+  the wrapped detector (its keyword options are the strategy's options);
+* ``holds``, which says where the current data lives:
+
+  - :data:`FRAGMENTS` — the deployment's fragments: incVer/optVer/incHor
+    maintain them, batVer/batHor write into them through
+    ``deliver_updates``;
+  - :data:`RELATION` — a relation the adapter keeps: ibatVer/ibatHor
+    rebuild from a private copy, centralized/md copy the site's relation
+    once and then apply updates in place;
+  - :data:`MATERIALIZED` — incMD keeps its own tuples and materializes a
+    relation from ``current_tuples()`` on export.
+
+The incremental detectors already maintain violations under ``apply``,
+so their adapter binds ``apply`` straight to the detector's.  The batch
+baselines have no incremental mode of their own: ``apply`` re-runs
+detection over the updated database and diffs against the previous
+violation set, which is exactly what deploying a batch detector against
+a live update stream costs (and why the paper's incremental algorithms
+win).  Cost estimates come from the row's mode
+(:func:`~repro.planner.estimators.estimate_for_mode`), and every row
+charges the deployment's one network ledger.
+
+``register_builtin_strategies`` wires the table, ``auto`` and the
+built-in partition schemes and storage backends into a
+:class:`~repro.engine.registry.StrategyRegistry`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+import inspect
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.cfd import CFD
 from repro.core.detector import CentralizedDetector
 from repro.core.relation import Relation
 from repro.core.updates import UpdateBatch
@@ -24,18 +46,11 @@ from repro.core.violations import ViolationDelta, ViolationSet, diff_violations
 from repro.distributed.cluster import Cluster
 from repro.distributed.network import Network, NetworkStats
 from repro.engine.adaptive import AdaptiveStrategy
-from repro.engine.protocol import SingleSite, StrategyState
+from repro.engine.protocol import SingleSite, StrategyState, rehost
 from repro.engine.registry import StrategyRegistry
-from repro.planner.estimators import (
-    Estimate,
-    estimate_batch,
-    estimate_improved_batch,
-    estimate_incremental,
-)
 from repro.horizontal.bathor import HorizontalBatchDetector
 from repro.horizontal.ibathor import ImprovedHorizontalBatchDetector
 from repro.horizontal.inchor import HorizontalIncrementalDetector
-from repro.indexes.hev import HEVPlan
 from repro.indexes.planner import HEVPlanner
 from repro.partition.horizontal import HorizontalPartitioner, hash_horizontal_scheme
 from repro.partition.replication import ReplicationScheme
@@ -46,731 +61,317 @@ from repro.vertical.batver import VerticalBatchDetector
 from repro.vertical.ibatver import ImprovedVerticalBatchDetector
 from repro.vertical.incver import VerticalIncrementalDetector
 
+FRAGMENTS = "fragments"
+RELATION = "relation"
+MATERIALIZED = "materialized"
+
+#: Modes whose detector maintains violations under its own ``apply``.
+_DELEGATING_MODES = frozenset({"incremental", "optimized"})
+
 
 class StrategyStateError(RuntimeError):
     """Raised when a strategy is used before ``setup`` bound it."""
 
 
-class _BaseStrategy:
-    """Shared deployment bookkeeping for all adapters."""
+@dataclass(frozen=True)
+class StrategyRow:
+    """One registered detector: registry coordinates plus how to run it.
 
-    def __init__(self) -> None:
+    ``rehome(detector, cluster, result)`` re-homes an incremental
+    detector's warm indices after an in-place migration; rows without it
+    rebuild their (stateless) detector over the migrated deployment.
+    """
+
+    name: str
+    partitioning: str
+    mode: str
+    description: str
+    build: Callable[..., Any]
+    holds: str
+    rules: str = "cfd"
+    rehome: Callable[[Any, Cluster, Any], None] | None = None
+
+
+class TableStrategy:
+    """The one adapter: a :class:`StrategyRow` plus the row's options."""
+
+    def __init__(self, row: StrategyRow, **options: Any) -> None:
+        # Reject options the row's build does not take, at creation time.
+        inspect.signature(row.build).bind(None, None, **options)
+        self.row = row
+        self._options = options
         self.deployment: Any = None
+        self.inner: Any = None
+        self._violations = ViolationSet()
+        self._base: Relation | None = None
+        self._owns_base = False
 
     def _require_setup(self) -> None:
         if self.deployment is None:
             raise StrategyStateError(
-                f"{type(self).__name__} has not been set up; call setup() first"
+                f"strategy {self.row.name!r} has not been set up; call setup() first"
             )
 
     @property
     def network(self) -> Network:
-        """The network this strategy charges its shipments to."""
+        """The deployment's ledger, which every row charges."""
         self._require_setup()
         return self.deployment.network
 
     def cost_stats(self) -> NetworkStats:
         return self.network.stats()
 
+    @property
+    def violations(self) -> ViolationSet:
+        self._require_setup()
+        if self.row.mode in _DELEGATING_MODES:
+            return self.inner.violations
+        return self._violations
 
-def _require_vertical(deployment: Any) -> Cluster:
-    if not isinstance(deployment, Cluster) or not deployment.is_vertical():
-        raise ValueError("this strategy requires a vertically partitioned cluster")
-    return deployment
+    # -- binding ------------------------------------------------------------------
 
+    def setup(self, deployment: Any, rules: Iterable[Any]) -> ViolationSet:
+        self._bind(deployment, rules)
+        return self.violations
 
-def _require_horizontal(deployment: Any) -> Cluster:
-    if not isinstance(deployment, Cluster) or not deployment.is_horizontal():
-        raise ValueError("this strategy requires a horizontally partitioned cluster")
-    return deployment
+    def import_state(self, state: StrategyState, rules: Iterable[Any]) -> ViolationSet:
+        """Warm handoff: adopt the exporter's data and violations; only the
+        wrapped detector's own indices are rebuilt (nothing is re-detected
+        and nothing ships)."""
+        self._bind(state.deployment, rules, state.relation, state.violations)
+        return self.violations
 
-
-def _require_single(deployment: Any) -> SingleSite:
-    if not isinstance(deployment, SingleSite):
-        raise ValueError("this strategy requires an unpartitioned (single-site) relation")
-    return deployment
-
-
-# -- incremental strategies (thin delegation) ------------------------------------------------
-
-
-class VerticalIncrementalStrategy(_BaseStrategy):
-    """``incVer`` (Fig. 5).  ``optimize=True`` wires the ``optVer`` HEV planner."""
-
-    def __init__(
+    def _bind(
         self,
-        plan: HEVPlan | None = None,
-        optimize: bool = False,
-        beam_width: int = 4,
-        fusion: bool = True,
-    ):
-        super().__init__()
-        self._plan = plan
-        self._optimize = optimize
-        self._beam_width = beam_width
-        self._fusion = fusion
-        self._detector: VerticalIncrementalDetector | None = None
+        deployment: Any,
+        rules: Iterable[Any],
+        relation: Relation | None = None,
+        violations: ViolationSet | None = None,
+    ) -> None:
+        row = self.row
+        if isinstance(deployment, SingleSite):
+            kind = "single"
+        elif isinstance(deployment, Cluster):
+            kind = "vertical" if deployment.is_vertical() else "horizontal"
+        else:
+            kind = None
+        if kind != row.partitioning:
+            raise ValueError(f"strategy {row.name!r} requires a {row.partitioning} deployment")
+        if row.holds == RELATION:
+            self._base = relation if relation is not None else deployment.reconstruct()
+            self._owns_base = False
+            if kind == "single":
+                deployment.relation = self._base
+        elif relation is not None:
+            # The exporter maintained the logical relation, not this
+            # deployment — re-host it locally (no shipment is charged).
+            deployment = rehost(deployment, relation)
+        rules = list(rules)
+        self.inner = row.build(deployment, rules, violations, **self._options)
+        self.deployment = deployment
+        if row.mode in _DELEGATING_MODES:
+            # The hot path: one delegated call per wave, no adapter frame.
+            self.apply = self.inner.apply
+        elif violations is not None:
+            self._violations = violations.copy()
+        elif row.holds == RELATION and kind != "single":
+            # ibatVer/ibatHor: V(Sigma, D) from the free centralized
+            # reference, so only the per-batch rebuilds Exp-10 measures
+            # are charged.
+            fusion = self._options.get("fusion", True)
+            self._violations = CentralizedDetector(rules, fusion=fusion).detect(self._base)
+        else:
+            self._violations = self._detect(self._base)
 
-    def setup(self, deployment: Any, rules: Iterable[CFD]) -> ViolationSet:
-        cluster = _require_vertical(deployment)
-        planner = None
-        if self._optimize and self._plan is None:
-            partitioner = cluster.vertical_partitioner
-            planner = HEVPlanner(
-                partitioner, ReplicationScheme(partitioner), beam_width=self._beam_width
-            )
-        self._detector = VerticalIncrementalDetector(
-            cluster, rules, plan=self._plan, planner=planner, fusion=self._fusion
-        )
-        self.deployment = cluster
-        return self._detector.violations
+    # -- detection ----------------------------------------------------------------
+
+    def _detect(self, base: Relation | None) -> ViolationSet:
+        if self.row.holds == FRAGMENTS:
+            return self.inner.detect()
+        return self.inner.detect(base)
 
     def apply(self, batch: UpdateBatch) -> ViolationDelta:
-        self._require_setup()
-        return self._detector.apply(batch)
+        """Re-detect over the updated data and diff (the batch rows).
 
-    @property
-    def violations(self) -> ViolationSet:
-        self._require_setup()
-        return self._detector.violations
-
-    @property
-    def plan(self) -> HEVPlan:
-        """The HEV plan in use (naive chains unless optimized or supplied)."""
-        self._require_setup()
-        return self._detector.plan
-
-    # -- planner hooks -------------------------------------------------------------
-
-    def cost_estimate(self, stats: Any, profile: Any) -> Estimate:
-        """``O(|delta-D| + |delta-V|)`` work and eqid shipment (Prop. 6)."""
-        return estimate_incremental(stats, profile, "incVer")
-
-    def export_state(self) -> StrategyState:
-        """Deployment fragments are maintained in place, so they are current."""
-        self._require_setup()
-        return StrategyState(self._detector.violations.copy(), None, self.deployment)
-
-    def migrate(self, result: Any, rules: Iterable[CFD]) -> None:
-        """Warm re-homing after the deployment migrated in place.
-
-        The detector keeps its logical IDX indices and violations; only
-        placement metadata (classification, HEV plan, coordinators) is
-        re-derived.  A caller-supplied HEV plan referencing the old
-        topology is discarded in favour of a re-planned one.
+        Delegating rows replace this with the detector's ``apply`` at
+        setup, so before setup every row raises here.
         """
-        self._require_setup()
-        cluster = _require_vertical(self.deployment)
-        self._plan = None
-        planner = None
-        if self._optimize:
-            partitioner = cluster.vertical_partitioner
-            planner = HEVPlanner(
-                partitioner, ReplicationScheme(partitioner), beam_width=self._beam_width
-            )
-        self._detector.rehome(cluster, planner=planner)
-
-    def import_state(self, state: StrategyState, rules: Iterable[CFD]) -> ViolationSet:
-        """Warm handoff: rebuild the IDX/HEV indices over the current data,
-        seeding the violations instead of re-detecting them."""
-        cluster = _require_vertical(state.deployment)
-        if state.relation is not None:
-            # The exporter maintained the logical relation, not the
-            # fragments — re-fragment locally (no shipment is charged).
-            cluster = Cluster.from_vertical(
-                cluster.vertical_partitioner,
-                state.relation,
-                network=cluster.network,
-                scheduler=cluster.scheduler,
-            )
-        planner = None
-        if self._optimize and self._plan is None:
-            partitioner = cluster.vertical_partitioner
-            planner = HEVPlanner(
-                partitioner, ReplicationScheme(partitioner), beam_width=self._beam_width
-            )
-        self._detector = VerticalIncrementalDetector(
-            cluster,
-            rules,
-            plan=self._plan,
-            planner=planner,
-            violations=state.violations,
-            fusion=self._fusion,
-        )
-        self.deployment = cluster
-        return self._detector.violations
-
-
-class HorizontalIncrementalStrategy(_BaseStrategy):
-    """``incHor`` (Fig. 8)."""
-
-    def __init__(self, use_md5: bool = True, fusion: bool = True):
-        super().__init__()
-        self._use_md5 = use_md5
-        self._fusion = fusion
-        self._detector: HorizontalIncrementalDetector | None = None
-
-    def setup(self, deployment: Any, rules: Iterable[CFD]) -> ViolationSet:
-        cluster = _require_horizontal(deployment)
-        self._detector = HorizontalIncrementalDetector(
-            cluster, rules, use_md5=self._use_md5, fusion=self._fusion
-        )
-        self.deployment = cluster
-        return self._detector.violations
-
-    def apply(self, batch: UpdateBatch) -> ViolationDelta:
-        self._require_setup()
-        return self._detector.apply(batch)
-
-    @property
-    def violations(self) -> ViolationSet:
-        self._require_setup()
-        return self._detector.violations
-
-    # -- planner hooks -------------------------------------------------------------
-
-    def cost_estimate(self, stats: Any, profile: Any) -> Estimate:
-        """``O(|delta-D| + |delta-V|)`` work and fingerprint shipment (Prop. 8)."""
-        return estimate_incremental(stats, profile, "incHor")
-
-    def export_state(self) -> StrategyState:
-        """Deployment fragments are maintained in place, so they are current."""
-        self._require_setup()
-        return StrategyState(self._detector.violations.copy(), None, self.deployment)
-
-    def migrate(self, result: Any, rules: Iterable[CFD]) -> None:
-        """Warm re-homing: per-site index slices follow the moved tuples.
-
-        ``result.moved`` drives an O(|moved| x |CFDs|) relocation of
-        index rows; nothing is re-detected and no index is rebuilt.
-        """
-        self._require_setup()
-        cluster = _require_horizontal(self.deployment)
-        self._detector.rehome(cluster, result.moved)
-
-    def import_state(self, state: StrategyState, rules: Iterable[CFD]) -> ViolationSet:
-        """Warm handoff: rebuild the per-site indices, seeding the violations."""
-        cluster = _require_horizontal(state.deployment)
-        if state.relation is not None:
-            cluster = Cluster.from_horizontal(
-                cluster.horizontal_partitioner,
-                state.relation,
-                network=cluster.network,
-                scheduler=cluster.scheduler,
-            )
-        self._detector = HorizontalIncrementalDetector(
-            cluster,
-            rules,
-            violations=state.violations,
-            use_md5=self._use_md5,
-            fusion=self._fusion,
-        )
-        self.deployment = cluster
-        return self._detector.violations
-
-
-# -- batch baselines (re-detect and diff) ----------------------------------------------------
-
-
-class _BatchRedetectStrategy(_BaseStrategy):
-    """Shared machinery: deliver the batch into the live fragments, re-detect.
-
-    Updates are applied straight to the deployment's fragments (free, per
-    the paper's delta-delivery convention) so the fragment objects — and
-    any warm executor state resident against their stores — survive from
-    batch to batch; only the re-detection itself is charged.
-    """
-
-    def __init__(self, fusion: bool = True) -> None:
-        super().__init__()
-        self._rules: list[CFD] = []
-        self._fusion = fusion
-        self._violations = ViolationSet()
-
-    def _detect(self) -> ViolationSet:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _refragment(
-        self, cluster: Cluster, relation: Relation
-    ) -> Cluster:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def apply(self, batch: UpdateBatch) -> ViolationDelta:
         self._require_setup()
         if len(batch) == 0:
             # Nothing changed: re-detecting would ship the whole database
             # for an identical violation set.
             return ViolationDelta()
-        self.deployment.deliver_updates(batch)
-        new = self._detect()
+        base = self._base
+        if self.row.holds == FRAGMENTS:
+            # Deliver into the live fragments (free, per the paper's
+            # delta-delivery convention), so the fragment objects — and
+            # any warm executor state against their stores — survive.
+            self.deployment.deliver_updates(batch)
+        elif self._owns_base:
+            batch.apply_in_place(base)
+        else:
+            base = batch.apply_to(base)
+        new = self._detect(base)
+        if self.row.holds == RELATION:
+            self._base = base
+            if isinstance(self.deployment, SingleSite):
+                # The site's relation is copied once; later batches land
+                # in place so the store (and warm executor residency
+                # against it) survives from batch to batch.
+                self.deployment.relation = base
+                self._owns_base = True
         delta = diff_violations(self._violations, new)
         self._violations = new
         return delta
 
-    @property
-    def violations(self) -> ViolationSet:
-        return self._violations
-
-    # -- planner hooks -------------------------------------------------------------
-
-    def migrate(self, result: Any, rules: Iterable[CFD]) -> None:
-        """The deployment migrated in place and its fragments are current
-        (updates are delivered to them directly): nothing to re-home."""
-        self._require_setup()
+    # -- warm state ---------------------------------------------------------------
 
     def export_state(self) -> StrategyState:
-        """Deployment fragments are maintained in place, so they are current."""
         self._require_setup()
-        return StrategyState(self._violations.copy(), None, self.deployment)
+        relation = None
+        if self.row.holds == RELATION:
+            relation = self._base
+        elif self.row.holds == MATERIALIZED:
+            template = self.deployment.relation
+            relation = Relation(
+                template.schema, self.inner.current_tuples(), storage=template.storage
+            )
+        return StrategyState(self.violations.copy(), relation, self.deployment)
 
-    def import_state(self, state: StrategyState, rules: Iterable[CFD]) -> ViolationSet:
-        """Adopt the current data and violations; re-detect only on ``apply``."""
-        self._rules = list(rules)
-        deployment = state.deployment
-        if state.relation is not None:
-            # The exporter maintained the logical relation, not the
-            # fragments — re-fragment locally (no shipment is charged).
-            deployment = self._refragment(deployment, state.relation)
-        self.deployment = deployment
-        self._violations = state.violations.copy()
-        return self._violations
+    def migrate(self, result: Any, rules: Iterable[Any]) -> None:
+        """Follow an in-place migration of the deployment.
 
-
-class VerticalBatchStrategy(_BatchRedetectStrategy):
-    """``batVer``: re-fragment and re-detect from scratch on every batch."""
-
-    def setup(self, deployment: Any, rules: Iterable[CFD]) -> ViolationSet:
-        cluster = _require_vertical(deployment)
-        self._rules = list(rules)
-        self.deployment = cluster
-        self._violations = self._detect()
-        return self._violations
-
-    def _refragment(self, cluster: Cluster, relation: Relation) -> Cluster:
-        return Cluster.from_vertical(
-            cluster.vertical_partitioner,
-            relation,
-            network=cluster.network,
-            scheduler=cluster.scheduler,
-        )
-
-    def _detect(self) -> ViolationSet:
-        return VerticalBatchDetector(
-            self.deployment, self._rules, fusion=self._fusion
-        ).detect()
-
-    def cost_estimate(self, stats: Any, profile: Any) -> Estimate:
-        """Full recomputation: ``O(|D (+) delta-D|)`` shipment and scans."""
-        return estimate_batch(stats, profile, "batVer")
-
-
-class HorizontalBatchStrategy(_BatchRedetectStrategy):
-    """``batHor``: re-fragment and re-detect from scratch on every batch."""
-
-    def setup(self, deployment: Any, rules: Iterable[CFD]) -> ViolationSet:
-        cluster = _require_horizontal(deployment)
-        self._rules = list(rules)
-        self.deployment = cluster
-        self._violations = self._detect()
-        return self._violations
-
-    def _refragment(self, cluster: Cluster, relation: Relation) -> Cluster:
-        return Cluster.from_horizontal(
-            cluster.horizontal_partitioner,
-            relation,
-            network=cluster.network,
-            scheduler=cluster.scheduler,
-        )
-
-    def _detect(self) -> ViolationSet:
-        return HorizontalBatchDetector(
-            self.deployment, self._rules, fusion=self._fusion
-        ).detect()
-
-    def cost_estimate(self, stats: Any, profile: Any) -> Estimate:
-        """Full recomputation: ``O(|D (+) delta-D|)`` shipment and scans."""
-        return estimate_batch(stats, profile, "batHor")
-
-
-class ImprovedVerticalBatchStrategy(_BaseStrategy):
-    """``ibatVer`` (Exp-10): rebuild ``V`` by incremental insertion from empty.
-
-    Setup computes the initial violations with the (free) centralized
-    reference so that only the per-batch rebuilds — the cost Exp-10
-    actually measures — are charged to the strategy's network.
-    """
-
-    def __init__(self, plan: HEVPlan | None = None, fusion: bool = True):
-        super().__init__()
-        self._plan = plan
-        self._fusion = fusion
-        self._detector: ImprovedVerticalBatchDetector | None = None
-        self._base: Relation | None = None
-        self._violations = ViolationSet()
-
-    def setup(self, deployment: Any, rules: Iterable[CFD]) -> ViolationSet:
-        cluster = _require_vertical(deployment)
-        self._base = cluster.reconstruct()
-        self._detector = ImprovedVerticalBatchDetector(
-            cluster.vertical_partitioner, rules, plan=self._plan, fusion=self._fusion
-        )
-        self._violations = CentralizedDetector(
-            list(rules), fusion=self._fusion
-        ).detect(self._base)
-        self.deployment = cluster
-        return self._violations
-
-    def apply(self, batch: UpdateBatch) -> ViolationDelta:
-        self._require_setup()
-        if len(batch) == 0:
-            return ViolationDelta()
-        final = batch.apply_to(self._base)
-        new = self._detector.detect(final)
-        self._base = final
-        delta = diff_violations(self._violations, new)
-        self._violations = new
-        return delta
-
-    @property
-    def violations(self) -> ViolationSet:
-        return self._violations
-
-    @property
-    def network(self) -> Network:
-        """The rebuild ships over the wrapped detector's own network."""
-        self._require_setup()
-        return self._detector.network
-
-    # -- planner hooks -------------------------------------------------------------
-
-    def cost_estimate(self, stats: Any, profile: Any) -> Estimate:
-        """``O(|D| + |delta-D|)``: incremental insertion from empty (Exp-10)."""
-        return estimate_improved_batch(stats, profile, "ibatVer")
-
-    def migrate(self, result: Any, rules: Iterable[CFD]) -> None:
-        """Rebind the rebuild detector to the migrated partitioner.
-
-        ``_base`` and the violations stay warm; only the wrapped
-        detector — which re-fragments per batch anyway — is recreated
-        against the new layout, charging the shared session ledger.
-        Costs already accrued on a private ledger move over with it.
+        Violations (and a kept relation) stay warm.  A caller-supplied
+        HEV plan referencing the old topology is dropped in favour of a
+        re-planned one.
         """
         self._require_setup()
-        cluster = _require_vertical(self.deployment)
-        if self._detector.network is not cluster.network:
-            cluster.network.absorb(self._detector.network.stats())
-        self._plan = None
-        self._detector = ImprovedVerticalBatchDetector(
-            cluster.vertical_partitioner,
-            rules,
-            network=cluster.network,
-            fusion=self._fusion,
-        )
-
-    def export_state(self) -> StrategyState:
-        """``_base`` is authoritative; the deployment fragments are stale."""
-        self._require_setup()
-        return StrategyState(self._violations.copy(), self._base, self.deployment)
-
-    def import_state(self, state: StrategyState, rules: Iterable[CFD]) -> ViolationSet:
-        """Adopt the current data; rebuilds charge the shared session ledger."""
-        cluster = _require_vertical(state.deployment)
-        self._base = (
-            state.relation if state.relation is not None else cluster.reconstruct()
-        )
-        self._detector = ImprovedVerticalBatchDetector(
-            cluster.vertical_partitioner,
-            rules,
-            plan=self._plan,
-            network=cluster.network,
-            fusion=self._fusion,
-        )
-        self._violations = state.violations.copy()
-        self.deployment = cluster
-        return self._violations
+        self._options.pop("plan", None)
+        if self.row.rehome is not None:
+            self.row.rehome(self.inner, self.deployment, result)
+        else:
+            self.inner = self.row.build(self.deployment, list(rules), **self._options)
 
 
-class ImprovedHorizontalBatchStrategy(_BaseStrategy):
-    """``ibatHor`` (Exp-10): the horizontal flavour of the improved baseline."""
-
-    def __init__(self, use_md5: bool = True, fusion: bool = True):
-        super().__init__()
-        self._use_md5 = use_md5
-        self._fusion = fusion
-        self._detector: ImprovedHorizontalBatchDetector | None = None
-        self._base: Relation | None = None
-        self._violations = ViolationSet()
-
-    def setup(self, deployment: Any, rules: Iterable[CFD]) -> ViolationSet:
-        cluster = _require_horizontal(deployment)
-        self._base = cluster.reconstruct()
-        self._detector = ImprovedHorizontalBatchDetector(
-            cluster.horizontal_partitioner,
-            rules,
-            use_md5=self._use_md5,
-            fusion=self._fusion,
-        )
-        self._violations = CentralizedDetector(
-            list(rules), fusion=self._fusion
-        ).detect(self._base)
-        self.deployment = cluster
-        return self._violations
-
-    def apply(self, batch: UpdateBatch) -> ViolationDelta:
-        self._require_setup()
-        if len(batch) == 0:
-            return ViolationDelta()
-        final = batch.apply_to(self._base)
-        new = self._detector.detect(final)
-        self._base = final
-        delta = diff_violations(self._violations, new)
-        self._violations = new
-        return delta
-
-    @property
-    def violations(self) -> ViolationSet:
-        return self._violations
-
-    @property
-    def network(self) -> Network:
-        """The rebuild ships over the wrapped detector's own network."""
-        self._require_setup()
-        return self._detector.network
-
-    # -- planner hooks -------------------------------------------------------------
-
-    def cost_estimate(self, stats: Any, profile: Any) -> Estimate:
-        """``O(|D| + |delta-D|)``: incremental insertion from empty (Exp-10)."""
-        return estimate_improved_batch(stats, profile, "ibatHor")
-
-    def migrate(self, result: Any, rules: Iterable[CFD]) -> None:
-        """Rebind the rebuild detector to the migrated partitioner
-        (``_base``, the violations and the accrued costs stay warm)."""
-        self._require_setup()
-        cluster = _require_horizontal(self.deployment)
-        if self._detector.network is not cluster.network:
-            cluster.network.absorb(self._detector.network.stats())
-        self._detector = ImprovedHorizontalBatchDetector(
-            cluster.horizontal_partitioner,
-            rules,
-            use_md5=self._use_md5,
-            network=cluster.network,
-            fusion=self._fusion,
-        )
-
-    def export_state(self) -> StrategyState:
-        """``_base`` is authoritative; the deployment fragments are stale."""
-        self._require_setup()
-        return StrategyState(self._violations.copy(), self._base, self.deployment)
-
-    def import_state(self, state: StrategyState, rules: Iterable[CFD]) -> ViolationSet:
-        """Adopt the current data; rebuilds charge the shared session ledger."""
-        cluster = _require_horizontal(state.deployment)
-        self._base = (
-            state.relation if state.relation is not None else cluster.reconstruct()
-        )
-        self._detector = ImprovedHorizontalBatchDetector(
-            cluster.horizontal_partitioner,
-            rules,
-            use_md5=self._use_md5,
-            network=cluster.network,
-            fusion=self._fusion,
-        )
-        self._violations = state.violations.copy()
-        self.deployment = cluster
-        return self._violations
+# -- the table ------------------------------------------------------------------------------
 
 
-# -- single-site strategies ------------------------------------------------------------------
+def _hev_planner(cluster: Cluster) -> HEVPlanner:
+    partitioner = cluster.vertical_partitioner
+    return HEVPlanner(partitioner, ReplicationScheme(partitioner))
 
 
-class CentralizedStrategy(_BaseStrategy):
-    """The SQL-style centralized reference detector, re-run per batch."""
-
-    def __init__(self, fusion: bool = True) -> None:
-        super().__init__()
-        self._fusion = fusion
-        self._detector: CentralizedDetector | None = None
-        self._violations = ViolationSet()
-        self._owns_relation = False
-
-    def setup(self, deployment: Any, rules: Iterable[CFD]) -> ViolationSet:
-        store = _require_single(deployment)
-        self._detector = CentralizedDetector(
-            rules, scheduler=store.scheduler, fusion=self._fusion
-        )
-        self._violations = self._detector.detect(store.relation)
-        self.deployment = store
-        self._owns_relation = False
-        return self._violations
-
-    def apply(self, batch: UpdateBatch) -> ViolationDelta:
-        self._require_setup()
-        if len(batch) == 0:
-            return ViolationDelta()
-        if not self._owns_relation:
-            # Copy the caller's relation once, then deliver every later
-            # batch in place so the store object (and any warm executor
-            # residency against it) survives across batches.
-            self.deployment.relation = self.deployment.relation.copy()
-            self._owns_relation = True
-        batch.apply_in_place(self.deployment.relation)
-        new = self._detector.detect(self.deployment.relation)
-        delta = diff_violations(self._violations, new)
-        self._violations = new
-        return delta
-
-    @property
-    def violations(self) -> ViolationSet:
-        return self._violations
-
-    # -- planner hooks -------------------------------------------------------------
-
-    def cost_estimate(self, stats: Any, profile: Any) -> Estimate:
-        """Re-detection over the whole updated database (no shipment)."""
-        return estimate_batch(stats, profile, "centralized")
-
-    def export_state(self) -> StrategyState:
-        self._require_setup()
-        return StrategyState(
-            self._violations.copy(), self.deployment.relation, self.deployment
-        )
-
-    def import_state(self, state: StrategyState, rules: Iterable[CFD]) -> ViolationSet:
-        store = _require_single(state.deployment)
-        if state.relation is not None:
-            store.relation = state.relation
-        self._detector = CentralizedDetector(
-            rules, scheduler=store.scheduler, fusion=self._fusion
-        )
-        self._violations = state.violations.copy()
-        self.deployment = store
-        self._owns_relation = False
-        return self._violations
+def _inc_ver(cluster, rules, violations=None, plan=None, fusion=True):
+    return VerticalIncrementalDetector(
+        cluster, rules, plan=plan, violations=violations, fusion=fusion
+    )
 
 
-class MDBatchStrategy(_BaseStrategy):
-    """Matching-dependency batch detection, re-run per batch."""
-
-    def __init__(self, use_blocking: bool = True):
-        super().__init__()
-        self._use_blocking = use_blocking
-        self._detector: MDDetector | None = None
-        self._violations = ViolationSet()
-        self._owns_relation = False
-
-    def setup(self, deployment: Any, rules: Iterable[Any]) -> ViolationSet:
-        store = _require_single(deployment)
-        self._detector = MDDetector(
-            rules, use_blocking=self._use_blocking, scheduler=store.scheduler
-        )
-        self._violations = self._detector.detect(store.relation)
-        self.deployment = store
-        self._owns_relation = False
-        return self._violations
-
-    def apply(self, batch: UpdateBatch) -> ViolationDelta:
-        self._require_setup()
-        if len(batch) == 0:
-            return ViolationDelta()
-        if not self._owns_relation:
-            # Copy once, then deliver in place (see CentralizedStrategy).
-            self.deployment.relation = self.deployment.relation.copy()
-            self._owns_relation = True
-        batch.apply_in_place(self.deployment.relation)
-        new = self._detector.detect(self.deployment.relation)
-        delta = diff_violations(self._violations, new)
-        self._violations = new
-        return delta
-
-    @property
-    def violations(self) -> ViolationSet:
-        return self._violations
-
-    # -- planner hooks -------------------------------------------------------------
-
-    def cost_estimate(self, stats: Any, profile: Any) -> Estimate:
-        """Pairwise re-matching over the whole updated database."""
-        return estimate_batch(stats, profile, "md")
-
-    def export_state(self) -> StrategyState:
-        self._require_setup()
-        return StrategyState(
-            self._violations.copy(), self.deployment.relation, self.deployment
-        )
-
-    def import_state(self, state: StrategyState, rules: Iterable[Any]) -> ViolationSet:
-        store = _require_single(state.deployment)
-        if state.relation is not None:
-            store.relation = state.relation
-        self._detector = MDDetector(
-            rules, use_blocking=self._use_blocking, scheduler=store.scheduler
-        )
-        self._violations = state.violations.copy()
-        self.deployment = store
-        self._owns_relation = False
-        return self._violations
+def _opt_ver(cluster, rules, violations=None, plan=None, fusion=True):
+    planner = _hev_planner(cluster) if plan is None else None
+    return VerticalIncrementalDetector(
+        cluster, rules, plan=plan, planner=planner, violations=violations, fusion=fusion
+    )
 
 
-class MDIncrementalStrategy(_BaseStrategy):
-    """Incremental matching-dependency detection (blocking index + counts)."""
+def _inc_hor(cluster, rules, violations=None, use_md5=True, fusion=True):
+    return HorizontalIncrementalDetector(
+        cluster, rules, violations=violations, use_md5=use_md5, fusion=fusion
+    )
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.inner: IncrementalMDDetector | None = None
 
-    def setup(self, deployment: Any, rules: Iterable[Any]) -> ViolationSet:
-        store = _require_single(deployment)
-        self.inner = IncrementalMDDetector(store.relation, rules)
-        self.deployment = store
-        return self.inner.violations
+def _bat_ver(cluster, rules, violations=None, fusion=True):
+    return VerticalBatchDetector(cluster, rules, fusion=fusion)
 
-    def apply(self, batch: UpdateBatch) -> ViolationDelta:
-        self._require_setup()
-        return self.inner.apply(batch)
 
-    @property
-    def violations(self) -> ViolationSet:
-        self._require_setup()
-        return self.inner.violations
+def _bat_hor(cluster, rules, violations=None, fusion=True):
+    return HorizontalBatchDetector(cluster, rules, fusion=fusion)
 
-    # -- planner hooks -------------------------------------------------------------
 
-    def cost_estimate(self, stats: Any, profile: Any) -> Estimate:
-        """``O(|delta-D| x blocking candidates)`` matching work."""
-        return estimate_incremental(stats, profile, "incMD")
+def _ibat_ver(cluster, rules, violations=None, plan=None, fusion=True):
+    return ImprovedVerticalBatchDetector(
+        cluster.vertical_partitioner, rules, plan=plan, network=cluster.network,
+        fusion=fusion,
+    )
 
-    def export_state(self) -> StrategyState:
-        """Materialize the maintained tuples back into a relation."""
-        self._require_setup()
-        template = self.deployment.relation
-        relation = Relation(
-            template.schema, self.inner.current_tuples(), storage=template.storage
-        )
-        return StrategyState(self.inner.violations.copy(), relation, self.deployment)
 
-    def import_state(self, state: StrategyState, rules: Iterable[Any]) -> ViolationSet:
-        """Rebuild the blocking indices and partner counts over the data."""
-        store = _require_single(state.deployment)
-        if state.relation is not None:
-            store.relation = state.relation
-        self.inner = IncrementalMDDetector(store.relation, rules)
-        self.deployment = store
-        return self.inner.violations
+def _ibat_hor(cluster, rules, violations=None, use_md5=True, fusion=True):
+    return ImprovedHorizontalBatchDetector(
+        cluster.horizontal_partitioner, rules, use_md5=use_md5,
+        network=cluster.network, fusion=fusion,
+    )
 
-    # Diagnostics forwarded from the wrapped detector.
 
-    def candidate_count(self, md_name: str, t: Any) -> int:
-        self._require_setup()
-        return self.inner.candidate_count(md_name, t)
+def _centralized(site, rules, violations=None, fusion=True):
+    return CentralizedDetector(rules, scheduler=site.scheduler, fusion=fusion)
 
-    def partner_count(self, md_name: str, tid: Any) -> int:
-        self._require_setup()
-        return self.inner.partner_count(md_name, tid)
 
-    def __len__(self) -> int:
-        self._require_setup()
-        return len(self.inner)
+# Matching dependencies have no fused path: ``fusion`` is accepted and ignored.
+def _md(site, rules, violations=None, fusion=True):
+    return MDDetector(rules, scheduler=site.scheduler)
+
+
+def _inc_md(site, rules, violations=None, fusion=True):
+    return IncrementalMDDetector(site.relation, rules)
+
+
+STRATEGY_TABLE: tuple[StrategyRow, ...] = (
+    StrategyRow(
+        "incVer", "vertical", "incremental",
+        "incremental CFD detection over vertical fragments (Fig. 5)",
+        _inc_ver, FRAGMENTS,
+        rehome=lambda detector, cluster, result: detector.rehome(cluster),
+    ),
+    StrategyRow(
+        "optVer", "vertical", "optimized",
+        "incVer with the optVer HEV-placement plan (Section 5)",
+        _opt_ver, FRAGMENTS,
+        rehome=lambda detector, cluster, result: detector.rehome(
+            cluster, planner=_hev_planner(cluster)
+        ),
+    ),
+    StrategyRow(
+        "batVer", "vertical", "batch",
+        "batch recomputation over vertical fragments (ICDE 2010 baseline)",
+        _bat_ver, FRAGMENTS,
+    ),
+    StrategyRow(
+        "ibatVer", "vertical", "improved-batch",
+        "improved batch baseline of Exp-10 (vertical)",
+        _ibat_ver, RELATION,
+    ),
+    StrategyRow(
+        "incHor", "horizontal", "incremental",
+        "incremental CFD detection over horizontal fragments (Fig. 8)",
+        _inc_hor, FRAGMENTS,
+        rehome=lambda detector, cluster, result: detector.rehome(cluster, result.moved),
+    ),
+    StrategyRow(
+        "batHor", "horizontal", "batch",
+        "batch recomputation over horizontal fragments (ICDE 2010 baseline)",
+        _bat_hor, FRAGMENTS,
+    ),
+    StrategyRow(
+        "ibatHor", "horizontal", "improved-batch",
+        "improved batch baseline of Exp-10 (horizontal)",
+        _ibat_hor, RELATION,
+    ),
+    StrategyRow(
+        "centralized", "single", "batch",
+        "single-site SQL-style reference detection",
+        _centralized, RELATION,
+    ),
+    StrategyRow(
+        "md", "single", "batch",
+        "matching-dependency batch detection (similarity extension)",
+        _md, RELATION, rules="md",
+    ),
+    StrategyRow(
+        "incMD", "single", "incremental",
+        "incremental matching-dependency detection with blocking",
+        _inc_md, MATERIALIZED, rules="md",
+    ),
+)
 
 
 # -- built-in partition scheme factories ------------------------------------------------------
@@ -805,78 +406,15 @@ def _build_horizontal_partitioner(
 
 def register_builtin_strategies(registry: StrategyRegistry) -> None:
     """Wire every built-in detector and partition scheme into ``registry``."""
-    registry.register_detector(
-        "incVer",
-        VerticalIncrementalStrategy,
-        partitioning="vertical",
-        mode="incremental",
-        description="incremental CFD detection over vertical fragments (Fig. 5)",
-    )
-    registry.register_detector(
-        "optVer",
-        lambda **options: VerticalIncrementalStrategy(optimize=True, **options),
-        partitioning="vertical",
-        mode="optimized",
-        description="incVer with the optVer HEV-placement plan (Section 5)",
-    )
-    registry.register_detector(
-        "batVer",
-        VerticalBatchStrategy,
-        partitioning="vertical",
-        mode="batch",
-        description="batch recomputation over vertical fragments (ICDE 2010 baseline)",
-    )
-    registry.register_detector(
-        "ibatVer",
-        ImprovedVerticalBatchStrategy,
-        partitioning="vertical",
-        mode="improved-batch",
-        description="improved batch baseline of Exp-10 (vertical)",
-    )
-    registry.register_detector(
-        "incHor",
-        HorizontalIncrementalStrategy,
-        partitioning="horizontal",
-        mode="incremental",
-        description="incremental CFD detection over horizontal fragments (Fig. 8)",
-    )
-    registry.register_detector(
-        "batHor",
-        HorizontalBatchStrategy,
-        partitioning="horizontal",
-        mode="batch",
-        description="batch recomputation over horizontal fragments (ICDE 2010 baseline)",
-    )
-    registry.register_detector(
-        "ibatHor",
-        ImprovedHorizontalBatchStrategy,
-        partitioning="horizontal",
-        mode="improved-batch",
-        description="improved batch baseline of Exp-10 (horizontal)",
-    )
-    registry.register_detector(
-        "centralized",
-        CentralizedStrategy,
-        partitioning="single",
-        mode="batch",
-        description="single-site SQL-style reference detection",
-    )
-    registry.register_detector(
-        "md",
-        MDBatchStrategy,
-        partitioning="single",
-        mode="batch",
-        rules="md",
-        description="matching-dependency batch detection (similarity extension)",
-    )
-    registry.register_detector(
-        "incMD",
-        MDIncrementalStrategy,
-        partitioning="single",
-        mode="incremental",
-        rules="md",
-        description="incremental matching-dependency detection with blocking",
-    )
+    for row in STRATEGY_TABLE:
+        registry.register_detector(
+            row.name,
+            partial(TableStrategy, row),
+            partitioning=row.partitioning,
+            mode=row.mode,
+            rules=row.rules,
+            description=row.description,
+        )
     registry.register_detector(
         "auto",
         AdaptiveStrategy,

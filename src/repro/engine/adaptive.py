@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import inspect
 import time
+from functools import partial
 from itertools import islice
 from typing import Any, Iterable
 
@@ -30,7 +31,7 @@ from repro.core.updates import Update, UpdateBatch
 from repro.core.violations import ViolationDelta, ViolationSet
 from repro.distributed.cluster import Cluster
 from repro.distributed.network import Network, NetworkStats
-from repro.engine.protocol import SingleSite, StrategyState
+from repro.engine.protocol import SingleSite, StrategyState, rehost
 from repro.obs.trace import maybe_span
 from repro.planner.adaptive import AdaptivePlanner, PlanDecision
 from repro.planner.cost import MESSAGE_OVERHEAD_BYTES
@@ -188,12 +189,7 @@ class AdaptiveStrategy:
             else:
                 strategy = entry.create()
             self._instances[name] = strategy
-            hook = getattr(strategy, "cost_estimate", None)
-            if hook is None:
-                def hook(stats, profile, _mode=entry.mode, _name=name):
-                    return estimate_for_mode(_mode, stats, profile, _name)
-
-            hooks[name] = hook
+            hooks[name] = partial(estimate_for_mode, entry.mode, strategy=name)
 
         catalog = StatsCatalog.collect(
             relation,
@@ -231,19 +227,13 @@ class AdaptiveStrategy:
                 )
         if self._backend != current_backend:
             relation = relation.with_storage(self._backend)
-            deployment = self._rehome(deployment, relation, partitioning)
+            deployment = rehost(deployment, relation)
             self.deployment = deployment
         from repro.planner.cost import local_work_rate
 
         self._planner.local_work_rate = local_work_rate(self._backend)
         first = names[0]
-        first_strategy = self._instances[first]
-        initial = first_strategy.setup(deployment, self._rules)
-        if getattr(first_strategy, "network", None) is not deployment.network:
-            # Some adapters (the improved-batch baselines) charge a private
-            # ledger when bound via setup(); a self-handoff rebinds them to
-            # the session ledger the planner measures and reports.
-            first_strategy.import_state(first_strategy.export_state(), self._rules)
+        initial = self._instances[first].setup(deployment, self._rules)
         catalog.n_violations = len(initial)
         self._active = first
         self._batch_index = 0
@@ -325,27 +315,6 @@ class AdaptiveStrategy:
                 if prev is None or seconds < prev:
                     best_seconds[backend] = seconds
         return best_seconds
-
-    def _rehome(self, deployment: Any, relation: Any, partitioning: str) -> Any:
-        """Rebuild the deployment over ``relation``'s storage backend.
-
-        Re-fragmenting is local work: the rebuilt cluster reuses the
-        session network and scheduler, so no shipment is charged and the
-        cost ledger carries over.
-        """
-        if partitioning == "vertical":
-            return Cluster.from_vertical(
-                deployment.vertical_partitioner, relation,
-                network=deployment.network, scheduler=deployment.scheduler,
-            )
-        if partitioning == "horizontal":
-            return Cluster.from_horizontal(
-                deployment.horizontal_partitioner, relation,
-                network=deployment.network, scheduler=deployment.scheduler,
-            )
-        return SingleSite(
-            relation, network=deployment.network, scheduler=deployment.scheduler
-        )
 
     def _require_setup(self) -> None:
         if self._active is None or self._planner is None:

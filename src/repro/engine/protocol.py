@@ -1,6 +1,6 @@
 """The :class:`Detector` protocol and the degenerate single-site deployment.
 
-Every detection strategy — the eight distributed detectors of the paper,
+Every detection strategy — the seven distributed detectors of the paper,
 the centralized reference and the matching-dependency extension — is
 exposed to the engine through one uniform surface:
 
@@ -34,6 +34,7 @@ from typing import Any, Iterable, Protocol, runtime_checkable
 from repro.core.relation import Relation
 from repro.core.updates import UpdateBatch
 from repro.core.violations import ViolationDelta, ViolationSet
+from repro.distributed.cluster import Cluster
 from repro.distributed.network import Network, NetworkStats
 from repro.runtime.scheduler import SiteScheduler
 
@@ -128,3 +129,22 @@ class SingleSite:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SingleSite({len(self.relation)} tuples)"
+
+
+def rehost(deployment: Any, relation: Relation) -> Any:
+    """Host ``relation`` on ``deployment``'s layout, network and scheduler.
+
+    Re-fragmenting is local work, so nothing ships and the cost ledger
+    carries over.  A cluster is rebuilt; a single site takes the
+    relation in place.
+    """
+    if isinstance(deployment, SingleSite):
+        deployment.relation = relation
+        return deployment
+    if deployment.is_vertical():
+        build, partitioner = Cluster.from_vertical, deployment.vertical_partitioner
+    else:
+        build, partitioner = Cluster.from_horizontal, deployment.horizontal_partitioner
+    return build(
+        partitioner, relation, network=deployment.network, scheduler=deployment.scheduler
+    )

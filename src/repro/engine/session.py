@@ -408,20 +408,11 @@ class SessionBuilder:
             rule_fusion=bool(options.get("fusion", self._rule_fusion)),
         )
         if tracing and build_span is not None and net_before is not None:
-            # Exact ledger delta for setup: what the shared network saw,
-            # plus whatever a strategy with a private ledger (ibatVer /
-            # ibatHor) accrued on it during setup (it starts from zero).
             delta = network.stats().diff(net_before)
-            net_bytes, net_messages = delta.bytes, delta.messages
-            session_network = session_obj.network
-            if session_network is not network:
-                private = session_network.stats()
-                net_bytes += private.bytes
-                net_messages += private.messages
             build_span.attrs.update(
                 ledger=True,
-                net_bytes=net_bytes,
-                net_messages=net_messages,
+                net_bytes=delta.bytes,
+                net_messages=delta.messages,
                 initial_violations=len(initial),
             )
         return session_obj
@@ -532,10 +523,7 @@ class DetectionSession:
 
     @property
     def network(self) -> Network:
-        """The network the strategy charges — always consistent with report()."""
-        detector_network = getattr(self._detector, "network", None)
-        if isinstance(detector_network, Network):
-            return detector_network
+        """The deployment's ledger, which the strategy charges."""
         return self.deployment.network
 
     @property
@@ -762,9 +750,7 @@ class DetectionSession:
         obs = self._obs
         tracing = obs is not None and obs.tracer.enabled
         migration_cm: Any = nullcontext()
-        net_before: Network | None = None
         stats_before: NetworkStats | None = None
-        cluster_stats_before: NetworkStats | None = None
         if tracing:
             assert obs is not None
             parent = obs.tracer.ambient_parent() or self._root_span
@@ -774,40 +760,18 @@ class DetectionSession:
                 session=self._name,
                 trigger=trigger,
             )
-            net_before = self.network
-            stats_before = net_before.stats()
-            if cluster.network is not net_before:
-                cluster_stats_before = cluster.network.stats()
+            stats_before = self.network.stats()
         with migration_cm as migration_span:
             start = time.perf_counter()
             result = cluster.apply_migration(plan)
             self._detector.migrate(result, self._rules)
             seconds = time.perf_counter() - start
             if migration_span is not None and stats_before is not None:
-                net_after = self.network
-                after = net_after.stats()
-                if net_after is net_before:
-                    stats_delta = after.diff(stats_before)
-                    net_bytes, net_messages = stats_delta.bytes, stats_delta.messages
-                else:
-                    # migrate() absorbed a strategy-private ledger into the
-                    # cluster ledger: subtract both pre-migration totals so
-                    # only migration traffic remains.
-                    base = cluster_stats_before
-                    net_bytes = (
-                        after.bytes
-                        - stats_before.bytes
-                        - (base.bytes if base is not None else 0)
-                    )
-                    net_messages = (
-                        after.messages
-                        - stats_before.messages
-                        - (base.messages if base is not None else 0)
-                    )
+                stats_delta = self.network.stats().diff(stats_before)
                 migration_span.attrs.update(
                     ledger=True,
-                    net_bytes=net_bytes,
-                    net_messages=net_messages,
+                    net_bytes=stats_delta.bytes,
+                    net_messages=stats_delta.messages,
                     tuples_moved=result.tuples_moved,
                     sites_before=len(result.sites_before),
                     sites_after=len(result.sites_after),

@@ -71,8 +71,8 @@ class AdaptivePlanner:
         candidates: Mapping[str, Callable[[StatsCatalog, BatchProfile], Estimate]],
         message_overhead: float = MESSAGE_OVERHEAD_BYTES,
     ):
-        """``candidates`` maps strategy names to their ``cost_estimate``
-        hooks (``hook(stats, profile) -> Estimate``), in preference
+        """``candidates`` maps strategy names to their estimators
+        (``hook(stats, profile) -> Estimate``), in preference
         order — earlier candidates win exact ties."""
         if not candidates:
             raise ValueError("the adaptive planner needs at least one candidate")

@@ -154,8 +154,7 @@ def estimate_batch(
 
 
 #: Estimators addressable by the registry's (mode) coordinate; the
-#: adaptive planner falls back here when a strategy has no
-#: ``cost_estimate`` hook of its own.
+#: adaptive planner prices every candidate through its mode's entry.
 ESTIMATORS: Dict[str, Callable[[StatsCatalog, BatchProfile, str], Estimate]] = {
     "incremental": estimate_incremental,
     "optimized": estimate_incremental,

@@ -17,11 +17,13 @@ from repro.core.tuples import Tuple
 from repro.distributed.cluster import Cluster
 from repro.engine import (
     DEFAULT_REGISTRY,
+    STRATEGY_TABLE,
+    AdaptiveStrategyError,
     Detector,
     RegistryError,
     SingleSite,
     StrategyRegistry,
-    VerticalIncrementalStrategy,
+    StrategyStateError,
     register_builtin_strategies,
 )
 from repro.horizontal.inchor import HorizontalIncrementalDetector
@@ -44,6 +46,9 @@ def emp_batch(emp):
 # -- registry -------------------------------------------------------------------------
 
 
+INC_VER = DEFAULT_REGISTRY.detector("incVer").factory
+
+
 class TestRegistry:
     PAPER_NAMES = ["incVer", "batVer", "ibatVer", "optVer", "incHor", "batHor", "ibatHor"]
 
@@ -58,16 +63,16 @@ class TestRegistry:
     def test_duplicate_detector_registration_raises(self):
         registry = StrategyRegistry()
         registry.register_detector(
-            "x", VerticalIncrementalStrategy, partitioning="vertical", mode="incremental"
+            "x", INC_VER, partitioning="vertical", mode="incremental"
         )
         with pytest.raises(RegistryError, match="already registered"):
             registry.register_detector(
-                "x", VerticalIncrementalStrategy, partitioning="vertical", mode="batch"
+                "x", INC_VER, partitioning="vertical", mode="batch"
             )
         # replace=True overrides instead of raising.
         registry.register_detector(
             "x",
-            VerticalIncrementalStrategy,
+            INC_VER,
             partitioning="vertical",
             mode="batch",
             replace=True,
@@ -90,12 +95,12 @@ class TestRegistry:
         registry = StrategyRegistry()
         with pytest.raises(RegistryError, match="partitioning"):
             registry.register_detector(
-                "x", VerticalIncrementalStrategy, partitioning="diagonal", mode="batch"
+                "x", INC_VER, partitioning="diagonal", mode="batch"
             )
         with pytest.raises(RegistryError, match="rule kind"):
             registry.register_detector(
                 "x",
-                VerticalIncrementalStrategy,
+                INC_VER,
                 partitioning="vertical",
                 mode="batch",
                 rules="regex",
@@ -114,7 +119,7 @@ class TestRegistry:
         register_builtin_strategies(registry)
         registry.register_detector(
             "myVer",
-            lambda **kw: VerticalIncrementalStrategy(**kw),
+            lambda **kw: INC_VER(**kw),
             partitioning="vertical",
             mode="mine",
             description="third-party strategy",
@@ -129,6 +134,69 @@ class TestRegistry:
         sess.apply(emp_batch)
         final = emp_batch.apply_to(emp.relation())
         assert sess.violations == detect_violations(emp_cfds, final)
+
+
+# -- the strategy table -----------------------------------------------------------------
+
+
+TABLE_MDS = [
+    MatchingDependency([("pname", NormalizedStringMatch())], ["sname"], name="md_name"),
+    MatchingDependency([("quantity", NumericTolerance(1))], ["shipmode"], name="md_qty"),
+]
+
+
+def _table_session(row, tpch, base, rules):
+    builder = session(base)
+    if row.partitioning == "vertical":
+        builder = builder.partition(tpch.vertical_partitioner(3))
+    elif row.partitioning == "horizontal":
+        builder = builder.partition(tpch.horizontal_partitioner(3))
+    return builder.rules(rules).strategy(row.name).build()
+
+
+class TestStrategyTable:
+    @pytest.mark.parametrize("name", [row.name for row in STRATEGY_TABLE] + ["auto"])
+    def test_every_builtin_raises_before_setup(self, name):
+        strategy = DEFAULT_REGISTRY.detector(name).create(fusion=False)
+        error = AdaptiveStrategyError if name == "auto" else StrategyStateError
+        with pytest.raises(error):
+            strategy.apply(UpdateBatch())
+        with pytest.raises(error):
+            strategy.violations
+        with pytest.raises(error):
+            strategy.export_state()
+
+    @pytest.mark.parametrize("row", STRATEGY_TABLE, ids=lambda row: row.name)
+    def test_self_handoff_changes_nothing(self, row, tpch):
+        base = tpch.relation(60)
+        rules = TABLE_MDS if row.rules == "md" else generate_cfds(tpch.fd_specs(), 5, seed=5)
+        first = generate_updates(base, tpch, 20, seed=5)
+        second = generate_updates(first.apply_to(base), tpch, 20, seed=6)
+        handed = _table_session(row, tpch, base, rules)
+        plain = _table_session(row, tpch, base, rules)
+        handed.apply(first)
+        plain.apply(first)
+
+        violations, ledger = handed.violations.copy(), handed.network.stats()
+        strategy = handed.detector
+        strategy.import_state(strategy.export_state(), handed.rules)
+        assert handed.violations == violations
+        # NetworkStats equality covers all five counters.
+        assert handed.network.stats() == ledger
+
+        assert handed.apply(second) == plain.apply(second)
+        assert handed.violations == plain.violations
+        assert handed.network.stats() == plain.network.stats()
+
+    @pytest.mark.parametrize("name", ["ibatVer", "ibatHor"])
+    def test_ibat_charges_the_deployment_ledger(self, name, tpch):
+        row = next(row for row in STRATEGY_TABLE if row.name == name)
+        base = tpch.relation(40)
+        sess = _table_session(row, tpch, base, generate_cfds(tpch.fd_specs(), 4, seed=1))
+        assert sess.network is sess.deployment.network
+        assert sess.detector.inner.network is sess.deployment.network
+        sess.apply(generate_updates(base, tpch, 10, seed=2))
+        assert sess.report().messages > 0
 
 
 # -- builder validation ----------------------------------------------------------------

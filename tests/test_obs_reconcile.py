@@ -8,8 +8,9 @@ equal the session's own network ledger *exactly* — not approximately.
 This holds because all shipments are charged by the coordinator on the
 session thread: the build and wave spans bracket every charge.
 
-Strategies with private ledgers (``ibatVer``/``ibatHor`` own a detector
-network) reconcile too: the build span folds the private totals in.
+Every strategy charges its deployment's one ledger — ``ibatVer``/``ibatHor``
+bind their rebuild detector to it at setup — so no span needs to fold in
+a private ledger.
 """
 
 import pytest
