@@ -1,19 +1,20 @@
-"""Rule fusion: one-pass multi-CFD validation vs per-rule sweeps.
+"""Rule fusion: one sweep per same-LHS rule group vs one group per rule.
 
 A tableau-shaped rule set — 8 CFDs sharing 3 LHS attribute lists — is
-validated fused (one sweep per same-LHS group, shared grouped masks and
-verdict memos, one tagged SQL query per group) and per-rule, across the
-storage backends.  Three measurements, written to
+checked by the stores' ``check`` operation compiled fused (one sweep per
+same-LHS group, shared grouped masks and dirty maps, one tagged SQL
+query per group) and compiled one group per rule
+(``compile_rule_set(cfds, fuse=False)``, what ``rule_fusion(False)``
+runs), across the storage backends.  Three measurements, written to
 ``BENCH_rule_fusion.json``:
 
-* **Columnar speedup** — validation-only wall-clock of the fused
-  grouped-LHS pass vs one ``violation_mask`` call per rule, per database
-  size.  Gate (a): fused >= 2x faster at the largest swept size.
+* **Columnar speedup** — validation-only wall-clock of the fused groups
+  vs one group per rule, per database size.  Gate (a): fused >= 2x
+  faster at the largest swept size.
 
 * **SQL query count** — engine queries issued (``SqlStore.query_count``)
-  by the fused tagged-UNION formulation vs the per-rule kernels, plus
-  their wall-clock alongside.  Gate (b): fused issues >= 2x fewer
-  queries.
+  by the fused groups vs one group per rule, plus their wall-clock
+  alongside.  Gate (b): fused issues >= 2x fewer queries.
 
 * **End-to-end counter parity** — an ``incHor`` session streams the same
   update batch fused and per-rule on rows, columnar and sql; the
@@ -31,13 +32,9 @@ import argparse
 import time
 
 import bench_utils as bu
-from repro.columnar import kernels as ck
-from repro.columnar.store import column_store_of
 from repro.core.cfd import CFD
 from repro.engine.session import session
-from repro.rulefuse import compile_rule_set, fused_columnar_masks, fused_sql_violations
-from repro.sqlstore import kernels as sk
-from repro.sqlstore import sql_store_of
+from repro.rulefuse import compile_rule_set
 
 SIZES = (2000, 8000, 24000)
 PARITY_BASE = 400
@@ -88,61 +85,50 @@ def fusion_cfds() -> list[CFD]:
 # -- gate (a): columnar validation speedup ----------------------------------------------
 
 
-def measure_columnar(n: int, cfds: list[CFD], rounds: int) -> dict:
-    """Best-of-``rounds`` validation seconds, fused vs one pass per rule."""
-    relation = bu.tpch_relation(n).with_storage("columnar")
-    store = column_store_of(relation)
-    # Warm the shared pattern-test encodings so neither side pays the
-    # one-off compilation inside the timed region.
-    fused_masks = fused_columnar_masks(store, cfds)
-    rule_masks = [ck.violation_mask(cfd, store) for cfd in cfds]
-    assert fused_masks == rule_masks, "fused columnar masks diverge from per-rule"
+def checked(store, groups) -> dict:
+    """``store.check(groups)`` decoded to tids, keyed by rule position."""
+    found = iter(store.check(groups))
+    return {i: store.tids_of(next(found)) for group in groups for i in group.indexes}
 
+
+def best_of(rounds: int, store, fused, per_rule) -> dict:
+    """Best-of-``rounds`` seconds of one ``check`` call per compilation."""
     best = {"fused": float("inf"), "per_rule": float("inf")}
     for _ in range(rounds):
-        start = time.perf_counter()
-        fused_masks = fused_columnar_masks(store, cfds)
-        best["fused"] = min(best["fused"], time.perf_counter() - start)
-
-        start = time.perf_counter()
-        rule_masks = [ck.violation_mask(cfd, store) for cfd in cfds]
-        best["per_rule"] = min(best["per_rule"], time.perf_counter() - start)
-
-        assert fused_masks == rule_masks
+        for side, groups in (("fused", fused), ("per_rule", per_rule)):
+            start = time.perf_counter()
+            store.check(groups)
+            best[side] = min(best[side], time.perf_counter() - start)
     return best
+
+
+def measure_columnar(n: int, cfds: list[CFD], rounds: int) -> dict:
+    """Best-of-``rounds`` validation seconds, fused vs one group per rule."""
+    store = bu.tpch_relation(n).with_storage("columnar").store
+    fused, per_rule = compile_rule_set(cfds), compile_rule_set(cfds, fuse=False)
+    # Warm the store's pattern-test encodings and grouped masks so neither
+    # side pays the one-off work inside the timed region.
+    assert checked(store, fused) == checked(store, per_rule), "fused columnar masks diverge"
+    return best_of(rounds, store, fused, per_rule)
 
 
 # -- gate (b): SQL query count ----------------------------------------------------------
 
 
 def measure_sql(n: int, cfds: list[CFD], rounds: int) -> dict:
-    """Queries issued and best-of-``rounds`` seconds, fused vs per-rule."""
-    relation = bu.tpch_relation(n).with_storage("sql")
-    store = sql_store_of(relation)
+    """Queries issued and best-of-``rounds`` seconds, fused vs one group per rule."""
+    store = bu.tpch_relation(n).with_storage("sql").store
+    fused, per_rule = compile_rule_set(cfds), compile_rule_set(cfds, fuse=False)
     # Warm the statement cache; count queries on a steady-state round.
-    fused = fused_sql_violations(store, cfds)
-    per_rule = [set(sk.violations_of(cfd, store)) for cfd in cfds]
-    assert [set(v) for v in fused] == per_rule, "fused SQL violations diverge"
-
-    before = store.query_count
-    fused_sql_violations(store, cfds)
-    fused_queries = store.query_count - before
-    before = store.query_count
-    for cfd in cfds:
-        sk.violations_of(cfd, store)
-    per_rule_queries = store.query_count - before
-
-    best = {"fused": float("inf"), "per_rule": float("inf")}
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fused_sql_violations(store, cfds)
-        best["fused"] = min(best["fused"], time.perf_counter() - start)
-        start = time.perf_counter()
-        for cfd in cfds:
-            sk.violations_of(cfd, store)
-        best["per_rule"] = min(best["per_rule"], time.perf_counter() - start)
-    best["fused_queries"] = fused_queries
-    best["per_rule_queries"] = per_rule_queries
+    assert checked(store, fused) == checked(store, per_rule), "fused SQL violations diverge"
+    queries = {}
+    for side, groups in (("fused", fused), ("per_rule", per_rule)):
+        before = store.query_count
+        store.check(groups)
+        queries[side] = store.query_count - before
+    best = best_of(rounds, store, fused, per_rule)
+    best["fused_queries"] = queries["fused"]
+    best["per_rule_queries"] = queries["per_rule"]
     return best
 
 

@@ -41,7 +41,7 @@ from repro.core.cfd import UNNAMED
 from repro.core.detector import CentralizedDetector
 from repro.distributed.serialization import PriceTable, estimate_tuple_bytes
 from repro.engine.session import session
-from repro.sqlstore import kernels, sql_store_of
+from repro.rulefuse import compile_rule_set
 
 SIZES = (2000, 6000, 12000)
 N_CFDS = 6
@@ -73,26 +73,27 @@ def _ship_specs(cfds):
 def measure_pushdown(n, cfds, rounds):
     """Best-of-``rounds`` seconds for checks and scans, pushed vs fetched."""
     rel_sql = bu.tpch_relation(n).with_storage("sql")
-    store = sql_store_of(rel_sql)
+    store = rel_sql.store
     det = CentralizedDetector(list(cfds))
     specs = _ship_specs(cfds)
+    # One group per rule, in rule order: one pushed-down query per check.
+    groups = compile_rule_set(cfds, fuse=False)
 
     # Warm the statement caches so the sweep times steady-state checks.
-    for cfd in cfds:
-        kernels.violations_of(cfd, store)
+    store.check(groups)
 
     best = {"check_push": float("inf"), "check_fetch": float("inf"),
             "scan_push": float("inf"), "scan_fetch": float("inf")}
     push_checks = fetch_checks = None
     for _ in range(rounds):
         start = time.perf_counter()
-        push_checks = [kernels.violations_of(cfd, store) for cfd in cfds]
+        push_checks = [store.tids_of(found) for found in store.check(groups)]
         best["check_push"] = min(best["check_push"], time.perf_counter() - start)
 
         start = time.perf_counter()
         prices = PriceTable()
         push_scans = [
-            kernels.constant_ship_scan(store, relevant, constants, prices)
+            store.ship_scan(relevant, constants, prices)
             for _, relevant, constants in specs
         ]
         best["scan_push"] = min(best["scan_push"], time.perf_counter() - start)

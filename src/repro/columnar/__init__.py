@@ -1,12 +1,13 @@
-"""Columnar storage backend with interned values and vectorized kernels.
+"""Columnar storage backend with interned values and column-sweep detection.
 
 The package provides the ``"columnar"`` storage backend selectable on
 any :class:`~repro.core.relation.Relation` (and per detection session
 via ``repro.session(...).storage("columnar")``): one dictionary-encoded
 code array per attribute plus a tid→row index, with column-sliced
-projection/selection/join and the detection kernels of
-:mod:`repro.columnar.kernels` that replace tuple-at-a-time loops with
-single column sweeps shared across all CFDs on the same attributes.
+projection/selection/join, and detection operations
+(:class:`~repro.columnar.store.ColumnStore`) that replace
+tuple-at-a-time loops with single column sweeps shared across all CFDs
+on the same attributes.
 
 Importing the package registers the backend with
 :mod:`repro.core.storage`; results are bit-identical to the row backend
@@ -17,7 +18,6 @@ for every detector, executor and partitioning (see
 from repro.core.storage import StorageError, register_storage_backend
 from repro.columnar.dictionary import ValueDictionary
 from repro.columnar.store import ColumnRowView, ColumnStore, column_store_of
-from repro.columnar import kernels
 
 try:
     register_storage_backend("columnar", ColumnStore)
@@ -29,5 +29,4 @@ __all__ = [
     "ColumnStore",
     "ValueDictionary",
     "column_store_of",
-    "kernels",
 ]

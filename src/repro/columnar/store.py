@@ -6,8 +6,16 @@ plus a tid→row index.  Rows are append-only; deletions tombstone the row
 and the store compacts itself once dead rows dominate.  Iteration yields
 materialized :class:`~repro.core.tuples.Tuple` objects in insertion
 order, so a columnar relation is observably identical to a row-backed
-one — the point of the backend is that the detection kernels in
-:mod:`repro.columnar.kernels` never need to materialize tuples at all.
+one — the point of the backend is that its detection operations (the
+protocol of :mod:`repro.core.storage`) never materialize tuples at all.
+They are column sweeps, bit-identical to the row store's tuple loops:
+the dictionary encoding preserves ``==``, so grouping rows by code keys
+partitions them exactly like grouping tuples by value keys, and the
+cached per-code wire sizes reproduce ``estimate_tuple_bytes`` byte for
+byte.  The shared primitive is :meth:`ColumnStore.grouped_rows`: the LHS
+equivalence classes are computed once per attribute list and reused by
+every CFD over those attributes (checks, IDX builds and shipment scans
+alike) until the next mutation.
 
 Vertical projection, selection and key-join have column-sliced
 implementations that share the (append-only) value dictionaries with the
@@ -18,12 +26,17 @@ O(columns) list copies instead of O(rows) dict allocations.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, KeysView, Mapping, Sequence
+from time import perf_counter
+from typing import Any, Iterable, Iterator, KeysView, Mapping, Sequence
 
+from repro.core.cfd import CFD, UNNAMED
 from repro.core.schema import Schema
 from repro.core.tuples import Tuple
 from repro.columnar.dictionary import ValueDictionary
-from repro.columnar.masks import rows_to_mask
+from repro.columnar.masks import iter_mask_rows, mask_to_tids, rows_to_mask
+from repro.distributed.serialization import TID_BYTES, code_width
+from repro.obs import profile as _prof
+from repro.rulefuse import compile_rule_set
 
 #: Compact when more than this many rows — and over half of them — are dead.
 _COMPACT_MIN_DEAD = 32
@@ -33,6 +46,29 @@ _JOURNAL_CAP = 4096
 
 #: Process-local store identities, used as residency keys by warm executors.
 _STORE_UIDS = itertools.count(1)
+
+#: Pattern tests of a CFD one of whose constants never occurs in the store.
+_UNSATISFIABLE = object()
+
+
+def _accepted(grouped: dict, tests: Any, single: bool) -> Iterable[tuple[Any, Any]]:
+    """The ``(key, group)`` items of ``grouped`` whose code key passes the
+    positional pattern ``tests`` — every item without tests, none when
+    the pattern is unsatisfiable.  ``single`` marks bare one-attribute
+    keys."""
+    if tests is _UNSATISFIABLE:
+        return ()
+    if not tests:
+        return grouped.items()
+    if single:
+        code = tests[0][1]
+        group = grouped.get(code)
+        return ((code, group),) if group is not None else ()
+    return (
+        (key, group)
+        for key, group in grouped.items()
+        if all(key[i] == code for i, code in tests)
+    )
 
 
 class ColumnRowView(Mapping[str, Any]):
@@ -100,6 +136,7 @@ class ColumnStore:
         "_version",
         "_journal",
         "_journal_base",
+        "_tests",
     )
 
     def __init__(self, schema: Schema):
@@ -126,6 +163,9 @@ class ColumnStore:
         self._version: int = 0
         self._journal: list[tuple] | None = None
         self._journal_base: int = 0
+        #: Compiled pattern tests per CFD (:meth:`_pattern_tests`): codes
+        #: never change for the store's lifetime, so mutations keep them.
+        self._tests: dict[CFD, tuple[Any, tuple]] = {}
 
     # -- identity / change feed (for warm executors) -----------------------------------
 
@@ -365,6 +405,276 @@ class ColumnStore:
         if len(attrs) == 1:
             return (self._dicts[attrs[0]].value(key),)
         return tuple(self._dicts[a].value(c) for a, c in zip(attrs, key))
+
+    # -- detection operations (the protocol of repro.core.storage) ---------------------
+
+    def _pattern_tests(self, cfd: CFD) -> Any:
+        """The positional ``(index, code)`` tests an LHS group key must pass
+        to match ``cfd``'s pattern constants, or :data:`_UNSATISFIABLE` when
+        a constant never occurs in this store.
+
+        Cached per CFD for the store's lifetime: dictionaries are
+        append-only, so a compiled code never goes stale.  An
+        unsatisfiable entry is compiled again once a constant attribute's
+        dictionary generation moves — an insert may have interned the
+        constant since.
+        """
+        cached = self._tests.get(cfd)
+        if cached is not None:
+            tests, generations = cached
+            if tests is not _UNSATISFIABLE or all(
+                self._dicts[a].generation == generation for a, generation in generations
+            ):
+                return tests
+        pinned = [
+            (i, a) for i, a in enumerate(cfd.lhs) if cfd.pattern.entry(a) is not UNNAMED
+        ]
+        codes = [self._dicts[a].code_of(cfd.pattern.entry(a)) for _i, a in pinned]
+        if None in codes:
+            tests = _UNSATISFIABLE
+            generations = tuple((a, self._dicts[a].generation) for _i, a in pinned)
+        else:
+            tests = [(i, code) for (i, _a), code in zip(pinned, codes)]
+            generations = ()
+        self._tests[cfd] = (tests, generations)
+        return tests
+
+    def check(self, groups: Sequence[Any]) -> list[int]:
+        """Violation row bitsets per member of every group, one grouped-LHS
+        pass per group.
+
+        A constant member ORs the bitsets of its matching LHS groups and
+        subtracts the rows already carrying its RHS constant.  A group
+        violates a variable member iff its LHS key splits under the
+        ``(*lhs, rhs)`` grouping (:meth:`_dirty_groups`, shared by every
+        member on the same RHS), so only the dirty keys — error-rate
+        bound, typically a handful — pay mask ORs.
+        """
+        out: list[int] = []
+        for group in groups:
+            if _prof.enabled:
+                _t0 = perf_counter()
+            lhs = group.lhs
+            single = len(lhs) == 1
+            dirty_by_rhs: dict[str, dict[tuple, int]] = {}
+            for cfd in group.members:
+                tests = self._pattern_tests(cfd)
+                if tests is _UNSATISFIABLE:
+                    out.append(0)
+                    continue
+                bad = 0
+                if cfd.is_constant():
+                    matching = 0
+                    for _key, mask in _accepted(self.grouped_masks(lhs), tests, single):
+                        matching |= mask
+                    if matching:
+                        code = self._dicts[cfd.rhs].code_of(cfd.pattern.entry(cfd.rhs))
+                        ok = 0 if code is None else self.grouped_masks((cfd.rhs,)).get(code, 0)
+                        bad = matching & ~ok
+                else:
+                    dirty = dirty_by_rhs.get(cfd.rhs)
+                    if dirty is None:
+                        dirty = dirty_by_rhs[cfd.rhs] = self._dirty_groups(lhs, cfd.rhs)
+                    for _key, mask in _accepted(dirty, tests, False):
+                        bad |= mask
+                out.append(bad)
+            if _prof.enabled:
+                _prof.note("rulefuse.columnar_sweep", perf_counter() - _t0, len(self))
+        return out
+
+    def _dirty_groups(self, lhs: tuple[str, ...], rhs: str) -> dict[tuple, int]:
+        """The LHS code keys (as tuples) holding more than one ``rhs`` code,
+        each with the row bitset of its whole group: one O(#keys) pass over
+        the ``(*lhs, rhs)`` grouping, no per-group bigint verdicts."""
+        n_lhs = len(lhs)
+        extended = self.grouped_masks((*lhs, rhs))
+        counts: dict[tuple, int] = {}
+        for key in extended:
+            prefix = key[:n_lhs]
+            counts[prefix] = counts.get(prefix, 0) + 1
+        dirty: dict[tuple, int] = {}
+        for key, mask in extended.items():
+            prefix = key[:n_lhs]
+            if counts[prefix] > 1:
+                dirty[prefix] = dirty.get(prefix, 0) | mask
+        return dirty
+
+    def tids_of(self, result: int) -> set[Any]:
+        """The tids of a violation bitset's rows."""
+        return mask_to_tids(self, result)
+
+    def build_indexes(self, indexes: Sequence[Any]) -> None:
+        """Load each index from the LHS groups, one grouped sweep per LHS
+        list: a group key is decoded once, and same-RHS indexes share its
+        decoded ``{rhs_value: tids}`` bucket (``load_group`` copies it)."""
+        tid_at = self.tid_of_row
+        for group in compile_rule_set([index.cfd for index in indexes]):
+            if _prof.enabled:
+                _t0 = perf_counter()
+            lhs = group.lhs
+            single = len(lhs) == 1
+            specs = []
+            for i, cfd in zip(group.indexes, group.members):
+                tests = self._pattern_tests(cfd)
+                if tests is not _UNSATISFIABLE:
+                    specs.append((indexes[i], tests, cfd.rhs))
+            grouped = self.grouped_rows(lhs) if specs else {}
+            for key, rows in grouped.items():
+                decoded_key = None
+                decoded_by_rhs: dict[str, dict[Any, set[Any]]] = {}
+                for index, tests, rhs in specs:
+                    if tests:
+                        if single:
+                            if key != tests[0][1]:
+                                continue
+                        elif not all(key[i] == code for i, code in tests):
+                            continue
+                    decoded = decoded_by_rhs.get(rhs)
+                    if decoded is None:
+                        rhs_col = self._cols[rhs]
+                        by_code: dict[int, set[Any]] = {}
+                        for r in rows:
+                            code = rhs_col[r]
+                            bucket = by_code.get(code)
+                            if bucket is None:
+                                by_code[code] = {tid_at(r)}
+                            else:
+                                bucket.add(tid_at(r))
+                        value = self._dicts[rhs].value
+                        decoded = decoded_by_rhs[rhs] = {
+                            value(code): tids for code, tids in by_code.items()
+                        }
+                    if decoded_key is None:
+                        decoded_key = self.decode_key(lhs, key)
+                    index.load_group(decoded_key, decoded)
+            if _prof.enabled:
+                _prof.note("idx.build_columnar", perf_counter() - _t0, len(self))
+
+    def group_scan(
+        self, cfd: CFD, want_ship: bool, prices: Any
+    ) -> tuple[tuple[int, int], tuple[list[int], list[int]]]:
+        """batHor's site scan, in row space.
+
+        Returns ``(shipment, groups)``: the ``(count, bytes)`` total of the
+        pattern-matching tuples' ``cfd.attributes`` projections (``(0, 0)``
+        unless ``want_ship``; priced from this store's per-code sizes, so
+        ``prices`` is unused) and the fragment's partial LHS groups,
+        flattened to one ``(LHS key, RHS value)`` bucket each, as
+        ``(singles, multis)``: a bare row index for the common singleton
+        bucket, a row bitset otherwise.
+
+        Nothing is decoded: a replica built from the coordinator's full
+        physical export plus its journal deltas assigns identical row
+        indices (codes may drift, so no code crosses the pipe), and
+        :meth:`merge_groups` on the coordinator's copy of the fragment
+        recovers each bucket's key and RHS value from any member row.
+        """
+        if _prof.enabled:
+            _t0 = perf_counter()
+        rhs_col = self._cols[cfd.rhs]
+        ship_rows: list[int] = []
+        singles: list[int] = []
+        multis: list[int] = []
+        matching = _accepted(
+            self.grouped_rows(cfd.lhs), self._pattern_tests(cfd), len(cfd.lhs) == 1
+        )
+        for _key, rows in matching:
+            if want_ship:
+                ship_rows.extend(rows)
+            by_code: dict[int, int] = {}
+            for r in rows:
+                code = rhs_col[r]
+                by_code[code] = by_code.get(code, 0) | (1 << r)
+            for mask in by_code.values():
+                if mask & (mask - 1):
+                    multis.append(mask)
+                else:
+                    singles.append(mask.bit_length() - 1)
+        shipment = self._shipment(cfd.attributes, ship_rows)
+        if _prof.enabled:
+            _prof.note("shipment.batch_scan", perf_counter() - _t0, len(self))
+        return shipment, (singles, multis)
+
+    def merge_groups(
+        self, target: dict, cfd: CFD, groups: tuple[list[int], list[int]]
+    ) -> None:
+        """Fold a :meth:`group_scan` result into ``target``: every bucket is
+        ``(LHS key, RHS value)``-uniform, so any member row names both."""
+        if _prof.enabled:
+            _t0 = perf_counter()
+        lhs, rhs = cfd.lhs, cfd.rhs
+        value_at = self.value_at
+        tid_at = self.tid_of_row
+        singles, multis = groups
+        for r in singles:
+            slot = target.setdefault(tuple(value_at(r, a) for a in lhs), {})
+            slot.setdefault(value_at(r, rhs), []).append(tid_at(r))
+        for mask in multis:
+            first = (mask & -mask).bit_length() - 1
+            slot = target.setdefault(tuple(value_at(first, a) for a in lhs), {})
+            slot.setdefault(value_at(first, rhs), []).extend(
+                map(tid_at, iter_mask_rows(mask))
+            )
+        if _prof.enabled:
+            _prof.note("shipment.merge_groups", perf_counter() - _t0, len(singles) + len(multis))
+
+    def ship_scan(
+        self, attributes: Sequence[str], constants: Mapping[str, Any], prices: Any
+    ) -> tuple[int, int]:
+        """batVer's site scan: the ``(count, bytes)`` of shipping the
+        ``attributes`` projection of every row equal to ``constants`` on
+        the attributes it pins — a column sweep per pinned attribute,
+        priced from the cached per-code sizes (``prices`` is unused)."""
+        if _prof.enabled:
+            _t0 = perf_counter()
+        rows: Any = self.iter_rows()
+        for a in attributes:
+            if a in constants:
+                code = self._dicts[a].code_of(constants[a])
+                col = self._cols[a]
+                rows = [r for r in rows if col[r] == code] if code is not None else ()
+        shipment = self._shipment(attributes, rows)
+        if _prof.enabled:
+            _prof.note("shipment.column_scan", perf_counter() - _t0, len(self))
+        return shipment
+
+    def _shipment(self, attributes: Sequence[str], rows: Any) -> tuple[int, int]:
+        """``(count, bytes)`` of shipping ``rows`` (sized, physical indices)
+        projected onto ``attributes``: a tid per row plus the dictionaries'
+        cached per-code wire sizes — ``estimate_tuple_bytes`` byte for
+        byte, with no Python-level step per row."""
+        nbytes = TID_BYTES * len(rows)
+        for a in attributes:
+            sizes = self._dicts[a].byte_sizes()
+            nbytes += sum(map(sizes.__getitem__, map(self._cols[a].__getitem__, rows)))
+        return len(rows), nbytes
+
+    def estimate_bytes(self, attributes: Iterable[str] | None = None) -> int:
+        """The column-encoded wire size: per attribute each distinct value
+        present once plus one packed code per row.  Fragments share
+        dictionaries with their base relation, so only the codes present
+        count."""
+        if _prof.enabled:
+            _t0 = perf_counter()
+        total = TID_BYTES * len(self)
+        for a in self._attrs if attributes is None else attributes:
+            dictionary = self._dicts[a]
+            col = self._cols[a]
+            used = {col[r] for r in self.iter_rows()}
+            total += sum(dictionary.byte_size(c) for c in used)
+            total += code_width(len(used)) * len(self)
+        if _prof.enabled:
+            _prof.note("columnar.estimate_bytes", perf_counter() - _t0, len(self))
+        return total
+
+    def distinct_counts(self, sample_limit: int | None = None) -> dict[str, int]:
+        """Distinct values per attribute, read off the value dictionaries."""
+        if _prof.enabled:
+            _t0 = perf_counter()
+        counts = {a: len(self._dicts[a]) for a in self._attrs}
+        if _prof.enabled:
+            _prof.note("columnar.distinct_counts", perf_counter() - _t0, len(self))
+        return counts
 
     # -- column-sliced algebra -----------------------------------------------------
 

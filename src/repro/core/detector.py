@@ -10,45 +10,51 @@ equivalent and serves two roles in this repository:
   tuple), and
 * the building block of the distributed batch baselines, which ship data
   to a coordinator and then run centralized detection there.
+
+The check itself belongs to the store holding the data
+(:mod:`repro.core.storage`): the rules compile into same-LHS groups and
+``store.check`` sweeps the data once per group, on any backend.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.core.cfd import CFD
 from repro.core.relation import Relation
+from repro.core.storage import store_of
 from repro.core.tuples import Tuple
 from repro.core.violations import ViolationSet
+from repro.rulefuse import compile_rule_set
 
 
-def _cfd_violations_task(cfd: CFD, tuples: list[Tuple]) -> set[Any]:
-    """``V(phi, D)`` for one CFD — the pure unit the scheduler fans out."""
-    return CentralizedDetector.violations_of(cfd, tuples)
+def check_task(tuples: Any, groups: Sequence[Any]) -> list[Any]:
+    """``check(groups)`` on the store holding ``tuples`` — the pure unit the
+    schedulers fan out; results stay in the store's wire form."""
+    return store_of(tuples).check(groups)
 
 
-def _fused_group_task(cfds: list[CFD], tuples: list[Tuple]) -> list[set[Any]]:
-    """``V(phi, D)`` for every member of one fused rule group (pure).
-
-    The members share an LHS attribute list, so the fused kernels sweep
-    the data once for the whole group instead of once per CFD.
-    """
-    from repro.rulefuse import fused_violations
-
-    return fused_violations(cfds, tuples)
+def mark_violations(
+    violations: ViolationSet, store: Any, groups: Sequence[Any], found: Sequence[Any]
+) -> None:
+    """Mark the tids of ``found`` — ``check(groups)``'s results, decoded by
+    ``store`` — as violating their rules."""
+    rules = (cfd for group in groups for cfd in group.members)
+    for cfd, result in zip(rules, found):
+        for tid in store.tids_of(result):
+            violations.add(tid, cfd.name)
 
 
 class CentralizedDetector:
     """Batch detector for a set of CFDs over an in-memory relation.
 
-    With a :class:`~repro.runtime.scheduler.SiteScheduler`, ``detect``
-    fans the checks out as independent tasks — one per fused same-LHS
-    rule group by default, one per CFD with ``fusion=False``; without
-    one it runs the plain serial loop (the default, used by the many
-    setup paths that just need the reference violation set).  Fusion
-    changes how many passes the data sees, never the verdicts: fused
-    results are violation-identical to the per-rule path.
+    The rules compile into same-LHS groups (one group per rule with
+    ``fusion=False``) and the relation's store checks each group in one
+    sweep.  With a :class:`~repro.runtime.scheduler.SiteScheduler`,
+    ``detect`` fans the groups out as independent tasks; without one it
+    checks them in one call (the default, used by the many setup paths
+    that just need the reference violation set).  Fusion changes how
+    many passes the data sees, never the verdicts.
     """
 
     def __init__(
@@ -56,7 +62,7 @@ class CentralizedDetector:
     ):
         self._cfds = list(cfds)
         self._scheduler = scheduler
-        self._fusion = fusion
+        self._groups = compile_rule_set(self._cfds, fuse=fusion)
 
     @property
     def cfds(self) -> list[CFD]:
@@ -66,108 +72,35 @@ class CentralizedDetector:
 
     @staticmethod
     def violations_of(cfd: CFD, tuples: Iterable[Tuple]) -> set[Any]:
-        """``V(phi, D)`` as a set of tids, for one CFD over arbitrary tuples.
+        """``V(phi, D)`` as a set of tids, for one CFD over a relation or any tuples.
 
         Constant CFDs are violated by single tuples whose LHS matches
         the pattern but whose RHS value differs from the constant.  For
-        variable CFDs, group tuples whose LHS matches the pattern by
+        variable CFDs, the tuples whose LHS matches the pattern group by
         their LHS values; every group holding two or more distinct RHS
         values consists entirely of violations.
-
-        Column-backed relations dispatch to the vectorized kernels
-        (identical results, one column sweep shared per LHS); SQL-backed
-        relations push the check down as the constant/variable two-query
-        formulation and run inside the embedded engine.
         """
-        from repro.columnar.store import column_store_of
-        from repro.sqlstore.store import sql_store_of
-
-        store = column_store_of(tuples)
-        if store is not None:
-            from repro.columnar import kernels
-
-            return kernels.violations_of(cfd, store)
-        sql_store = sql_store_of(tuples)
-        if sql_store is not None:
-            from repro.sqlstore import kernels as sql_kernels
-
-            return sql_kernels.violations_of(cfd, sql_store)
-        violating: set[Any] = set()
-        if cfd.is_constant():
-            for t in tuples:
-                if cfd.single_tuple_violation(t):
-                    violating.add(t.tid)
-            return violating
-
-        groups: dict[tuple[Any, ...], dict[Any, set[Any]]] = defaultdict(
-            lambda: defaultdict(set)
-        )
-        for t in tuples:
-            if cfd.lhs_matches(t):
-                groups[cfd.lhs_values(t)][t[cfd.rhs]].add(t.tid)
-        for by_rhs in groups.values():
-            if len(by_rhs) > 1:
-                for tids in by_rhs.values():
-                    violating.update(tids)
-        return violating
+        store = store_of(tuples)
+        (found,) = store.check(compile_rule_set([cfd]))
+        return store.tids_of(found)
 
     # -- full detection -------------------------------------------------------------
 
     def detect(self, relation: Relation | Iterable[Tuple]) -> ViolationSet:
         """Compute ``V(Sigma, D)`` with per-CFD marks."""
-        from repro.columnar.store import column_store_of
-        from repro.sqlstore.store import sql_store_of
-
-        # Columnar relations are handed to the tasks whole: the kernels
-        # share one grouped-LHS sweep across all CFDs on the same
-        # attributes instead of materializing tuples.  SQL-backed
-        # relations likewise stay whole so every check runs as a
-        # pushed-down query instead of a fetched-row loop.
-        if column_store_of(relation) is not None or sql_store_of(relation) is not None:
-            tuples: Any = relation
+        store = store_of(relation)
+        if self._scheduler is None:
+            found = store.check(self._groups)
         else:
-            tuples = list(relation)
-        violations = ViolationSet()
-        fused = self._fusion and len(self._cfds) > 1
-        if self._scheduler is not None:
             from repro.runtime.executor import SiteTask
 
-            if fused:
-                from repro.rulefuse import compile_rule_set
-
-                groups = compile_rule_set(self._cfds)
-                tasks = [
-                    SiteTask(
-                        i,
-                        _fused_group_task,
-                        (list(group.members), tuples),
-                        label="fused:" + ",".join(group.lhs),
-                    )
-                    for i, group in enumerate(groups)
-                ]
-                for group, result in zip(groups, self._scheduler.run(tasks)):
-                    for cfd, tids in zip(group.members, result.value):
-                        for tid in tids:
-                            violations.add(tid, cfd.name)
-                return violations
             tasks = [
-                SiteTask(i, _cfd_violations_task, (cfd, tuples), label=cfd.name)
-                for i, cfd in enumerate(self._cfds)
+                SiteTask(i, check_task, (relation, (group,)), label=",".join(group.lhs))
+                for i, group in enumerate(self._groups)
             ]
-            for cfd, result in zip(self._cfds, self._scheduler.run(tasks)):
-                for tid in result.value:
-                    violations.add(tid, cfd.name)
-            return violations
-        if fused:
-            from repro.rulefuse import fused_violations
-
-            for cfd, tids in zip(self._cfds, fused_violations(self._cfds, tuples)):
-                for tid in tids:
-                    violations.add(tid, cfd.name)
-            return violations
-        for cfd in self._cfds:
-            for tid in self.violations_of(cfd, tuples):
-                violations.add(tid, cfd.name)
+            found = [r for result in self._scheduler.run(tasks) for r in result.value]
+        violations = ViolationSet()
+        mark_violations(violations, store, self._groups, found)
         return violations
 
 

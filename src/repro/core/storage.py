@@ -2,25 +2,47 @@
 
 A relation's logical contract — tuples indexed by tid, O(1) membership,
 insertion order preserved — is independent of how the tuples are laid
-out in memory.  This module defines the small backend protocol the
+out in memory.  This module defines the backend protocol the
 :class:`~repro.core.relation.Relation` front-end delegates to, plus the
 default :class:`RowStore` (one :class:`~repro.core.tuples.Tuple` object
-per row, the layout the seed repository used everywhere).
+per row).  The columnar backend (:mod:`repro.columnar`) and the SQL
+backend (:mod:`repro.sqlstore`) register themselves here by name, so
+sessions select a backend per run (``repro.session(...).storage("sql")``).
 
-The columnar backend of :mod:`repro.columnar` registers itself here
-under the name ``"columnar"``: one code array per attribute with
-dictionary-encoded (interned) values and a tid→row index, enabling the
-vectorized detection kernels.  Backends are addressable by name so
-sessions can select them per run (``repro.session(...).storage("columnar")``)
-without the callers caring about the layout.
+Besides the dict-like contract, every backend implements, once, each
+operation a detector needs, so detectors call ``relation.store.<op>(...)``
+and never ask which backend they hold:
+
+* ``check(groups)`` — per-rule violations of compiled rule groups (one
+  sweep per group), one result per member in group order, in the
+  store's wire form: row bitsets on columnar, tid sets elsewhere;
+* ``tids_of(result)`` — one ``check`` result decoded to tids by this store;
+* ``build_indexes(indexes)`` — populate IDX indexes, one sweep per LHS list;
+* ``group_scan(cfd, want_ship, prices)`` — batHor's site scan: the
+  ``(count, bytes)`` of the pattern-matching tuples' projections and
+  their partial LHS groups;
+* ``merge_groups(target, cfd, groups)`` — fold one ``group_scan`` result
+  into the coordinator's groups, decoding it with this store;
+* ``ship_scan(attributes, constants, prices)`` — batVer's site scan: the
+  ``(count, bytes)`` of the ``attributes`` projection of the tuples equal
+  to ``constants`` (a plain projection when ``constants`` is empty);
+* ``estimate_bytes(attributes)`` — the wire size of shipping the whole store;
+* ``distinct_counts(sample_limit)`` — distinct values per attribute.
+
+Every backend answers alike (``tests/test_storage_protocol.py``), and
+every operation but ``tids_of`` notes a profile hook.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, KeysView, Protocol, runtime_checkable
+from itertools import islice
+from time import perf_counter
+from typing import Any, Callable, Iterable, Iterator, KeysView, Protocol, Sequence, runtime_checkable
 
+from repro.core.cfd import CFD, UNNAMED
 from repro.core.schema import Schema
 from repro.core.tuples import Tuple
+from repro.obs import profile as _prof
 
 
 class StorageError(ValueError):
@@ -34,8 +56,9 @@ class StorageBackend(Protocol):
     Implementations own the physical layout; the relation front-end owns
     schema validation and error reporting.  Iteration must yield tuples
     in insertion order (deleted tids drop out; re-inserting a tid moves
-    it to the end), matching ``dict`` semantics so the two built-in
-    backends are observably identical.
+    it to the end), matching ``dict`` semantics so the built-in backends
+    are observably identical.  The detection operations are described in
+    the module docstring.
     """
 
     #: Registry name of the backend ("rows", "columnar", ...).
@@ -67,16 +90,45 @@ class StorageBackend(Protocol):
         """An independent copy (subsequent mutations must not be shared)."""
         ...
 
+    def check(self, groups: Sequence[Any]) -> list[Any]: ...
+
+    def tids_of(self, result: Any) -> set[Any]: ...
+
+    def build_indexes(self, indexes: Sequence[Any]) -> None: ...
+
+    def group_scan(self, cfd: CFD, want_ship: bool, prices: Any) -> tuple[tuple[int, int], Any]: ...
+
+    def merge_groups(self, target: dict, cfd: CFD, groups: Any) -> None: ...
+
+    def ship_scan(self, attributes: Sequence[str], constants: dict, prices: Any) -> tuple[int, int]: ...
+
+    def estimate_bytes(self, attributes: Iterable[str] | None = None) -> int: ...
+
+    def distinct_counts(self, sample_limit: int | None = None) -> dict[str, int]: ...
+
+
+def merge_decoded_groups(target: dict, groups: dict) -> None:
+    """Fold decoded ``{lhs_key: {rhs_value: [tids]}}`` groups into ``target``."""
+    if _prof.enabled:
+        _t0 = perf_counter()
+    for key, by_rhs in groups.items():
+        slot = target.setdefault(key, {})
+        for rhs_value, tids in by_rhs.items():
+            slot.setdefault(rhs_value, []).extend(tids)
+    if _prof.enabled:
+        _prof.note("shipment.merge_groups", perf_counter() - _t0, len(groups))
+
 
 class RowStore:
     """The default backend: one immutable Tuple object per row in a dict."""
 
     name = "rows"
 
-    __slots__ = ("_tuples",)
+    __slots__ = ("_tuples", "_attrs")
 
     def __init__(self, schema: Schema | None = None):
         self._tuples: dict[Any, Tuple] = {}
+        self._attrs: tuple[str, ...] = schema.attribute_names if schema is not None else ()
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -106,7 +158,160 @@ class RowStore:
     def copy(self) -> "RowStore":
         clone = RowStore()
         clone._tuples = dict(self._tuples)
+        clone._attrs = self._attrs
         return clone
+
+    # -- detection operations ----------------------------------------------------------
+
+    def check(self, groups: Sequence[Any]) -> list[set[Any]]:
+        """Violating tids per member of every group, from one scan of the
+        rows: each group's LHS key is built once per tuple and every
+        member's pattern constants are tested against it."""
+        if not groups:
+            return []
+        if _prof.enabled:
+            _t0 = perf_counter()
+        out: list[set[Any]] = []
+        # Per group, its LHS and per member: output slot, positional LHS
+        # constants, RHS attribute, RHS constant and — variable members
+        # only — a {key: {rhs_value: [tids]}} bucket.
+        plans = []
+        for group in groups:
+            plan = []
+            for cfd in group.members:
+                consts = tuple(
+                    (i, cfd.pattern.entry(a))
+                    for i, a in enumerate(group.lhs)
+                    if cfd.pattern.entry(a) is not UNNAMED
+                )
+                buckets = None if cfd.is_constant() else {}
+                plan.append((len(out), consts, cfd.rhs, cfd.pattern.entry(cfd.rhs), buckets))
+                out.append(set())
+            plans.append((group.lhs, plan))
+        for t in self._tuples.values():
+            tid = t.tid
+            for lhs, plan in plans:
+                key = tuple(t[a] for a in lhs)
+                for m, consts, rhs, rhs_const, buckets in plan:
+                    ok = True
+                    for i, c in consts:
+                        if not (key[i] == c):
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                    if buckets is None:
+                        if not (t[rhs] == rhs_const):
+                            out[m].add(tid)
+                    else:
+                        buckets.setdefault(key, {}).setdefault(t[rhs], []).append(tid)
+        for _lhs, plan in plans:
+            for m, _consts, _rhs, _rhs_const, buckets in plan:
+                if buckets is None:
+                    continue
+                for by_rhs in buckets.values():
+                    if len(by_rhs) > 1:
+                        for tids in by_rhs.values():
+                            out[m].update(tids)
+        if _prof.enabled:
+            _prof.note("rulefuse.rows_scan", perf_counter() - _t0, len(self._tuples))
+        return out
+
+    def tids_of(self, result: set[Any]) -> set[Any]:
+        return result
+
+    def build_indexes(self, indexes: Sequence[Any]) -> None:
+        """Index every row into every applicable index, in one scan."""
+        if not indexes:
+            return
+        if _prof.enabled:
+            _t0 = perf_counter()
+        for t in self._tuples.values():
+            for index in indexes:
+                index.add_tuple(t)
+        if _prof.enabled:
+            _prof.note("idx.build_rows", perf_counter() - _t0, len(self._tuples))
+
+    def group_scan(
+        self, cfd: CFD, want_ship: bool, prices: Any
+    ) -> tuple[tuple[int, int], dict[tuple, dict[Any, list[Any]]]]:
+        """The ``(count, bytes)`` of the pattern-matching tuples'
+        ``cfd.attributes`` projections (``(0, 0)`` unless ``want_ship``),
+        and their partial groups ``{lhs_key: {rhs_value: [tids]}}``."""
+        if _prof.enabled:
+            _t0 = perf_counter()
+        shipped: list[tuple] = []
+        groups: dict[tuple, dict[Any, list[Any]]] = {}
+        needed = cfd.attributes
+        for t in self._tuples.values():
+            if not cfd.lhs_matches(t):
+                continue
+            values = t.values_for(needed)
+            if want_ship:
+                shipped.append(values)
+            groups.setdefault(values[:-1], {}).setdefault(values[-1], []).append(t.tid)
+        shipment = prices.shipment(len(shipped), zip(*shipped))
+        if _prof.enabled:
+            _prof.note("shipment.row_scan", perf_counter() - _t0, len(self._tuples))
+        return shipment, groups
+
+    def merge_groups(self, target: dict, cfd: CFD, groups: dict) -> None:
+        merge_decoded_groups(target, groups)
+
+    def ship_scan(
+        self, attributes: Sequence[str], constants: dict, prices: Any
+    ) -> tuple[int, int]:
+        """The ``(count, bytes)`` of shipping the ``attributes`` projection
+        of every tuple equal to ``constants`` on the attributes it pins."""
+        if _prof.enabled:
+            _t0 = perf_counter()
+        tested = [(a, constants[a]) for a in attributes if a in constants]
+        shipped = [
+            t.values_for(attributes)
+            for t in self._tuples.values()
+            if all(t[a] == c for a, c in tested)
+        ]
+        shipment = prices.shipment(len(shipped), zip(*shipped))
+        if _prof.enabled:
+            _prof.note("shipment.row_ship_scan", perf_counter() - _t0, len(self._tuples))
+        return shipment
+
+    def estimate_bytes(self, attributes: Iterable[str] | None = None) -> int:
+        """The paper's per-tuple cost model, summed over the rows."""
+        from repro.distributed.serialization import estimate_tuple_bytes
+
+        if _prof.enabled:
+            _t0 = perf_counter()
+        attrs = list(attributes) if attributes is not None else None
+        total = sum(estimate_tuple_bytes(t, attrs) for t in self._tuples.values())
+        if _prof.enabled:
+            _prof.note("shipment.row_estimate", perf_counter() - _t0, len(self._tuples))
+        return total
+
+    def distinct_counts(self, sample_limit: int | None = None) -> dict[str, int]:
+        """Distinct values per attribute among the first ``sample_limit`` rows."""
+        if _prof.enabled:
+            _t0 = perf_counter()
+        seen: dict[str, set] = {a: set() for a in self._attrs}
+        for t in islice(self._tuples.values(), sample_limit):
+            for a, values in seen.items():
+                try:
+                    values.add(t[a])
+                except TypeError:  # unhashable value: count it by identity
+                    values.add(id(t[a]))
+        if _prof.enabled:
+            _prof.note("rulefuse.rows_scan_distinct", perf_counter() - _t0, len(self._tuples))
+        return {a: len(values) for a, values in seen.items()}
+
+
+def store_of(tuples: Iterable[Tuple]) -> Any:
+    """The backend holding ``tuples``: a relation's own store, or a row
+    store over any other iterable of tuples."""
+    store = getattr(tuples, "store", None)
+    if store is None:
+        store = RowStore()
+        store.bulk_load(tuples)
+    return store
 
 
 #: Registered backend factories: name -> factory(schema) -> StorageBackend.

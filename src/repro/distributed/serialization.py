@@ -208,37 +208,18 @@ def estimate_relation_bytes(
     ``encoding`` forces ``"rows"`` (one dict per tuple, the paper's
     per-tuple cost model summed) or ``"columnar"`` (dictionary-encoded
     columns); by default the relation's own storage backend decides, so
-    columnar fragments are charged for what they would actually send.
-    SQL-backed relations keep the row cost model (identical numbers),
-    summed by cursor iteration without materializing Tuples.
+    columnar fragments are charged for the column blocks they would
+    actually send, row and SQL-backed relations keep the row cost model
+    (the store's ``estimate_bytes``).
     """
-    chosen = encoding or getattr(relation, "storage", "rows")
-    if chosen in ("sql", "duckdb"):
-        from repro.sqlstore.store import sql_store_of
-
-        store = sql_store_of(relation)
-        if store is not None:
-            attrs = list(attributes) if attributes is not None else None
-            return store.estimate_bytes(attrs)
-    if chosen == "columnar":
-        from repro.columnar.store import column_store_of
-
-        store = column_store_of(relation)
-        if store is not None:
-            # Count distinct codes actually present (fragments share
-            # dictionaries with their base relation, which may hold more).
-            attrs = list(attributes) if attributes is not None else list(store.attributes)
-            total = TID_BYTES * len(store)
-            for a in attrs:
-                dictionary = store.dictionary(a)
-                col = store.codes(a)
-                used = {col[r] for r in store.iter_rows()}
-                total += sum(dictionary.byte_size(c) for c in used)
-                total += code_width(len(used)) * len(store)
-            return total
+    if encoding == "rows":
+        return sum(estimate_tuple_bytes(t, attributes) for t in relation)
+    if encoding == "columnar":
         tids, blocks = encode_relation_columns(relation, attributes)
         return estimate_column_bytes(tids, blocks)
-    return sum(estimate_tuple_bytes(t, attributes) for t in relation)
+    from repro.core.storage import store_of
+
+    return store_of(relation).estimate_bytes(attributes)
 
 
 def ship_fragment(

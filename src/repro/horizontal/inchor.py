@@ -94,25 +94,19 @@ class HorizontalIncrementalDetector:
         self._classify()
 
         # Setup phase, O(|D| x |Sigma|) once and not charged to the network:
-        # per-site local indices for every variable CFD (with fusion, each
-        # site's fragment is swept once per fused LHS group instead of once
-        # per CFD), then V(Sigma, D) read off them -- a key's groups merged
-        # across sites form set(t[X]), and one with two or more RHS classes
-        # is exactly a set of violations.  Only the constant CFDs are
-        # scanned, fragment by fragment; the cluster is never reassembled.
+        # per-site local indices for every variable CFD (each site's fragment
+        # is swept once per LHS group), then V(Sigma, D) read off them -- a
+        # key's groups merged across sites form set(t[X]), and one with two
+        # or more RHS classes is exactly a set of violations.  Only the
+        # constant CFDs are scanned, fragment by fragment; the cluster is
+        # never reassembled.
         variable_cfds = self._local_cfds + self._general_cfds
         self._site_indices: dict[str, dict[int, CFDIndex]] = {
             cfd.name: {} for cfd in variable_cfds
         }
         for site in cluster.sites():
             indexes = [CFDIndex(cfd) for cfd in variable_cfds]
-            if self._fusion:
-                from repro.rulefuse import build_indexes
-
-                build_indexes(indexes, site.fragment)
-            else:
-                for index in indexes:
-                    index.build_from(site.fragment)
+            site.fragment.store.build_indexes(indexes)
             for cfd, index in zip(variable_cfds, indexes):
                 self._site_indices[cfd.name][site.site_id] = index
 

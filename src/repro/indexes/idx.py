@@ -19,6 +19,7 @@ from time import perf_counter
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from repro.core.cfd import CFD, UNNAMED
+from repro.core.storage import store_of
 from repro.core.tuples import Tuple
 from repro.core.violations import ViolationSet
 from repro.obs import profile as _prof
@@ -206,40 +207,9 @@ class CFDIndex:
             group.setdefault(rhs_value, set()).update(tids)
 
     def build_from(self, tuples: Iterable[Tuple]) -> None:
-        """Index every applicable tuple of an iterable (initial build).
-
-        Column-backed relations are bulk-loaded from their encoded
-        columns: the grouped LHS keys are computed once per relation
-        (and shared with every other index/kernel over the same
-        attributes) instead of once per tuple.
-        """
-        from repro.columnar.store import column_store_of
-        from repro.sqlstore.store import sql_store_of
-
-        store = column_store_of(tuples)
-        if store is not None:
-            from repro.columnar import kernels
-
-            kernels.build_cfd_index(self, store)
-            return
-        sql_store = sql_store_of(tuples)
-        if sql_store is not None:
-            # SQL-backed relations build from one pushed-down
-            # pattern-filtered scan, grouped as it streams back.
-            from repro.sqlstore import kernels as sql_kernels
-
-            sql_kernels.build_cfd_index(self, sql_store)
-            return
-        if _prof.enabled:
-            _t0 = perf_counter()
-            count = 0
-            for t in tuples:
-                self.add_tuple(t)
-                count += 1
-            _prof.note("idx.build_rows", perf_counter() - _t0, count)
-            return
-        for t in tuples:
-            self.add_tuple(t)
+        """Index every applicable tuple of a relation or any tuples (initial
+        build): one sweep of the store holding them."""
+        store_of(tuples).build_indexes([self])
 
 
 def _violating_tids(indexes: Iterable[CFDIndex]) -> set[Any]:

@@ -1,33 +1,15 @@
-"""Rule-set compilation: fused multi-CFD validation plans.
+"""Rule-set compilation: fused same-LHS rule groups.
 
-The detectors historically validated CFDs one rule at a time, paying
-one grouped-LHS sweep (columnar), one pushed-down query (SQL) or one
-tuple scan (rows) *per rule* — even when rules share their LHS
-attribute list, which real tableaux overwhelmingly do (a tableau is by
-definition many pattern rows over one embedded FD).  This package
-compiles a session's rule set into **fused groups keyed by the LHS
-attribute list** and emits one execution plan per group, so a fragment
-is swept once per *group* instead of once per *rule*, while producing
-results that are violation- and counter-identical to the per-rule
-paths on every backend.
+A tableau is by definition many pattern rows over one embedded FD, so a
+session's rules overwhelmingly share their LHS attribute lists.  This
+package compiles a rule set into **fused groups keyed by the LHS
+attribute list**; every storage backend checks a group in one sweep
+(``StorageBackend.check``, :mod:`repro.core.storage`), so a fragment is
+swept once per *group* instead of once per *rule*.  A single rule is a
+group of one, and ``compile_rule_set(cfds, fuse=False)`` — the
+session's ``rule_fusion(False)`` — yields exactly that for every rule.
 """
 
 from repro.rulefuse.compiler import FusedGroup, compile_rule_set, n_fused_groups
-from repro.rulefuse.kernels import (
-    build_indexes,
-    fused_columnar_masks,
-    fused_rows_violations,
-    fused_sql_violations,
-    fused_violations,
-)
 
-__all__ = [
-    "FusedGroup",
-    "compile_rule_set",
-    "n_fused_groups",
-    "build_indexes",
-    "fused_columnar_masks",
-    "fused_rows_violations",
-    "fused_sql_violations",
-    "fused_violations",
-]
+__all__ = ["FusedGroup", "compile_rule_set", "n_fused_groups"]

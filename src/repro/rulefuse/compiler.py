@@ -62,36 +62,30 @@ class FusedGroup:
         }
 
 
-def compile_rule_set(cfds: Iterable[CFD]) -> tuple[FusedGroup, ...]:
-    """Fused groups of ``cfds``, keyed by LHS attribute list.
+def compile_rule_set(cfds: Iterable[CFD], fuse: bool = True) -> tuple[FusedGroup, ...]:
+    """Fused groups of ``cfds``, keyed by LHS attribute list — or, with
+    ``fuse=False``, one group per rule.
 
     Groups come out in first-seen LHS order and members in input order,
     so iterating groups and scattering their results through
     ``FusedGroup.indexes`` reproduces the per-rule iteration exactly.
     """
-    by_lhs: dict[tuple[str, ...], tuple[list[CFD], list[int]]] = {}
+    by_key: dict[Any, tuple[list[CFD], list[int]]] = {}
     for i, cfd in enumerate(cfds):
-        members, indexes = by_lhs.setdefault(cfd.lhs, ([], []))
+        members, indexes = by_key.setdefault(cfd.lhs if fuse else i, ([], []))
         members.append(cfd)
         indexes.append(i)
     return tuple(
-        FusedGroup(lhs, tuple(members), tuple(indexes))
-        for lhs, (members, indexes) in by_lhs.items()
+        FusedGroup(members[0].lhs, tuple(members), tuple(indexes))
+        for members, indexes in by_key.values()
     )
 
 
-def n_fused_groups(rules: Sequence[Any]) -> int:
+def n_fused_groups(rules: Sequence[Any], fuse: bool = True) -> int:
     """How many shared-scan groups a rule set compiles to.
 
-    Rules without an ``lhs`` attribute-list shape (matching
-    dependencies) never fuse: each counts as its own group.
+    Rules that are not CFDs (matching dependencies) never fuse: each
+    counts as its own group.
     """
-    seen: set[tuple[str, ...]] = set()
-    singles = 0
-    for rule in rules:
-        lhs = getattr(rule, "lhs", None)
-        if isinstance(rule, CFD) and isinstance(lhs, tuple):
-            seen.add(lhs)
-        else:
-            singles += 1
-    return len(seen) + singles
+    cfds = [rule for rule in rules if isinstance(rule, CFD)]
+    return len(compile_rule_set(cfds, fuse=fuse)) + len(rules) - len(cfds)

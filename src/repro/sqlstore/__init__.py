@@ -5,11 +5,11 @@ The package provides the ``"sql"`` storage backend selectable on any
 ``repro.session(...).storage("sql")``): each relation's tuples live in
 one table of an embedded SQL engine — stdlib :mod:`sqlite3`,
 ``:memory:`` by default or file-backed via :func:`configure` — and the
-CFD hot paths compile to set-oriented SQL (the paper's classic
-constant/variable two-query formulation) in
-:mod:`repro.sqlstore.kernels` instead of tuple-at-a-time Python loops.
-File-backed stores page through a bounded cache, so detection scales
-past RAM.
+store's detection operations compile CFD checks to set-oriented SQL
+(the paper's classic constant/variable two-query formulation,
+:mod:`repro.sqlstore.compiler`) instead of tuple-at-a-time Python
+loops.  File-backed stores page through a bounded cache, so detection
+scales past RAM.
 
 When the optional :mod:`duckdb` package is installed (the ``[sql]``
 extra), the same compiler also drives a ``"duckdb"`` engine; without
@@ -32,7 +32,7 @@ from repro.sqlstore.store import (
     encode_value,
     sql_store_of,
 )
-from repro.sqlstore import compiler, kernels
+from repro.sqlstore import compiler
 
 try:
     register_storage_backend("sql", SqlStore)
@@ -54,6 +54,5 @@ __all__ = [
     "configured_directory",
     "decode_value",
     "encode_value",
-    "kernels",
     "sql_store_of",
 ]

@@ -3,20 +3,14 @@
 For a centralized database the paper observes that two SQL queries per
 tableau suffice to find ``V(Sigma, D)``: one ``WHERE`` filter for the
 constant patterns and one grouped query for the variable patterns.
-This module emits exactly those shapes against a
-:class:`~repro.sqlstore.store.SqlStore`'s ``data`` table:
+:func:`fused_violation_query` emits exactly those shapes — for a whole
+same-LHS rule group, in one tagged query — against a
+:class:`~repro.sqlstore.store.SqlStore`'s ``data`` table, and the scan
+queries return the pattern- or constant-filtered projections the IDX
+builds and the batch baselines' shipment scans group and price in
+Python.
 
-* constant CFDs: ``SELECT tid WHERE <lhs pattern> AND rhs IS NOT ?`` —
-  a single null-safe filter, no grouping;
-* variable CFDs: a grouped subquery over the LHS with
-  ``HAVING COUNT(DISTINCT rhs) + (COUNT(*) > COUNT(rhs)) > 1`` (the
-  ``COUNT(*)`` term counts NULL as one extra distinct value, matching
-  Python's ``None`` dict key), joined back null-safely to enumerate the
-  violating tids;
-* IDX builds and shipment scans: the pattern filter plus the projection
-  the caller needs, grouped in Python from the (small) filtered result.
-
-Every query is compiled once per (store, rule) through the store's
+Every query is compiled once per (store, rule shape) through the store's
 ``cached_sql`` cache and parameterized — constants travel as bind
 parameters encoded with the store's value encoding, never as SQL text.
 Dialect differences (sqlite ``IS`` vs DuckDB ``IS NOT DISTINCT FROM``)
@@ -25,10 +19,12 @@ come from the store's :class:`~repro.sqlstore.store.SqlDialect`.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.cfd import CFD, UNNAMED
-from repro.sqlstore.store import SqlStore
+
+if TYPE_CHECKING:
+    from repro.sqlstore.store import SqlStore
 
 
 def pattern_constants(cfd: CFD) -> list[tuple[str, Any]]:
@@ -38,6 +34,20 @@ def pattern_constants(cfd: CFD) -> list[tuple[str, Any]]:
         for a in cfd.lhs
         if cfd.pattern.entry(a) is not UNNAMED
     ]
+
+
+def shared_constants(cfds: Sequence[CFD]) -> dict[str, Any]:
+    """The LHS constants every rule of ``cfds`` pins to the very same value."""
+    first, *rest = cfds
+    return {
+        a: constant
+        for a, constant in pattern_constants(first)
+        if all(
+            type(cfd.pattern.entry(a)) is type(constant)
+            and cfd.pattern.entry(a) == constant
+            for cfd in rest
+        )
+    }
 
 
 def pattern_filter(
@@ -54,64 +64,27 @@ def pattern_filter(
     return " AND ".join(clauses) or "1 = 1", tuple(params)
 
 
-def constant_violation_query(store: SqlStore, cfd: CFD) -> tuple[str, tuple[Any, ...]]:
-    """``V(phi, D)`` for a constant CFD: one pushed-down WHERE filter."""
-    where, params = pattern_filter(store, cfd)
-    rhs = store.column(cfd.rhs)
-
-    def build() -> str:
-        return (
-            f"SELECT tid FROM data WHERE {where} "
-            f"AND {rhs} {store.dialect.neq} ? ORDER BY seq"
-        )
-
-    key = ("const", cfd.lhs, cfd.rhs, tuple(a for a, _ in pattern_constants(cfd)))
-    sql = store.cached_sql(key, build)
-    return sql, (*params, store.encode(cfd.pattern.entry(cfd.rhs)))
-
-
-def variable_violation_query(store: SqlStore, cfd: CFD) -> tuple[str, tuple[Any, ...]]:
-    """``V(phi, D)`` for a variable CFD: the grouped two-query formulation.
-
-    The subquery finds the LHS groups holding more than one distinct RHS
-    value among the pattern-matching tuples; the join re-enumerates the
-    member tids.  Both parts repeat the pattern filter, so the
-    parameters appear twice.
-    """
-    lhs_cols = [store.column(a) for a in cfd.lhs]
-    rhs = store.column(cfd.rhs)
-    eq = store.dialect.eq
-    where, params = pattern_filter(store, cfd)
-    where_d, _ = pattern_filter(store, cfd, alias="d")
-
-    def build() -> str:
-        keys = ", ".join(f"{c} AS k{i}" for i, c in enumerate(lhs_cols))
-        group_by = ", ".join(lhs_cols)
-        on = " AND ".join(f"d.{c} {eq} g.k{i}" for i, c in enumerate(lhs_cols))
-        return (
-            f"SELECT d.tid FROM data d JOIN ("
-            f"SELECT {keys} FROM data WHERE {where} GROUP BY {group_by} "
-            f"HAVING COUNT(DISTINCT {rhs}) + (COUNT(*) > COUNT({rhs})) > 1"
-            f") g ON {on} WHERE {where_d} ORDER BY d.seq"
-        )
-
-    key = ("var", cfd.lhs, cfd.rhs, tuple(a for a, _ in pattern_constants(cfd)))
-    sql = store.cached_sql(key, build)
-    return sql, (*params, *params)
-
-
 def fused_violation_query(
     store: SqlStore, cfds: Sequence[CFD]
 ) -> tuple[str, tuple[Any, ...]]:
-    """One tagged query for a whole fused rule group.
+    """``V(phi, D)`` of every rule of one same-LHS group, as one tagged query.
 
-    Each member contributes one ``UNION ALL`` branch — the constant or
-    variable shape above, prefixed with its position in ``cfds`` as a
-    literal ``rule`` tag column so the caller can split the shared
-    result set back into per-rule violation sets.  Branches drop the
-    ``ORDER BY`` (compound-select members must not carry one; the
-    results are sets).  One engine round-trip replaces one query per
-    rule, and the engine shares the table scan across branches.
+    Each member contributes one ``UNION ALL`` branch prefixed with its
+    position in ``cfds`` as a literal ``rule`` tag column, so the caller
+    splits the shared result set back into per-rule violation sets:
+
+    * a constant CFD is a single null-safe filter,
+      ``WHERE <lhs pattern> AND rhs IS NOT ?``;
+    * a variable CFD finds the LHS groups holding more than one distinct
+      RHS value among the pattern-matching tuples (``COUNT(*) >
+      COUNT(rhs)`` counts NULL as one more value, like Python's ``None``
+      dict key) and joins back null-safely to enumerate their tids; both
+      parts repeat the pattern filter, so its parameters appear twice.
+
+    Branches carry no ``ORDER BY`` (compound-select members must not;
+    the results are sets).  A group of one is the per-rule query; for
+    more, one engine round-trip serves the group and the engine shares
+    the table scan across branches.
     """
     parts: list[str] = []
     params: list[Any] = []
@@ -157,8 +130,8 @@ def pattern_scan_query(
 ) -> tuple[str, tuple[Any, ...]]:
     """``(tid, attributes...)`` of every pattern-matching tuple, in order.
 
-    The shared workhorse of IDX builds and horizontal batch scans: the
-    filter runs in the engine, only the projected columns come back.
+    The horizontal batch scan: the filter runs in the engine, only the
+    projected columns come back.
     """
     where, params = pattern_filter(store, cfd)
     cols = ", ".join(store.column(a) for a in attributes)
@@ -179,13 +152,13 @@ def pattern_scan_query(
 def constant_match_query(
     store: SqlStore,
     relevant: Sequence[str],
-    constants: dict[str, Any],
+    constants: Mapping[str, Any],
 ) -> tuple[str, tuple[Any, ...]]:
-    """``(tid, relevant...)`` of tuples matching the given constants.
+    """``(tid, relevant...)`` of every tuple equal to ``constants`` on the
+    ``relevant`` attributes they pin — of every tuple when none is pinned.
 
-    The vertical batch detector's constant shipment scan: a site ships
-    the ``relevant`` projection of tuples whose constrained attributes
-    equal the pattern constants.
+    The vertical batch detector's ship scans and the IDX builds'
+    projections.
     """
     eq = store.dialect.eq
     constrained = [a for a in relevant if a in constants]
@@ -199,16 +172,3 @@ def constant_match_query(
     key = ("cmatch", tuple(relevant), tuple(constrained))
     sql = store.cached_sql(key, build)
     return sql, tuple(store.encode(constants[a]) for a in constrained)
-
-
-def projection_query(
-    store: SqlStore, attributes: Sequence[str]
-) -> tuple[str, tuple[Any, ...]]:
-    """``(tid, attributes...)`` of every tuple (full projection scan)."""
-    cols = ", ".join(store.column(a) for a in attributes)
-    select = f"tid{', ' + cols if cols else ''}"
-
-    def build() -> str:
-        return f"SELECT {select} FROM data ORDER BY seq"
-
-    return store.cached_sql(("proj", tuple(attributes)), build), ()

@@ -8,9 +8,10 @@ columnar backends: tuples indexed by tid, O(1) membership, insertion
 order preserved (dict semantics: deleted tids drop out, re-inserting a
 popped tid moves it to the end, overwriting keeps its place).
 
-The point of the backend is *pushdown*: the detection kernels of
-:mod:`repro.sqlstore.kernels` compile CFD checks to set-oriented SQL
-(the classic constant/variable two-query formulation) so the filtering
+The point of the backend is *pushdown*: its detection operations (the
+protocol of :mod:`repro.core.storage`) compile CFD checks to set-oriented
+SQL (the classic constant/variable two-query formulation,
+:mod:`repro.sqlstore.compiler`) so the filtering
 and grouping run inside the engine's C executor over data that never
 has to fit in Python memory.  The store itself keeps only a small
 ``tid -> seq`` dict in Python; everything else lives in the engine,
@@ -47,11 +48,17 @@ import sqlite3
 import threading
 import uuid
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, KeysView
+from time import perf_counter
+from typing import Any, Callable, Iterator, KeysView, Mapping, Sequence
 
+from repro.core.cfd import CFD
 from repro.core.schema import Schema
+from repro.core.storage import merge_decoded_groups
 from repro.core.tuples import Tuple
 from repro.distributed.serialization import TID_BYTES, estimate_value_bytes
+from repro.obs import profile as _prof
+from repro.rulefuse import compile_rule_set
+from repro.sqlstore import compiler
 
 #: Buffered inserts flush to the engine at this size even without a read.
 FLUSH_LIMIT = 2000
@@ -132,9 +139,9 @@ def decode_value(value: Any) -> Any:
 class SqlStore:
     """Tuple storage in one embedded-SQL table (sqlite3 engine).
 
-    Satisfies :class:`~repro.core.storage.StorageBackend`; the SQL
-    compilation lives in :mod:`repro.sqlstore.compiler` and the
-    pushed-down detection scans in :mod:`repro.sqlstore.kernels`.
+    Satisfies :class:`~repro.core.storage.StorageBackend`, detection
+    operations included; the SQL they run is compiled by
+    :mod:`repro.sqlstore.compiler`.
     """
 
     name = "sql"
@@ -366,7 +373,7 @@ class SqlStore:
     def _backup_into(self, clone: "SqlStore") -> None:
         self._conn.backup(clone._conn)
 
-    # -- queries (the kernels' entry points) ---------------------------------------------
+    # -- queries (the detection operations' entry points) ---------------------------------------------
 
     def query_all(self, sql: str, params: tuple = ()) -> list:
         """Flush pending writes and fetch a whole result set (locked)."""
@@ -398,6 +405,121 @@ class SqlStore:
                     return
                 yield from rows
 
+    # -- detection operations (the protocol of repro.core.storage) ---------------------
+
+    def check(self, groups: Sequence[Any]) -> list[set[Any]]:
+        """Violating tids per member of every group: one tagged ``UNION ALL``
+        query per group, split back into per-rule sets by its rule-tag
+        column (:func:`~repro.sqlstore.compiler.fused_violation_query`)."""
+        out: list[set[Any]] = []
+        for group in groups:
+            if _prof.enabled:
+                _t0 = perf_counter()
+            found: list[set[Any]] = [set() for _ in group.members]
+            sql, params = compiler.fused_violation_query(self, group.members)
+            for rule, tid in self.query_all(sql, params):
+                found[rule].add(decode_value(tid))
+            out.extend(found)
+            if _prof.enabled:
+                _prof.note("rulefuse.sql_query", perf_counter() - _t0, len(self))
+        return out
+
+    def tids_of(self, result: set[Any]) -> set[Any]:
+        return result
+
+    def build_indexes(self, indexes: Sequence[Any]) -> None:
+        """Load each index from one pushed-down projection per LHS list.
+
+        The engine filters on the constants every same-LHS index pins (for
+        a group of one, all of them) and returns ``(tid, lhs..., rhs...)``;
+        an index's other constants are tested on the raw cells (the value
+        encoding keeps the engine's equality), and the loads group on
+        decoded values.
+        """
+        for group in compile_rule_set([index.cfd for index in indexes]):
+            if _prof.enabled:
+                _t0 = perf_counter()
+            lhs = group.lhs
+            n_lhs = len(lhs)
+            rhs_attrs = list(dict.fromkeys(cfd.rhs for cfd in group.members))
+            shared = compiler.shared_constants(group.members)
+            sql, params = compiler.constant_match_query(self, (*lhs, *rhs_attrs), shared)
+            # Per index: positional encoded constants left to test, its RHS
+            # column and its {key: {rhs_value: tids}} loads.
+            specs = [
+                (
+                    indexes[i],
+                    tuple(
+                        (1 + lhs.index(a), self.encode(constant))
+                        for a, constant in compiler.pattern_constants(cfd)
+                        if a not in shared
+                    ),
+                    1 + n_lhs + rhs_attrs.index(cfd.rhs),
+                    {},
+                )
+                for i, cfd in zip(group.indexes, group.members)
+            ]
+            for row in self.query_all(sql, params):
+                tid = key = None
+                rhs_values: dict[int, Any] = {}
+                for _index, consts, rpos, loads in specs:
+                    if consts and not all(row[p] == c for p, c in consts):
+                        continue
+                    if key is None:
+                        tid = decode_value(row[0])
+                        key = tuple(decode_value(v) for v in row[1 : 1 + n_lhs])
+                    if rpos not in rhs_values:
+                        rhs_values[rpos] = decode_value(row[rpos])
+                    loads.setdefault(key, {}).setdefault(rhs_values[rpos], set()).add(tid)
+            for index, _consts, _rpos, loads in specs:
+                for key, by_rhs in loads.items():
+                    index.load_group(key, by_rhs)
+            if _prof.enabled:
+                _prof.note("idx.build_sql", perf_counter() - _t0, len(self))
+
+    def group_scan(
+        self, cfd: CFD, want_ship: bool, prices: Any
+    ) -> tuple[tuple[int, int], dict[tuple, dict[Any, list[Any]]]]:
+        """batHor's site scan as one pushed-down pattern filter returning
+        only ``cfd.attributes``: the ``(count, bytes)`` of those
+        projections (``(0, 0)`` unless ``want_ship``; ``prices`` estimates
+        each distinct value once) and the decoded partial groups
+        ``{lhs_key: {rhs_value: [tids]}}``."""
+        if _prof.enabled:
+            _t0 = perf_counter()
+        sql, params = compiler.pattern_scan_query(self, cfd, cfd.attributes)
+        rows = self.query_all(sql, params)
+        shipment = (0, 0)
+        groups: dict[tuple, dict[Any, list[Any]]] = {}
+        if rows:
+            tids, *lhs_cols, rhs_col = _decoded_columns(rows)
+            if want_ship:
+                shipment = prices.shipment(len(rows), (*lhs_cols, rhs_col))
+            for tid, key, rhs_value in zip(tids, zip(*lhs_cols), rhs_col):
+                groups.setdefault(key, {}).setdefault(rhs_value, []).append(tid)
+        if _prof.enabled:
+            _prof.note("shipment.sql_scan", perf_counter() - _t0, len(self))
+        return shipment, groups
+
+    def merge_groups(self, target: dict, cfd: CFD, groups: dict) -> None:
+        merge_decoded_groups(target, groups)
+
+    def ship_scan(
+        self, attributes: Sequence[str], constants: Mapping[str, Any], prices: Any
+    ) -> tuple[int, int]:
+        """batVer's site scan: the ``(count, bytes)`` of shipping the
+        ``attributes`` projection of every tuple equal to ``constants`` on
+        the attributes it pins (one pushed-down filter; ``prices``
+        estimates each distinct value once)."""
+        if _prof.enabled:
+            _t0 = perf_counter()
+        sql, params = compiler.constant_match_query(self, attributes, constants)
+        rows = self.query_all(sql, params)
+        shipment = prices.shipment(len(rows), _decoded_columns(rows)[1:])
+        if _prof.enabled:
+            _prof.note("shipment.sql_ship_scan", perf_counter() - _t0, len(self))
+        return shipment
+
     def estimate_bytes(self, attributes=None) -> int:
         """The row cost model's wire size of the whole store.
 
@@ -405,18 +527,20 @@ class SqlStore:
         row backend, computed by cursor iteration without materializing
         Tuples.
         """
+        if _prof.enabled:
+            _t0 = perf_counter()
         attrs = tuple(attributes) if attributes is not None else self._attrs
-        cols = ", ".join(self._col[a] for a in attrs)
-        total = 0
-        if not attrs:
-            return TID_BYTES * len(self)
-        for row in self.scan(f"SELECT seq, {cols} FROM data"):
-            total += TID_BYTES
-            for cell in row[1:]:
-                total += estimate_value_bytes(decode_value(cell))
+        total = TID_BYTES * len(self)
+        if attrs:
+            cols = ", ".join(self._col[a] for a in attrs)
+            for row in self.scan(f"SELECT seq, {cols} FROM data"):
+                for cell in row[1:]:
+                    total += estimate_value_bytes(decode_value(cell))
+        if _prof.enabled:
+            _prof.note("sql.estimate_bytes", perf_counter() - _t0, len(self))
         return total
 
-    def distinct_counts(self) -> dict[str, int]:
+    def distinct_counts(self, sample_limit: int | None = None) -> dict[str, int]:
         """Exact per-attribute distinct counts, pushed down as aggregates.
 
         NULLs count as one extra distinct value (Python ``set`` puts
@@ -424,42 +548,15 @@ class SqlStore:
         """
         if not self._attrs:
             return {}
+        if _prof.enabled:
+            _t0 = perf_counter()
         parts = ", ".join(
             f"COUNT(DISTINCT {c}) + (COUNT(*) > COUNT({c}))" for c in self._colnames
         )
         row = self.query_all(f"SELECT {parts} FROM data")[0]
+        if _prof.enabled:
+            _prof.note("sql.distinct_counts", perf_counter() - _t0, len(self))
         return dict(zip(self._attrs, row))
-
-    def select_tids(self, tids, attributes=None) -> list[tuple]:
-        """Rows for exactly the given tids via a temp-table semi-join.
-
-        The tids translate to seqs in Python (O(1) each), ship into a
-        temp table with one ``executemany`` and join back against the
-        primary key — the batch-shipment scan shape for a known tuple
-        set.  Unknown tids are skipped.  Returns raw ``(tid, values...)``
-        rows in insertion order; callers decode.
-        """
-        attrs = tuple(attributes) if attributes is not None else self._attrs
-        cols = ", ".join(self._col[a] for a in attrs)
-        select = f"d.tid{', ' + cols if cols else ''}"
-        with self._lock:
-            self._flush_locked()
-            seqs = [
-                (seq,)
-                for seq in (self._index.get(tid) for tid in tids)
-                if seq is not None
-            ]
-            self._conn.execute(
-                "CREATE TEMP TABLE IF NOT EXISTS ship (seq INTEGER PRIMARY KEY)"
-            )
-            self._conn.execute("DELETE FROM ship")
-            self._conn.executemany("INSERT OR IGNORE INTO ship VALUES (?)", seqs)
-            rows = self._conn.execute(
-                f"SELECT {select} FROM data d JOIN ship s ON d.seq = s.seq "
-                "ORDER BY d.seq"
-            ).fetchall()
-            self._conn.execute("DELETE FROM ship")
-        return rows
 
     def encode(self, value: Any) -> Any:
         """Encode a query constant the way this engine stores values."""
@@ -599,6 +696,18 @@ class DuckStore(SqlStore):  # pragma: no cover - requires optional duckdb
             conn.close()
         except Exception:
             pass
+
+
+def _decoded_columns(rows: list[tuple]) -> list[Sequence[Any]]:
+    """Raw result rows transposed into decoded columns.
+
+    Natively stored values decode to themselves, so only a column that
+    holds a tagged blob is decoded value by value.
+    """
+    return [
+        list(map(decode_value, col)) if bytes in set(map(type, col)) else col
+        for col in zip(*rows)
+    ]
 
 
 def sql_store_of(relation: Any) -> SqlStore | None:

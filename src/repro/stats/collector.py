@@ -117,41 +117,17 @@ class RelationStats:
 
     @classmethod
     def collect(cls, relation: Any, sample_limit: int = SAMPLE_LIMIT) -> "RelationStats":
-        """Collect statistics from a relation on either storage backend.
+        """Collect statistics from a relation on any storage backend.
 
-        Columnar relations read distinct counts from their value
-        dictionaries (O(attributes)); row relations are sampled up to
-        ``sample_limit`` tuples.  Average tuple width is sampled on both
-        backends.
+        Distinct counts come from its store: read off the value
+        dictionaries on columnar, one aggregate query on sql, the first
+        ``sample_limit`` tuples on rows.  Average tuple width is sampled
+        on every backend.
         """
         attrs = list(relation.schema.attribute_names)
         n = len(relation)
-        from repro.columnar.store import column_store_of
-        from repro.sqlstore.store import sql_store_of
-
-        store = column_store_of(relation)
-        sql_store = sql_store_of(relation)
-        distinct: dict[str, int] = {}
+        distinct = relation.store.distinct_counts(sample_limit)
         sampled = False
-        if store is not None:
-            for a in attrs:
-                distinct[a] = len(store.dictionary(a))
-        elif sql_store is not None:
-            # Exact counts, pushed down as one aggregate query.
-            distinct = sql_store.distinct_counts()
-        else:
-            seen: dict[str, set] = {a: set() for a in attrs}
-            for i, t in enumerate(relation):
-                if i >= sample_limit:
-                    sampled = True
-                    break
-                for a in attrs:
-                    try:
-                        seen[a].add(t[a])
-                    except TypeError:  # unhashable value: give up on the column
-                        seen[a].add(id(t[a]))
-            distinct = {a: len(s) for a, s in seen.items()}
-
         total_bytes = 0.0
         n_sampled = 0
         for i, t in enumerate(relation):
@@ -242,12 +218,8 @@ class RuleProfile:
             else:
                 n_general += 1
                 lhs_sizes.append(len(cfd.lhs))
-        if fusion:
-            from repro.rulefuse import n_fused_groups
+        from repro.rulefuse import n_fused_groups
 
-            n_groups = n_fused_groups(rules)
-        else:
-            n_groups = len(rules)
         return cls(
             n_rules=len(rules),
             n_constant=n_constant,
@@ -255,7 +227,7 @@ class RuleProfile:
             n_general=n_general,
             avg_lhs=sum(lhs_sizes) / len(lhs_sizes) if lhs_sizes else 1.0,
             kind="cfd",
-            n_groups=n_groups,
+            n_groups=n_fused_groups(rules, fuse=fusion),
         )
 
 

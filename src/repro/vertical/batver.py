@@ -12,10 +12,11 @@ avoids.
 
 Execution is split into two scheduler rounds: one pure task per site
 plans the shipments the site would make (:func:`_site_ship_task`), then
-one pure task per CFD checks it against the reconstructed snapshot
-(:func:`_check_cfd_task`).  The coordinator charges the planned
-shipments to the network between the rounds, so every executor backend
-yields the identical violation set and identical shipment counts.
+one task per checking site runs its CFDs' rule groups against the
+reconstructed snapshot (:func:`~repro.core.detector.check_task`).  The
+coordinator charges the planned shipments to the network between the
+rounds, so every executor backend yields the identical violation set and
+identical shipment counts.
 """
 
 from __future__ import annotations
@@ -23,97 +24,37 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.core.cfd import CFD, UNNAMED
-from repro.core.detector import CentralizedDetector
-from repro.core.tuples import Tuple
+from repro.core.detector import check_task, mark_violations
 from repro.core.violations import ViolationSet
 from repro.distributed.cluster import Cluster
 from repro.distributed.message import MessageKind
 from repro.distributed.serialization import PriceTable
+from repro.rulefuse import compile_rule_set
 from repro.runtime.executor import SiteTask
 
 
 def _site_ship_task(
-    constant_specs: list[tuple[str, list[str], dict[str, Any]]],
-    variable_specs: list[tuple[str, list[str]]],
-    tuples: "list[Tuple] | Any",
+    specs: list[tuple[str, list[str], dict[str, Any]]], fragment: Any
 ) -> dict[str, tuple[int, int]]:
     """Plan one site's shipments for every CFD (pure, picklable).
 
-    ``constant_specs`` carries ``(cfd_name, relevant_lhs_attrs,
-    constants)`` for each constant CFD the site holds LHS attributes of:
-    tuples whose local projection matches the pattern ship their
-    ``relevant`` attributes.  ``variable_specs`` carries ``(cfd_name,
-    supplied_attrs)`` for each general variable CFD this site supplies
-    columns to: every tuple ships its ``supplied`` projection.
-
-    ``tuples`` is the site's fragment: a tuple list for row storage, or
-    the fragment relation itself when column- or SQL-backed.
+    ``specs`` carries ``(cfd_name, attributes, constants)`` per CFD the
+    site ships for; the site ships the ``attributes`` projection of every
+    tuple equal to ``constants`` on the attributes it pins.  For a
+    constant CFD those are the LHS attributes the site holds, filtered
+    by the pattern constants; for a general variable CFD, the columns
+    the coordinator lacks, unfiltered.
 
     Returns, per CFD, the ``(count, bytes)`` total of the partial tuples
     the site ships for it — two ints, priced here where the values live
-    and set-at-a-time: from the dictionaries' cached per-code sizes on
-    columnar fragments, with one estimate per distinct value
-    (:class:`PriceTable`) on rows and SQL.
+    (the fragment store's ``ship_scan``).
     """
-    from repro.columnar.store import column_store_of
-    from repro.sqlstore.store import sql_store_of
-
-    shipments: dict[str, tuple[int, int]] = {}
-    store = column_store_of(tuples)
-    if store is not None:
-        from repro.columnar import kernels
-
-        for cfd_name, relevant, constants in constant_specs:
-            shipments[cfd_name] = kernels.constant_ship_scan(store, relevant, constants)
-        for cfd_name, supplied in variable_specs:
-            shipments[cfd_name] = kernels.project_ship_scan(store, supplied)
-        return shipments
+    store = fragment.store
     prices = PriceTable()
-    sql_store = sql_store_of(tuples)
-    if sql_store is not None:
-        # SQL-backed fragments push the match filter and projection
-        # down; only the projected values come back to price.
-        from repro.sqlstore import kernels as sql_kernels
-
-        for cfd_name, relevant, constants in constant_specs:
-            shipments[cfd_name] = sql_kernels.constant_ship_scan(
-                sql_store, relevant, constants, prices
-            )
-        for cfd_name, supplied in variable_specs:
-            shipments[cfd_name] = sql_kernels.project_ship_scan(
-                sql_store, supplied, prices
-            )
-        return shipments
-    for cfd_name, relevant, constants in constant_specs:
-        tested = [a for a in relevant if a in constants]
-        shipped = [
-            t.values_for(relevant)
-            for t in tuples
-            if all(t[a] == constants[a] for a in tested)
-        ]
-        shipments[cfd_name] = prices.shipment(len(shipped), zip(*shipped))
-    for cfd_name, supplied in variable_specs:
-        shipped = [t.values_for(supplied) for t in tuples]
-        shipments[cfd_name] = prices.shipment(len(shipped), zip(*shipped))
-    return shipments
-
-
-def _check_cfds_task(
-    cfds: list[CFD], tuples: "list[Tuple] | Any", fusion: bool = True
-) -> list[set[Any]]:
-    """``V(phi, D)`` for each CFD checked at one coordinator site (pure).
-
-    Bundling a site's CFDs into one task ships the snapshot across the
-    process backend's pickle boundary once per site, not once per CFD.
-    With fusion (the default) the bundled CFDs are further compiled into
-    same-LHS groups and validated one pass per group; results stay
-    violation-identical to the per-rule loop on every backend.
-    """
-    if fusion and len(cfds) > 1:
-        from repro.rulefuse import fused_violations
-
-        return fused_violations(cfds, tuples)
-    return [CentralizedDetector.violations_of(cfd, tuples) for cfd in cfds]
+    return {
+        name: store.ship_scan(attributes, constants, prices)
+        for name, attributes, constants in specs
+    }
 
 
 class VerticalBatchDetector:
@@ -174,22 +115,12 @@ class VerticalBatchDetector:
 
     def detect(self) -> ViolationSet:
         """Compute ``V(Sigma, D)`` from scratch, charging shipments to the network."""
-        from repro.columnar.store import column_store_of
-        from repro.sqlstore.store import sql_store_of
-
-        reconstructed = self._cluster.reconstruct()
-        snapshot: Any = (
-            reconstructed
-            if column_store_of(reconstructed) is not None
-            or sql_store_of(reconstructed) is not None
-            else list(reconstructed)
-        )
+        snapshot = self._cluster.reconstruct()
         violations = ViolationSet()
 
         # Plan, per site, the per-CFD shipments (metadata only; the task scans
         # the site's own partial tuples).
-        constant_specs: dict[int, list[tuple[str, list[str], dict[str, Any]]]] = {}
-        variable_specs: dict[int, list[tuple[str, list[str]]]] = {}
+        specs: dict[int, list[tuple[str, list[str], dict[str, Any]]]] = {}
         coordinators: dict[str, int] = {}
         for cfd in self._cfds:
             if cfd.is_constant():
@@ -202,31 +133,22 @@ class VerticalBatchDetector:
                     if pattern.entry(a) is not UNNAMED
                 }
                 for site, relevant in self._constant_relevant(cfd, coordinator).items():
-                    constant_specs.setdefault(site, []).append(
-                        (cfd.name, relevant, constants)
-                    )
+                    specs.setdefault(site, []).append((cfd.name, relevant, constants))
             elif self._partitioner.is_local(cfd.attributes) is None:
                 coordinator = self._coordinator_for(cfd)
                 coordinators[cfd.name] = coordinator
                 for site, supplied in self._variable_supplies(cfd, coordinator).items():
-                    variable_specs.setdefault(site, []).append((cfd.name, supplied))
+                    specs.setdefault(site, []).append((cfd.name, supplied, {}))
 
         ship_tasks = [
             SiteTask(
                 site.site_id,
                 _site_ship_task,
-                (
-                    constant_specs.get(site.site_id, []),
-                    variable_specs.get(site.site_id, []),
-                    site.fragment
-                    if column_store_of(site.fragment) is not None
-                    or sql_store_of(site.fragment) is not None
-                    else list(site.fragment),
-                ),
+                (specs[site.site_id], site.fragment),
                 label="batVer:ship",
             )
             for site in self._cluster.sites()
-            if site.site_id in constant_specs or site.site_id in variable_specs
+            if site.site_id in specs
         ]
         planned: dict[int, dict[str, tuple[int, int]]] = {
             result.site: result.value
@@ -257,19 +179,15 @@ class VerticalBatchDetector:
         for cfd in self._cfds:
             site = coordinators.get(cfd.name, self._partitioner.home_site(cfd.rhs))
             by_check_site.setdefault(site, []).append(cfd)
-        check_tasks = [
-            SiteTask(
-                site,
-                _check_cfds_task,
-                (cfds, snapshot, self._fusion),
-                label="batVer:check",
-            )
+        check_groups = {
+            site: compile_rule_set(cfds, fuse=self._fusion)
             for site, cfds in sorted(by_check_site.items())
+        }
+        check_tasks = [
+            SiteTask(site, check_task, (snapshot, groups), label="batVer:check")
+            for site, groups in check_groups.items()
         ]
-        for (_site, cfds), result in zip(
-            sorted(by_check_site.items()), self._cluster.scheduler.run(check_tasks)
-        ):
-            for cfd, tids in zip(cfds, result.value):
-                for tid in tids:
-                    violations.add(tid, cfd.name)
+        results = self._cluster.scheduler.run(check_tasks)
+        for groups, result in zip(check_groups.values(), results):
+            mark_violations(violations, snapshot.store, groups, result.value)
         return violations

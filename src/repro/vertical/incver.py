@@ -116,15 +116,7 @@ class VerticalIncrementalDetector:
             index = CFDIndex(cfd)
             self._indices[cfd.name] = index
             indexes.append(index)
-        if self._fusion:
-            # One sweep of the snapshot per fused LHS group builds every
-            # same-LHS index at once.
-            from repro.rulefuse import build_indexes
-
-            build_indexes(indexes, snapshot)
-        else:
-            for index in indexes:
-                index.build_from(snapshot)
+        snapshot.store.build_indexes(indexes)
 
         if violations is not None:
             self._violations = violations.copy()

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.columnar import ColumnStore, ValueDictionary, column_store_of, kernels
+from repro.columnar import ColumnStore, ValueDictionary, column_store_of
 from repro.core.cfd import CFD
 from repro.core.detector import CentralizedDetector
 from repro.core.relation import Relation, RelationError
@@ -233,24 +233,6 @@ class TestKernels:
         CFD(["b"], "c", {"b": "b2", "c": "c0"}),
         CFD(["a"], "c", {"a": 77}),  # constant absent from the data
     ]
-
-    def test_violations_match_row_backend(self, schema):
-        rows = make_relation(schema, n=40)
-        store = column_store_of(rows.with_storage("columnar"))
-        for cfd in self.CFDS:
-            expected = CentralizedDetector.violations_of(cfd, list(rows))
-            assert kernels.violations_of(cfd, store) == expected, cfd.name
-
-    def test_violations_after_deletions(self, schema):
-        rows = make_relation(schema, n=40)
-        cols = rows.with_storage("columnar")
-        for tid in (0, 7, 13, 21):
-            rows.delete(tid)
-            cols.delete(tid)
-        store = column_store_of(cols)
-        for cfd in self.CFDS:
-            expected = CentralizedDetector.violations_of(cfd, list(rows))
-            assert kernels.violations_of(cfd, store) == expected, cfd.name
 
     def test_bulk_index_build_matches_row_build(self, schema):
         rows = make_relation(schema, n=40)

@@ -1,11 +1,13 @@
 """Unit tests for the SQL pushdown storage backend.
 
 The store must be a drop-in dict-of-tuples: insertion order, overwrite
-and pop semantics, copy/pickle independence.  The compiler's pushed-down
-queries must agree with the Python row oracle on every value class the
-encoder distinguishes — strings, ints, floats, None and (pickled) bools
-— and the byte/statistics surfaces must reproduce the row cost model
-number for number.
+and pop semantics, copy/pickle independence.  The engine decides some
+semantics of its pushed-down checks itself — int/float grouping, text
+never equal to numbers, NULL as a class of its own — and those are
+pinned here, along with the statement cache and the byte/statistics
+surfaces, which must reproduce the row cost model number for number.
+Every detection operation is held to the row store in
+``tests/test_storage_protocol.py``.
 """
 
 import os
@@ -14,6 +16,7 @@ import pickle
 import pytest
 
 from repro.core.cfd import CFD
+from repro.core.detector import CentralizedDetector
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.storage import StorageError, make_storage, storage_backend_names
@@ -23,6 +26,7 @@ from repro.distributed.serialization import (
     estimate_relation_bytes,
     estimate_value_bytes,
 )
+from repro.rulefuse import compile_rule_set
 from repro.sqlstore import (
     DUCKDB_AVAILABLE,
     SqlStore,
@@ -30,7 +34,6 @@ from repro.sqlstore import (
     configured_directory,
     decode_value,
     encode_value,
-    kernels,
     sql_store_of,
 )
 
@@ -45,6 +48,12 @@ def fill(store, rows):
     for t in rows:
         store.insert(t)
     return store
+
+
+def pushdown(cfd, store):
+    """``V(cfd)`` from the store's pushed-down check."""
+    (found,) = store.check(compile_rule_set([cfd]))
+    return found
 
 
 @pytest.fixture
@@ -135,38 +144,7 @@ class TestDictSemantics:
         s.close()
 
 
-def row_violations(cfd, rows):
-    """The Python row oracle for one CFD (mirrors CentralizedDetector)."""
-    if cfd.is_constant():
-        return {t.tid for t in rows if cfd.single_tuple_violation(t)}
-    groups = {}
-    for t in rows:
-        if cfd.lhs_matches(t):
-            groups.setdefault(cfd.lhs_values(t), {}).setdefault(
-                t[cfd.rhs], set()
-            ).add(t.tid)
-    out = set()
-    for classes in groups.values():
-        if len(classes) > 1:
-            for tids in classes.values():
-                out |= tids
-    return out
-
-
-PUSHDOWN_CFDS = [
-    CFD(("a",), "b", {"a": "a1", "b": "b1"}, name="const"),
-    CFD(("a",), "b", {"a": None}, name="const_null_lhs"),
-    CFD(("a",), "b", name="var"),
-    CFD(("a", "c"), "b", name="var_two_lhs"),
-    CFD(("c",), "a", {"c": 0}, name="var_int_pattern"),
-]
-
-
 class TestPushdownParity:
-    @pytest.mark.parametrize("cfd", PUSHDOWN_CFDS, ids=lambda c: c.name)
-    def test_matches_row_oracle(self, store, rows, cfd):
-        assert kernels.violations_of(cfd, store) == row_violations(cfd, rows)
-
     def test_mixed_int_float_group_as_python_does(self):
         # Python dicts group 1 and 1.0 under one key (1 == 1.0); sqlite's
         # numeric affinity agrees — pin it so an engine change shows up.
@@ -175,7 +153,7 @@ class TestPushdownParity:
             [tup("i", 1, "x", "p"), tup("f", 1.0, "y", "p"), tup("o", 2, "x", "p")],
         )
         cfd = CFD(("a",), "b", name="fd")
-        assert kernels.violations_of(cfd, s) == {"i", "f"}
+        assert pushdown(cfd, s) == {"i", "f"}
         s.close()
 
     def test_text_never_equals_number(self):
@@ -183,8 +161,8 @@ class TestPushdownParity:
             SqlStore(SCHEMA),
             [tup("i", 1, "x", "p"), tup("s", "1", "y", "p")],
         )
-        assert kernels.violations_of(cfd := CFD(("a",), "b", name="fd"), s) == set()
-        assert row_violations(cfd, list(s)) == set()
+        assert pushdown(cfd := CFD(("a",), "b", name="fd"), s) == set()
+        assert CentralizedDetector.violations_of(cfd, list(s)) == set()
         s.close()
 
     def test_null_groups_count_as_distinct_class(self):
@@ -193,14 +171,14 @@ class TestPushdownParity:
             SqlStore(SCHEMA),
             [tup("x", "a", None, "p"), tup("y", "a", "b0", "p")],
         )
-        assert kernels.violations_of(CFD(("a",), "b", name="fd"), s) == {"x", "y"}
+        assert pushdown(CFD(("a",), "b", name="fd"), s) == {"x", "y"}
         s.close()
 
     def test_statement_cache_hits_on_repeat(self, store):
         cfd = CFD(("a",), "b", name="var")
-        kernels.violations_of(cfd, store)
+        pushdown(cfd, store)
         before = store.statement_cache_info()
-        kernels.violations_of(cfd, store)
+        pushdown(cfd, store)
         after = store.statement_cache_info()
         assert after["hits"] > before["hits"]
         assert after["misses"] == before["misses"]
@@ -230,19 +208,6 @@ class TestScansAndByteModel:
             attr: len({t[attr] for t in rows}) for attr in ("k", "a", "b", "c")
         }
         assert store.distinct_counts() == expected
-
-    def test_select_tids_semi_join(self, store, rows):
-        wanted = ["t3", "t1", "missing", "tn"]
-        got = kernels.semi_join_ship_scan(store, wanted, ["a", "b"])
-        expected = [
-            (t.tid, TID_BYTES + estimate_value_bytes(t["a"]) + estimate_value_bytes(t["b"]))
-            for t in rows
-            if t.tid in ("t1", "t3", "tn")
-        ]
-        assert got == expected  # insertion order, unknown tids skipped
-
-    def test_select_tids_empty_set(self, store):
-        assert kernels.semi_join_ship_scan(store, []) == []
 
 
 class TestFileBacked:
@@ -297,10 +262,3 @@ class TestRegistry:
     def test_duckdb_unavailable_raises_clean_storage_error(self):
         with pytest.raises(StorageError, match="duckdb"):
             make_storage("duckdb", SCHEMA)
-
-    @pytest.mark.skipif(not DUCKDB_AVAILABLE, reason="duckdb not installed")
-    def test_duckdb_pushdown_matches_row_oracle(self, rows):  # pragma: no cover
-        store = fill(make_storage("duckdb", SCHEMA), rows)
-        for cfd in PUSHDOWN_CFDS:
-            assert kernels.violations_of(cfd, store) == row_violations(cfd, rows)
-        store.close()

@@ -1,0 +1,366 @@
+"""Conformance of the storage backends' detection operations.
+
+Every operation a detector runs through ``relation.store`` is held to
+:class:`~repro.core.storage.RowStore` over the same tuples: ``check``
+(decoded by ``tids_of``), ``build_indexes``, ``group_scan`` folded by
+``merge_groups``, ``ship_scan``, ``estimate_bytes`` and
+``distinct_counts``.  The inputs are the awkward ones: NULLs on both
+sides of a rule, deleted rows, an empty relation, a shared-LHS tableau
+mixing constant and variable rows, a pattern constant that only an
+insert makes reachable and one group per rule (``fuse=False``).  With
+``1``, ``1.0`` and ``True`` in one column the backends differ, so each
+one's answer is pinned.  The last test checks that profiled waves note
+only hooks the benchmark harness attributes to a layer.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core.cfd import CFD
+from repro.core.relation import Relation
+from repro.core.schema import Schema
+from repro.core.storage import storage_backend_names
+from repro.core.tuples import Tuple
+from repro.distributed.serialization import PriceTable, estimate_relation_bytes
+from repro.indexes.idx import CFDIndex
+from repro.obs import profile
+from repro.rulefuse import compile_rule_set
+from repro.sqlstore import DUCKDB_AVAILABLE
+
+BACKENDS = [
+    pytest.param(
+        name,
+        marks=pytest.mark.skipif(
+            name == "duckdb" and not DUCKDB_AVAILABLE, reason="duckdb not installed"
+        ),
+    )
+    for name in sorted({*storage_backend_names(), "duckdb"})
+]
+
+SCHEMA = Schema("R", ["k", "a", "b", "c"], key="k")
+
+
+def relation(rows, storage="rows"):
+    """A relation of ``(k, a, b, c)`` rows hosted on ``storage``."""
+    names = SCHEMA.attribute_names
+    base = Relation(SCHEMA, [Tuple(row[0], dict(zip(names, row))) for row in rows])
+    return base.with_storage(storage)
+
+
+# -- inputs ---------------------------------------------------------------------------
+
+#: Small ints and an unsatisfiable constant.
+KERNEL_ROWS = [(i, i % 3, f"b{i % 4}", f"c{i % 2}") for i in range(40)]
+KERNEL_RULES = [
+    CFD(["a"], "b"),
+    CFD(["a", "c"], "b"),
+    CFD(["a"], "b", {"a": 1}),
+    CFD(["a"], "b", {"a": 1, "b": "b1"}),
+    CFD(["b"], "c", {"b": "b2", "c": "c0"}),
+    CFD(["a"], "c", {"a": 77}),  # constant absent from the data
+]
+
+#: Strings, ints, a float row, a NULL row and a bool row.
+PUSHDOWN_ROWS = [
+    *((f"t{i}", f"a{i % 3}", f"b{i % 2}", i % 4) for i in range(12)),
+    ("tn", None, None, None),
+    ("tf", 3.5, 2.5, "x"),
+    ("tb", True, False, "y"),
+]
+PUSHDOWN_RULES = [
+    CFD(("a",), "b", {"a": "a1", "b": "b1"}, name="const"),
+    CFD(("a",), "b", {"a": None}, name="const_null_lhs"),
+    CFD(("a",), "b", name="var"),
+    CFD(("a", "c"), "b", name="var_two_lhs"),
+    CFD(("c",), "a", {"c": 0}, name="var_int_pattern"),
+]
+
+#: NULL on both sides of a rule: a NULL LHS group, NULL RHS classes, NULL constants.
+NULL_ROWS = [
+    (1, "x", "p", "u"),
+    (2, "x", "q", "u"),
+    (3, None, "p", None),
+    (4, None, "p", "v"),
+    (5, "y", None, "u"),
+    (6, "y", None, "w"),
+    (7, "y", "p", "w"),
+    (8, None, None, None),
+]
+NULL_RULES = [
+    CFD(("a",), "b", name="a_b"),
+    CFD(("a",), "c", {"a": "x", "c": "u"}, name="x_u"),
+    CFD(("a",), "c", {"a": None}, name="null_c"),
+    CFD(("a", "b"), "c", name="ab_c"),
+    CFD(("b",), "c", {"b": None, "c": "u"}, name="null_u"),
+]
+
+#: A shared-LHS tableau: constant and variable rows over two LHS lists.
+TABLEAU_ROWS = [(i, i % 3, f"b{i % 2}", f"c{(i // 2) % 3}") for i in range(30)]
+TABLEAU_RULES = [
+    CFD(("a", "b"), "c", name="ab_c"),
+    CFD(("a",), "c", {"a": 0, "c": "c1"}, name="a0_c1"),
+    CFD(("a", "b"), "c", {"a": 1}, name="ab_c_a1"),
+    CFD(("a",), "b", name="a_b"),
+    CFD(("a", "b"), "c", {"a": 2, "b": "b0", "c": "c0"}, name="a2b0_c0"),
+    CFD(("a",), "c", {"a": 1}, name="a1_c"),
+]
+
+#: case -> (rows, rules, tids deleted after loading).
+CASES = {
+    "kernel": (KERNEL_ROWS, KERNEL_RULES, ()),
+    "kernel_after_deletes": (KERNEL_ROWS, KERNEL_RULES, (0, 7, 13, 21)),
+    **{f"pushdown_{cfd.name}": (PUSHDOWN_ROWS, [cfd], ()) for cfd in PUSHDOWN_RULES},
+    "nulls": (NULL_ROWS, NULL_RULES, ()),
+    "tableau": (TABLEAU_ROWS, TABLEAU_RULES, ()),
+    "empty": ((), NULL_RULES, ()),
+}
+
+#: The cases the scans and index builds run on.
+SCAN_CASES = ["kernel", "kernel_after_deletes", "nulls", "tableau", "empty"]
+
+
+def build(case, storage):
+    rows, rules, deleted = CASES[case]
+    rel = relation(rows, storage)
+    for tid in deleted:
+        rel.delete(tid)
+    return rel, rules
+
+
+def checked(store, groups):
+    """``check(groups)`` decoded by ``tids_of``, in rule order."""
+    found = iter(store.check(groups))
+    by_rule = {i: store.tids_of(next(found)) for group in groups for i in group.indexes}
+    return [by_rule[i] for i in sorted(by_rule)]
+
+
+def oracle(cfd, tuples):
+    """``V(cfd)`` from the definition: a constant CFD flags single tuples,
+    a variable one every LHS group of matching tuples with two RHS values."""
+    if cfd.is_constant():
+        return {t.tid for t in tuples if cfd.single_tuple_violation(t)}
+    groups = {}
+    for t in tuples:
+        if cfd.lhs_matches(t):
+            groups.setdefault(cfd.lhs_values(t), {}).setdefault(t[cfd.rhs], set()).add(t.tid)
+    return {
+        tid
+        for classes in groups.values()
+        if len(classes) > 1
+        for tids in classes.values()
+        for tid in tids
+    }
+
+
+# -- check / tids_of ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_check_matches_rows(backend, case):
+    reference, rules = build(case, "rows")
+    rel, _ = build(case, backend)
+    groups = compile_rule_set(rules)
+    expected = [oracle(cfd, list(reference)) for cfd in rules]
+    assert checked(reference.store, groups) == expected
+    assert checked(rel.store, groups) == expected
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_one_group_per_rule_matches_fused(backend):
+    rel, rules = build("tableau", backend)
+    per_rule = compile_rule_set(rules, fuse=False)
+    assert [group.members for group in per_rule] == [(cfd,) for cfd in rules]
+    fused = compile_rule_set(rules)
+    assert len(fused) == 2
+    assert checked(rel.store, per_rule) == checked(rel.store, fused)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_constant_reachable_only_after_an_insert(backend):
+    """The first check finds the constant absent (columnar caches that);
+    the insert interning it must make both rules match."""
+    rules = [
+        CFD(("a",), "c", {"a": "z", "c": "u"}, name="z_u"),
+        CFD(("a",), "b", {"a": "z"}, name="z_b"),
+    ]
+    groups = compile_rule_set(rules)
+    rel = relation(NULL_ROWS, backend)
+    assert checked(rel.store, groups) == [set(), set()]
+    for t in relation([(20, "z", "p", "v"), (21, "z", "q", "u")]):
+        rel.insert(t)
+    assert checked(rel.store, groups) == [{20}, {20, 21}]
+    index = CFDIndex(rules[1])
+    rel.store.build_indexes([index])
+    assert dict(index.groups()) == {("z",): {"p": {20}, "q": {21}}}
+
+
+#: ``1``, ``1.0`` and ``True`` in one column.
+MIXED_ROWS = [(1, 1, "p", 1), (2, 1.0, "q", 1.0), (3, True, "p", True), (4, 2, "p", "x"), (5, 2.0, "p", "y")]
+MIXED_RULES = [
+    CFD(("a",), "b", name="a_b"),
+    CFD(("a",), "c", {"a": 1, "c": 1}, name="one_one"),
+    CFD(("b",), "c", name="b_c"),
+]
+
+#: Each backend's answer on MIXED_ROWS, as recorded before the backends
+#: shared one protocol: (check per rule, ship_scan of (a, c), distinct
+#: counts).  Rows and columnar group by Python equality (1 == 1.0 ==
+#: True); sql keeps bools as tagged values, so True stands apart in its
+#: groups and counts; columnar prices True at its representative 1's width.
+MIXED_PINS = {
+    "rows": ([{1, 2, 3}, set(), {1, 3, 4, 5}], (5, 92), {"k": 5, "a": 2, "b": 2, "c": 3}),
+    "columnar": ([{1, 2, 3}, set(), {1, 3, 4, 5}], (5, 106), {"k": 5, "a": 2, "b": 2, "c": 3}),
+    "sql": ([{1, 2}, set(), {1, 3, 4, 5}], (5, 92), {"k": 5, "a": 3, "b": 2, "c": 4}),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_mixed_numbers_and_bools_keep_each_backends_answer(backend):
+    if backend not in MIXED_PINS:
+        pytest.skip(f"no answer recorded for {backend}")
+    rel = relation(MIXED_ROWS, backend)
+    found, shipment, distinct = MIXED_PINS[backend]
+    assert checked(rel.store, compile_rule_set(MIXED_RULES)) == found
+    assert rel.store.ship_scan(("a", "c"), {}, PriceTable()) == shipment
+    assert rel.store.distinct_counts() == distinct
+
+
+# -- the other operations -------------------------------------------------------------
+
+
+def indexes_of(rel, rules):
+    indexes = [CFDIndex(cfd) for cfd in rules if not cfd.is_constant()]
+    rel.store.build_indexes(indexes)
+    return [dict(index.groups()) for index in indexes]
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_build_indexes_matches_rows(backend, case):
+    reference, rules = build(case, "rows")
+    rel, _ = build(case, backend)
+    assert indexes_of(rel, rules) == indexes_of(reference, rules)
+
+
+def scanned(rel, cfd, want_ship):
+    """``group_scan`` folded into an empty target by ``merge_groups``."""
+    shipment, groups = rel.store.group_scan(cfd, want_ship, PriceTable())
+    merged = {}
+    rel.store.merge_groups(merged, cfd, groups)
+    return shipment, {
+        key: {value: set(tids) for value, tids in by_rhs.items()}
+        for key, by_rhs in merged.items()
+    }
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_group_scan_and_merge_match_rows(backend, case):
+    reference, rules = build(case, "rows")
+    rel, _ = build(case, backend)
+    for cfd in rules:
+        for want_ship in (True, False):
+            assert scanned(rel, cfd, want_ship) == scanned(reference, cfd, want_ship)
+
+
+#: (attributes, constants) of batVer's ship scans; no constants is a projection.
+SHIP_SPECS = [
+    (("a", "c"), {}),
+    (("a", "b"), {"a": 1}),
+    (("b", "c"), {"b": None}),
+    (("a", "b", "c"), {"a": "x", "b": "p"}),
+    (("c",), {"c": "absent"}),
+]
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_ship_scan_matches_rows(backend, case):
+    reference, _ = build(case, "rows")
+    rel, _ = build(case, backend)
+    for attributes, constants in SHIP_SPECS:
+        expected = reference.store.ship_scan(attributes, constants, PriceTable())
+        assert rel.store.ship_scan(attributes, constants, PriceTable()) == expected
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_estimate_bytes_prices_the_backends_encoding(backend, case):
+    """Columnar fragments ship dictionary-encoded columns, the others the
+    paper's per-tuple cost model."""
+    reference, _ = build(case, "rows")
+    rel, _ = build(case, backend)
+    encoding = "columnar" if backend == "columnar" else "rows"
+    for attributes in (None, ["a", "c"]):
+        expected = estimate_relation_bytes(reference, attributes, encoding=encoding)
+        assert rel.store.estimate_bytes(attributes) == expected
+
+
+@pytest.mark.parametrize("case", ["kernel", "nulls", "tableau", "empty"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_distinct_counts_match_rows(backend, case):
+    """(No deletes here: a columnar dictionary keeps deleted rows' values.)"""
+    reference, _ = build(case, "rows")
+    rel, _ = build(case, backend)
+    assert rel.store.distinct_counts() == reference.store.distinct_counts()
+
+
+# -- profile hooks --------------------------------------------------------------------
+
+
+def harness_hook_prefixes():
+    """The profile-hook prefixes the benchmark harness attributes to a layer."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "harness" / "layers.py"
+    spec = importlib.util.spec_from_file_location("harness_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return tuple(prefix for prefix, *_ in layers.HOOK_PREFIXES)
+
+
+#: Hooks of code other than the store operations: reconstruction, HEV
+#: evaluation, GC pauses and the read of V0 off the IDX.
+OTHER_HOOKS = ("partition.", "hev.", "gc.", "idx.violations_from_index")
+
+
+@pytest.fixture
+def profiling():
+    was = profile.enabled
+    profile.enable()
+    yield
+    (profile.enable if was else profile.disable)()
+
+
+@pytest.mark.parametrize("strategy", ["batHor", "batVer", "incHor"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_profiled_builds_and_waves_note_only_hooks_the_harness_reads(
+    backend, strategy, profiling
+):
+    generator = repro.TPCHGenerator(seed=3)
+    base = generator.relation(120)
+    partitioner = (
+        generator.vertical_partitioner(3)
+        if strategy == "batVer"
+        else generator.horizontal_partitioner(3)
+    )
+    cfds = repro.generate_cfds(generator.fd_specs(), 8, seed=3, constant_fraction=0.4)
+    before = profile.snapshot()
+    sess = (
+        repro.session(base).partition(partitioner).rules(cfds)
+        .strategy(strategy).storage(backend).build()
+    )
+    try:
+        sess.apply(repro.generate_updates(base, generator, 30, 0.8, seed=3))
+    finally:
+        sess.close()
+    noted = [
+        name
+        for name in profile.diff(profile.snapshot(), before)
+        if not name.startswith(OTHER_HOOKS)
+    ]
+    assert noted
+    prefixes = harness_hook_prefixes()
+    assert [name for name in noted if not name.startswith(prefixes)] == []
