@@ -221,14 +221,39 @@ class RowStore:
         return result
 
     def build_indexes(self, indexes: Sequence[Any]) -> None:
-        """Index every row into every applicable index, in one scan."""
+        """Index every row into every applicable index, in one scan.
+
+        Each index's LHS, RHS and pattern-constant positions are resolved
+        once per tuple layout (``CFDIndex.row_plan``), so a row costs one
+        key pick and two dict probes per index.  Groups and classes are
+        created in the order ``CFDIndex.add_tuple`` would create them.
+        """
         if not indexes:
             return
         if _prof.enabled:
             _t0 = perf_counter()
+        layout: Any = None
+        plans: list[Any] = []
         for t in self._tuples.values():
-            for index in indexes:
-                index.add_tuple(t)
+            if t._layout is not layout:
+                layout = t._layout
+                plans = [index.row_plan(layout) for index in indexes]
+            vals, tid = t._vals, t._tid
+            for key_of, rhs, tests, groups in plans:
+                for i, constant in tests:
+                    if vals[i] != constant:
+                        break
+                else:
+                    key = key_of(vals)
+                    group = groups.get(key)
+                    if group is None:
+                        group = groups[key] = {}
+                    value = vals[rhs]
+                    tids = group.get(value)
+                    if tids is None:
+                        group[value] = {tid}
+                    else:
+                        tids.add(tid)
         if _prof.enabled:
             _prof.note("idx.build_rows", perf_counter() - _t0, len(self._tuples))
 

@@ -70,7 +70,7 @@ def _from_layout(tid: Any, layout: _Layout, values: tuple[Any, ...]) -> "Tuple":
     return t
 
 
-def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+def values_picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
     """``values -> tuple(values[i] for i in positions)``, at C speed."""
     if len(positions) == 1:
         (i,) = positions
@@ -94,7 +94,9 @@ def rows_of(
     for t in tuples:
         if t._layout is not source:
             source = t._layout
-            pick = None if tuple(source) == names else _picker([source[a] for a in names])
+            pick = (
+                None if tuple(source) == names else values_picker([source[a] for a in names])
+            )
         yield t._tid, (t._vals if pick is None else pick(t._vals))
 
 

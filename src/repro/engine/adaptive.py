@@ -27,17 +27,25 @@ from functools import partial
 from itertools import islice
 from typing import Any, Iterable
 
-from repro.core.updates import Update, UpdateBatch
+from repro.core.relation import Relation
+from repro.core.updates import UpdateBatch
 from repro.core.violations import ViolationDelta, ViolationSet
-from repro.distributed.cluster import Cluster
 from repro.distributed.network import Network, NetworkStats
-from repro.engine.protocol import SingleSite, StrategyState, rehost
+from repro.engine.protocol import StrategyState, rehost
 from repro.obs.trace import maybe_span
 from repro.planner.adaptive import AdaptivePlanner, PlanDecision
-from repro.planner.cost import MESSAGE_OVERHEAD_BYTES
+from repro.planner.cost import MESSAGE_OVERHEAD_BYTES, local_work_rate
 from repro.planner.estimators import estimate_for_mode
+from repro.rulefuse import compile_rule_set
 from repro.similarity.md import MatchingDependency
-from repro.stats.collector import BatchProfile, StatsCatalog
+from repro.stats.collector import BatchProfile, RuleProfile, StatsCatalog
+
+#: Tuples in the fixture a storage backend's ``check`` is timed on.
+FIXTURE_TUPLES = 512
+
+#: ``store.check`` seconds per (backend, attribute list, rule set, fusion),
+#: timed once per process by :func:`fixture_seconds`.
+_FIXTURE_SECONDS: dict[tuple[Any, ...], float] = {}
 
 
 class AdaptiveStrategyError(RuntimeError):
@@ -61,8 +69,45 @@ def accepts_fusion(factory: Any) -> bool:
     )
 
 
+def _time_fixture(relation: Relation, cfds: list[Any], backend: str, fusion: bool) -> float:
+    """One ``store.check`` of ``cfds`` over the first :data:`FIXTURE_TUPLES`
+    tuples of ``relation``, re-hosted on ``backend`` (best of three)."""
+    fixture = Relation(relation.schema, islice(relation, FIXTURE_TUPLES), storage=backend)
+    groups = compile_rule_set(cfds, fuse=fusion)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        fixture.store.check(groups)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def fixture_seconds(relation: Relation, cfds: list[Any], backend: str, fusion: bool) -> float:
+    """How long ``backend`` takes to check ``cfds`` on the backend fixture.
+
+    Timed once per process per (backend, attribute list, rule set,
+    fusion) and cached, so rebuilding a session of the same shape times
+    nothing.
+    """
+    key = (backend, relation.schema.attribute_names, tuple(cfds), fusion)
+    seconds = _FIXTURE_SECONDS.get(key)
+    if seconds is None:
+        seconds = _FIXTURE_SECONDS[key] = _time_fixture(relation, cfds, backend, fusion)
+    return seconds
+
+
 class AdaptiveStrategy:
     """One detector that delegates each batch to the estimated-cheapest side.
+
+    Every candidate is priced from what the session already holds — no
+    candidate runs before the planner picks it.  Vertical incremental
+    shipment is read off the HEV plan ``incVer`` builds (``Neqid`` eqids
+    per update, static in D and t), horizontal incremental shipment is
+    the per-site digest broadcast of Fig. 8, and the batch sides start
+    from the sampled analytic prior; the first wave a candidate actually
+    runs replaces its prior with a measured EWMA.  Only the first
+    candidate is set up at ``setup()``; the others are bound warm on
+    first activation.
 
     Parameters
     ----------
@@ -71,31 +116,27 @@ class AdaptiveStrategy:
         session's registry by default — the builder injects it).
     candidates:
         Candidate strategy names in preference order (earlier wins cost
-        ties).  Defaults per deployment: ``incVer``/``ibatVer``
-        (vertical), ``incHor``/``ibatHor`` (horizontal),
+        ties).  Defaults per deployment: ``incVer``/``ibatVer``/``batVer``
+        (vertical), ``incHor``/``ibatHor``/``batHor`` (horizontal),
         ``incMD``/``md`` (single-site MDs), ``centralized`` otherwise.
     alpha:
         EWMA smoothing weight of the calibration feedback loop.
     probe:
-        Run a small calibration probe per candidate at ``setup()``
-        (default).  Each candidate processes a tiny net-zero
-        modification batch on a *scratch* copy of the deployment with a
-        scratch network, seeding its per-unit EWMA with measured
-        shipment — so even the very first real decision compares
-        measured constants, not just analytic priors.  Probes never
-        touch the session's data or its cost ledger; they cost
-        ``O(|D|)`` local setup work per candidate.
-    probe_size:
-        Number of tuples the calibration probe modifies (default 8).
+        With several ``backends``, time each backend's ``store.check``
+        on a fixture of the first :data:`FIXTURE_TUPLES` tuples (once
+        per process, see :func:`fixture_seconds`) and settle on the
+        fastest (default).  ``False`` picks the backend with the lowest
+        :data:`~repro.planner.cost.LOCAL_WORK_RATES` prior instead.
+        With one backend nothing is timed either way.
     backends:
         Storage backends to consider, in preference order.  Defaults to
         the deployment's current backend only — no conversion, identical
         behaviour to a fixed-backend session.  With several names (e.g.
-        ``["rows", "sql"]``) ``setup()`` times the calibration probe on
-        every backend, re-homes the deployment onto the fastest one
-        (re-fragmenting locally — nothing ships), and prices local work
-        with that backend's rate.  Shipment counters are backend-
-        invariant, so the cost trace stays comparable either way.
+        ``["rows", "sql"]``) ``setup()`` re-homes the deployment onto
+        the chosen one (re-fragmenting locally — nothing ships) and
+        prices local work with that backend's rate.  Shipment counters
+        are backend-invariant, so the cost trace stays comparable either
+        way.  Matching-dependency rule sets always choose by the priors.
     """
 
     def __init__(
@@ -105,7 +146,6 @@ class AdaptiveStrategy:
         alpha: float = 0.3,
         message_overhead: float = MESSAGE_OVERHEAD_BYTES,
         probe: bool = True,
-        probe_size: int = 8,
         backends: Iterable[str] | None = None,
         fusion: bool = True,
     ):
@@ -115,7 +155,6 @@ class AdaptiveStrategy:
         self._alpha = alpha
         self._message_overhead = message_overhead
         self._probe = probe
-        self._probe_size = max(1, probe_size)
         self._fusion = fusion
         self._backends_spec = list(backends) if backends is not None else None
         self._backend: str | None = None
@@ -148,18 +187,15 @@ class AdaptiveStrategy:
     # -- setup --------------------------------------------------------------------------
 
     def setup(self, deployment: Any, rules: Iterable[Any]) -> ViolationSet:
-        """Collect statistics, bind the candidates, warm up the first one."""
+        """Bind the candidates, settle the backend, set up the first candidate
+        and price the rest from the deployment's statistics."""
         self._rules = list(rules)
-        if isinstance(deployment, Cluster):
-            partitioning = "vertical" if deployment.is_vertical() else "horizontal"
-            n_sites = len(deployment)
-            vertical = deployment.vertical_partitioner if deployment.is_vertical() else None
-            relation = deployment.reconstruct()
+        if deployment.is_vertical():
+            partitioning, vertical = "vertical", deployment.vertical_partitioner
         else:
-            partitioning = "single"
-            n_sites = 1
+            partitioning = "horizontal" if deployment.is_horizontal() else "single"
             vertical = None
-            relation = deployment.relation
+        relation = deployment.reconstruct()
         rule_kind = (
             "md"
             if self._rules and all(isinstance(r, MatchingDependency) for r in self._rules)
@@ -191,22 +227,36 @@ class AdaptiveStrategy:
             self._instances[name] = strategy
             hooks[name] = partial(estimate_for_mode, entry.mode, strategy=name)
 
+        current_backend = getattr(relation, "storage", "rows")
+        self._backend = self._choose_backend(relation, rule_kind, current_backend)
+        if self._backend != current_backend:
+            deployment = rehost(deployment, relation.with_storage(self._backend))
+        self.deployment = deployment
+
+        first = names[0]
+        initial = self._instances[first].setup(deployment, self._rules)
         catalog = StatsCatalog.collect(
             relation,
             self._rules,
             partitioning,
-            n_sites=n_sites,
+            n_sites=len(deployment),
             vertical_partitioner=vertical,
+            n_violations=len(initial),
             alpha=self._alpha,
             fusion=self._fusion,
         )
         self._planner = AdaptivePlanner(
             catalog, hooks, message_overhead=self._message_overhead
         )
-        self.deployment = deployment
+        self._planner.local_work_rate = local_work_rate(self._backend)
+        self._active = first
+        self._batch_index = 0
+        return initial
 
-        current_backend = getattr(relation, "storage", "rows")
-        backends = self._backends_spec or [current_backend]
+    def _choose_backend(self, relation: Relation, rule_kind: str, current: str) -> str:
+        """The storage backend to run on: the only one named, else the
+        fastest on the backend fixture (``probe``), else the lowest prior."""
+        backends = self._backends_spec or [current]
         from repro.core.storage import storage_backend_names
 
         known = storage_backend_names()
@@ -215,106 +265,14 @@ class AdaptiveStrategy:
                 raise AdaptiveStrategyError(
                     f"unknown storage backend {backend!r}; known backends: {known}"
                 )
-        self._backend = backends[0]
-        if self._probe and len(relation) > 0:
-            probe_seconds = self._run_probes(
-                registry, names, relation, partitioning, deployment,
-                backends, current_backend,
+        if len(backends) == 1:
+            return backends[0]
+        if self._probe and rule_kind == "cfd" and len(relation) > 0:
+            return min(
+                backends,
+                key=lambda b: fixture_seconds(relation, self._rules, b, self._fusion),
             )
-            if probe_seconds:
-                self._backend = min(
-                    backends, key=lambda b: probe_seconds.get(b, float("inf"))
-                )
-        if self._backend != current_backend:
-            relation = relation.with_storage(self._backend)
-            deployment = rehost(deployment, relation)
-            self.deployment = deployment
-        from repro.planner.cost import local_work_rate
-
-        self._planner.local_work_rate = local_work_rate(self._backend)
-        first = names[0]
-        initial = self._instances[first].setup(deployment, self._rules)
-        catalog.n_violations = len(initial)
-        self._active = first
-        self._batch_index = 0
-        return initial
-
-    def _run_probes(
-        self,
-        registry: Any,
-        names: list[str],
-        relation: Any,
-        partitioning: str,
-        deployment: Any,
-        backends: list[str],
-        current_backend: str,
-    ) -> dict[str, float]:
-        """Measure each (candidate, backend) per-unit shipment on scratch copies.
-
-        A probe batch of net-zero modifications (delete + re-insert of
-        existing tuples) exercises every candidate's real machinery on a
-        scratch deployment with a scratch network, and seeds the
-        candidate's EWMA with ``measured cost / estimator driver``.  The
-        scratch state is discarded; the session ledger never sees probe
-        traffic.
-
-        With several candidate backends, every (strategy, backend) pair
-        runs once: observations land under ``name`` for the current
-        backend (exactly as a fixed-backend session seeds them) and
-        under ``name@backend`` for every pair, so the catalog keeps a
-        per-backend history.  Returns the best probe wall-clock per
-        backend — the signal the backend choice minimises.
-        """
-        victims = list(islice(iter(relation), self._probe_size))
-        probe = UpdateBatch()
-        for t in victims:
-            probe.append(Update.delete(t))
-            probe.append(Update.insert(t))
-        profile = BatchProfile.of(probe)
-
-        planner = self._planner
-        best_seconds: dict[str, float] = {}
-        for backend in backends:
-            scratch_relation = (
-                relation if backend == current_backend else relation.with_storage(backend)
-            )
-            scratch_network = Network()
-            if partitioning == "vertical":
-                scratch = Cluster.from_vertical(
-                    deployment.vertical_partitioner, scratch_relation,
-                    network=scratch_network,
-                )
-            elif partitioning == "horizontal":
-                scratch = Cluster.from_horizontal(
-                    deployment.horizontal_partitioner, scratch_relation,
-                    network=scratch_network,
-                )
-            else:
-                scratch = SingleSite(scratch_relation.copy(), network=scratch_network)
-
-            for name in names:
-                entry = registry.detector(name)
-                if accepts_fusion(entry.factory):
-                    strategy = entry.create(fusion=self._fusion)
-                else:
-                    strategy = entry.create()
-                try:
-                    strategy.setup(scratch, self._rules)
-                except Exception:
-                    continue  # an unprobeable candidate keeps its analytic prior
-                before = strategy.cost_stats()
-                start = time.perf_counter()
-                strategy.apply(probe)
-                seconds = time.perf_counter() - start
-                cost = strategy.cost_stats().diff(before).cost_vector()
-                driver = planner.estimate(name, profile).driver
-                if backend == current_backend:
-                    planner.catalog.observe(name, driver, cost, seconds)
-                planner.catalog.observe(f"{name}@{backend}", driver, cost, seconds)
-                prev = best_seconds.get(backend)
-                if prev is None or seconds < prev:
-                    best_seconds[backend] = seconds
-        return best_seconds
+        return min(backends, key=local_work_rate)
 
     def _require_setup(self) -> None:
         if self._active is None or self._planner is None:
@@ -384,13 +342,18 @@ class AdaptiveStrategy:
         the ordinary ``export_state``/``import_state`` handoff the next
         time the planner activates them, so only the warm side pays
         re-homing work.  The catalog's topology statistics follow the
-        new site count.
+        new site count and, vertically, the new HEV plan's ``Neqid``.
         """
         self._require_setup()
         active = self._instances[self._active]
         active.migrate(result, rules)
         self.deployment = getattr(active, "deployment", None) or self.deployment
-        self._planner.catalog.n_sites = len(self.deployment)
+        catalog = self._planner.catalog  # type: ignore[union-attr]
+        catalog.n_sites = len(self.deployment)
+        if self.deployment.is_vertical():
+            catalog.rules = RuleProfile.of(
+                self._rules, self.deployment.vertical_partitioner, fusion=self._fusion
+            )
 
     # -- switching -----------------------------------------------------------------------
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from collections.abc import Set
 from time import perf_counter
-from typing import Any, Hashable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 from repro.core.cfd import CFD, UNNAMED
 from repro.core.storage import store_of
-from repro.core.tuples import Tuple
+from repro.core.tuples import Tuple, values_picker
 from repro.core.violations import ViolationSet
 from repro.obs import profile as _prof
 
@@ -120,6 +120,20 @@ class CFDIndex:
             if t[a] != constant:
                 return False
         return True
+
+    def row_plan(
+        self, layout: Mapping[str, int]
+    ) -> tuple[Callable[[tuple], tuple], int, tuple[tuple[int, Any], ...], dict]:
+        """How to index values tuples laid out by ``layout`` (attribute ->
+        position): the LHS key picker, the RHS position, the ``(position,
+        constant)`` pairs :meth:`applies_to` tests with ``!=``, and the live
+        group dict the key's classes go into."""
+        return (
+            values_picker([layout[a] for a in self._lhs]),
+            layout[self._rhs],
+            tuple((layout[a], constant) for a, constant in self._lhs_constants),
+            self._groups,
+        )
 
     # -- queries -----------------------------------------------------------------------
 

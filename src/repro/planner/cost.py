@@ -29,9 +29,9 @@ MESSAGE_OVERHEAD_BYTES = 0.0
 #: Relative cost of one unit of local work per storage backend.  The
 #: row backend is the baseline; columnar kernels batch whole columns
 #: and SQL backends evaluate checks set-at-a-time inside the engine,
-#: so a unit of the paper's per-tuple work costs less there.  These
-#: priors seed the planner's backend choice until timing probes
-#: (per (strategy, backend)) replace them with measurements.
+#: so a unit of the paper's per-tuple work costs less there.  ``auto``
+#: picks its backend by these priors when it does not time the backend
+#: fixture (``probe=False``).
 LOCAL_WORK_RATES: dict[str, float] = {
     "rows": 1.0,
     "columnar": 0.35,

@@ -7,7 +7,9 @@ scales with, which the EWMA feedback loop later calibrates per-unit
 rates against:
 
 * incremental detection (incVer / optVer / incHor / incMD) costs
-  ``O(|delta-D| + |delta-V|)`` — driver: normalized batch size;
+  ``O(|delta-D| + |delta-V|)`` — driver: normalized batch size; the
+  vertical shipment is priced from the HEV plan's ``Neqid``, the
+  horizontal one from the per-site digest broadcast;
 * the improved batch baselines (ibatVer / ibatHor) rebuild ``V`` by
   incremental insertion from empty — driver: ``|D (+) delta-D|``, with
   the *same* per-unit shipment prior as the incremental side (they run
@@ -39,23 +41,44 @@ class Estimate:
     driver: float
 
 
-def _inc_bytes_per_update(stats: StatsCatalog) -> float:
+def _inc_per_update(stats: StatsCatalog) -> CostVector:
     """Shipment prior for processing one update incrementally.
 
-    Vertical (Fig. 5): every general variable CFD ships at most
-    ``|X| + 1`` eqids per update; constant CFDs ship a matching partial
-    tuple to the coordinator.  Horizontal (Fig. 8): every variable CFD
-    ships a tid + MD5 fingerprint to the sites sharing its groups;
-    constant CFDs are locally checkable.  Single-site: nothing ships.
+    Vertical (Fig. 5): the general CFDs ship ``Neqid`` eqids, one
+    message each, through the HEV plan (``RuleProfile.eqids_per_update``,
+    static in D and t); constant CFDs ship a matching partial tuple to
+    the coordinator.  Horizontal (Fig. 8, Prop. 8's fixed factor n):
+    every general CFD broadcasts an MD5 digest plus the CFD's values to
+    each of the other ``n - 1`` sites — an upper bound, as a group whose
+    conflict is already known locally ships nothing; constant CFDs are
+    locally checkable.  Single-site: nothing ships.
     """
     rules, rel = stats.rules, stats.relation
     if stats.partitioning == "vertical":
-        per = rules.n_general * (rules.avg_lhs + 1.0) * EQID_BYTES
-        per += rules.n_constant * (TID_BYTES + rel.avg_value_bytes)
-        return per
+        eqids = rules.eqids_per_update
+        return CostVector(
+            bytes=eqids * EQID_BYTES + rules.n_constant * (TID_BYTES + rel.avg_value_bytes),
+            messages=eqids + rules.n_constant,
+            eqids=eqids,
+        )
     if stats.partitioning == "horizontal":
-        return rules.n_general * (TID_BYTES + MD5_BYTES)
-    return 0.0
+        broadcasts = rules.n_general * max(0, stats.n_sites - 1)
+        digest = MD5_BYTES + (rules.avg_lhs + 1.0) * rel.avg_value_bytes
+        return CostVector(bytes=broadcasts * digest, messages=float(broadcasts))
+    return CostVector(messages=float(rules.n_general + rules.n_constant))
+
+
+def _shipping_updates(stats: StatsCatalog, profile: BatchProfile) -> float:
+    """How many of the batch's updates pay the per-update shipment.
+
+    Every update vertically; horizontally every insertion, but a
+    deletion only when it removes a known violation — a clean tuple
+    leaves quietly (Fig. 8) — priced at the current violating share.
+    """
+    if stats.partitioning != "horizontal":
+        return float(profile.normalized_size)
+    share = min(1.0, stats.n_violations / max(1, stats.relation.cardinality))
+    return profile.n_inserts + profile.n_deletes * share
 
 
 def _block_factor(stats: StatsCatalog) -> float:
@@ -82,24 +105,16 @@ def estimate_incremental(
 ) -> Estimate:
     """``O(|delta-D| + |delta-V|)`` work and shipment (Prop. 6 / Prop. 8)."""
     driver = float(profile.normalized_size)
-    per_update = _inc_bytes_per_update(stats)
     # Constant work per update per fused rule group; single-site
     # incremental (incMD) additionally compares against its blocking
     # candidates.
     local = driver * _n_scans(stats)
-    eqids = 0.0
-    if stats.partitioning == "vertical":
-        eqids = driver * stats.rules.n_general * (stats.rules.avg_lhs + 1.0)
     if stats.partitioning == "single":
-        local = driver * _n_scans(stats) * _block_factor(stats)
+        local *= _block_factor(stats)
+    shipment = _inc_per_update(stats).scale(_shipping_updates(stats, profile))
     return Estimate(
         strategy,
-        CostVector(
-            bytes=driver * per_update,
-            messages=driver * (stats.rules.n_general + stats.rules.n_constant),
-            eqids=eqids,
-            local_work=local,
-        ),
+        CostVector(shipment.bytes, shipment.messages, shipment.eqids, local),
         driver,
     )
 
@@ -113,17 +128,11 @@ def estimate_improved_batch(
     the same indices over every tuple of the final database.
     """
     driver = float(stats.final_cardinality(profile))
-    per_update = _inc_bytes_per_update(stats)
-    eqids = 0.0
-    if stats.partitioning == "vertical":
-        eqids = driver * stats.rules.n_general * (stats.rules.avg_lhs + 1.0)
+    shipment = _inc_per_update(stats).scale(driver)
     return Estimate(
         strategy,
         CostVector(
-            bytes=driver * per_update,
-            messages=driver * (stats.rules.n_general + stats.rules.n_constant),
-            eqids=eqids,
-            local_work=driver * _n_scans(stats),
+            shipment.bytes, shipment.messages, shipment.eqids, driver * _n_scans(stats)
         ),
         driver,
     )

@@ -8,8 +8,9 @@ before running it:
   (:class:`RelationStats`; collected once at ``setup()`` and kept
   current arithmetically as batches apply);
 * *rule statistics* — how many CFDs are constant / locally checkable /
-  general, and how wide their LHSs are (:class:`RuleProfile`; these
-  drive the paper's Section 5/6 shipment formulas);
+  general, how wide their LHSs are and how many eqids the vertical HEV
+  plan ships per update (:class:`RuleProfile`; these drive the paper's
+  Section 5/6 shipment formulas);
 * *feedback* — EWMA-smoothed observed cost per unit of each strategy's
   complexity driver (:class:`StrategyFeedback`; ``O(|delta-D|)`` for the
   incremental detectors, ``O(|D (+) delta-D|)`` for the batch ones), fed
@@ -173,6 +174,13 @@ class RuleProfile:
     with.  It equals ``n_rules`` when fusion is off (or for MD rule
     sets, which fuse nothing) and can be much smaller for tableau-style
     rule sets.
+
+    ``eqids_per_update`` is ``Neqid`` of Section 5: the eqids one update
+    ships for the general CFDs.  Given a vertical partitioner it is read
+    off the HEV plan ``incVer`` builds (the naive chains), which is exact
+    when every general CFD's LHS pattern is all wildcards and an upper
+    bound otherwise (a tuple outside the pattern ships nothing);
+    without one it is the chain bound ``sum(|X| + 1)``.
     """
 
     n_rules: int
@@ -182,6 +190,7 @@ class RuleProfile:
     avg_lhs: float
     kind: str = "cfd"
     n_groups: int = 0
+    eqids_per_update: float = 0.0
 
     @classmethod
     def of(
@@ -220,6 +229,13 @@ class RuleProfile:
                 lhs_sizes.append(len(cfd.lhs))
         from repro.rulefuse import n_fused_groups
 
+        if vertical_partitioner is not None:
+            from repro.indexes.planner import naive_chain_plan
+
+            plan = naive_chain_plan(rules, vertical_partitioner)
+            eqids_per_update = float(plan.eqid_shipments_per_update())
+        else:
+            eqids_per_update = float(sum(size + 1 for size in lhs_sizes))
         return cls(
             n_rules=len(rules),
             n_constant=n_constant,
@@ -228,6 +244,7 @@ class RuleProfile:
             avg_lhs=sum(lhs_sizes) / len(lhs_sizes) if lhs_sizes else 1.0,
             kind="cfd",
             n_groups=n_fused_groups(rules, fuse=fusion),
+            eqids_per_update=eqids_per_update,
         )
 
 
@@ -477,6 +494,7 @@ class StatsCatalog:
                 "avg_lhs": self.rules.avg_lhs,
                 "kind": self.rules.kind,
                 "n_groups": self.rules.n_groups,
+                "eqids_per_update": self.rules.eqids_per_update,
             },
             "site_loads": [
                 site_loads[site].as_dict() for site in sorted(site_loads)

@@ -246,6 +246,43 @@ def test_build_indexes_matches_rows(backend, case):
     assert indexes_of(rel, rules) == indexes_of(reference, rules)
 
 
+def built_groups(index):
+    """An index's groups as built: keys and values by repr, so the first-seen
+    representative of ``1``/``1.0``/``True`` counts, in insertion order."""
+    return [
+        (repr(key), [(repr(value), sorted(map(repr, tids))) for value, tids in group.items()])
+        for key, group in index.groups()
+    ]
+
+
+def benchmark_tenant():
+    """The benchmark's ``service-mixed`` tenant: TPCH at seed 7, 4 000 rows, 10 CFDs."""
+    generator = repro.TPCHGenerator(seed=7)
+    return generator.relation(4_000), repro.generate_cfds(generator.fd_specs(), 10, seed=7)
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        lambda: (relation(MIXED_ROWS), MIXED_RULES),
+        lambda: (relation(NULL_ROWS), NULL_RULES),
+        lambda: (relation(PUSHDOWN_ROWS), PUSHDOWN_RULES),
+        benchmark_tenant,
+    ],
+    ids=["mixed_numbers", "nulls", "pushdown", "benchmark_tenant"],
+)
+def test_rows_build_indexes_equals_add_tuple(inputs):
+    rel, rules = inputs()
+    variable = [cfd for cfd in rules if not cfd.is_constant()]
+    built = [CFDIndex(cfd) for cfd in variable]
+    rel.store.build_indexes(built)
+    for cfd, index in zip(variable, built):
+        one_by_one = CFDIndex(cfd)
+        for t in rel:
+            one_by_one.add_tuple(t)
+        assert built_groups(index) == built_groups(one_by_one)
+
+
 def scanned(rel, cfd, want_ship):
     """``group_scan`` folded into an empty target by ``merge_groups``."""
     shipment, groups = rel.store.group_scan(cfd, want_ship, PriceTable())
