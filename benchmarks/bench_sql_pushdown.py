@@ -41,7 +41,7 @@ from repro.core.cfd import UNNAMED
 from repro.core.detector import CentralizedDetector
 from repro.distributed.serialization import PriceTable, estimate_tuple_bytes
 from repro.engine.session import session
-from repro.rulefuse import compile_rule_set
+from repro.rulefuse import FusedGroup
 
 SIZES = (2000, 6000, 12000)
 N_CFDS = 6
@@ -77,7 +77,7 @@ def measure_pushdown(n, cfds, rounds):
     det = CentralizedDetector(list(cfds))
     specs = _ship_specs(cfds)
     # One group per rule, in rule order: one pushed-down query per check.
-    groups = compile_rule_set(cfds, fuse=False)
+    groups = [FusedGroup(cfd.lhs, (cfd,), (i,)) for i, cfd in enumerate(cfds)]
 
     # Warm the statement caches so the sweep times steady-state checks.
     store.check(groups)

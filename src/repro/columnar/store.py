@@ -17,10 +17,12 @@ equivalence classes are computed once per attribute list and reused by
 every CFD over those attributes (checks, IDX builds and shipment scans
 alike) until the next mutation.
 
-Vertical projection, selection and key-join have column-sliced
-implementations that share the (append-only) value dictionaries with the
-parent store, which is what makes fragmenting a columnar relation
-O(columns) list copies instead of O(rows) dict allocations.
+The relation algebra of the protocol (projection, selection, split,
+key join, extend) slices columns and shares the (append-only) value
+dictionaries with the parent store, which is what makes fragmenting a
+columnar relation O(columns) list copies instead of O(rows) dict
+allocations.  An operand on another backend is re-hosted on columns
+first (:func:`_columns_of`), so the result is always columnar.
 """
 
 from __future__ import annotations
@@ -140,7 +142,10 @@ class ColumnStore:
     )
 
     def __init__(self, schema: Schema):
-        self._attrs: tuple[str, ...] = schema.attribute_names
+        self._init_empty(schema.attribute_names)
+
+    def _init_empty(self, attributes: Sequence[str]) -> None:
+        self._attrs: tuple[str, ...] = tuple(attributes)
         self._dicts: dict[str, ValueDictionary] = {
             a: ValueDictionary() for a in self._attrs
         }
@@ -294,10 +299,6 @@ class ColumnStore:
         """The dense code array of ``attribute`` (includes tombstoned rows)."""
         return self._cols[attribute]
 
-    def is_dense(self) -> bool:
-        """True when every physical row is live (no tombstones)."""
-        return not self._dead
-
     def live_rows(self) -> Iterator[int]:
         """Physical indices of the live rows, in insertion order."""
         return iter(self._rows.values())
@@ -319,9 +320,6 @@ class ColumnStore:
     def tids_list(self) -> list[Any]:
         """The physical row→tid table (includes tombstoned rows; do not mutate)."""
         return self._tids
-
-    def row_of(self, tid: Any) -> int | None:
-        return self._rows.get(tid)
 
     def value_at(self, row: int, attribute: str) -> Any:
         return self._dicts[attribute].value(self._cols[attribute][row])
@@ -676,15 +674,15 @@ class ColumnStore:
             _prof.note("columnar.distinct_counts", perf_counter() - _t0, len(self))
         return counts
 
-    # -- column-sliced algebra -----------------------------------------------------
+    # -- column-sliced algebra (the protocol of repro.core.storage) -----------------------
 
     def _live_in_order(self) -> list[int]:
         return list(self._rows.values())
 
-    def project_columns(self, keep: Sequence[str]) -> "ColumnStore":
-        """A new store over the ``keep`` columns (shared dictionaries)."""
+    def project(self, attributes: Sequence[str]) -> "ColumnStore":
+        """A new store over the ``attributes`` columns (shared dictionaries)."""
         clone = ColumnStore.__new__(ColumnStore)
-        clone._attrs = tuple(keep)
+        clone._attrs = tuple(attributes)
         clone._dicts = {a: self._dicts[a] for a in clone._attrs}
         clone._init_derived()
         if not self._dead:
@@ -702,24 +700,39 @@ class ColumnStore:
             clone._dead = set()
         return clone
 
-    def take_rows(
-        self, rows: Sequence[int], keep: Sequence[str] | None = None
-    ) -> "ColumnStore":
+    def _take(self, rows: Sequence[int]) -> "ColumnStore":
         """A new store holding the given physical rows (shared dictionaries)."""
-        attrs = tuple(keep) if keep is not None else self._attrs
         clone = ColumnStore.__new__(ColumnStore)
-        clone._attrs = attrs
-        clone._dicts = {a: self._dicts[a] for a in attrs}
-        clone._cols = {a: [self._cols[a][r] for r in rows] for a in attrs}
+        clone._attrs = self._attrs
+        clone._dicts = dict(self._dicts)
+        clone._cols = {a: [col[r] for r in rows] for a, col in self._cols.items()}
         clone._tids = [self._tids[r] for r in rows]
         clone._rows = {tid: i for i, tid in enumerate(clone._tids)}
         clone._dead = set()
         clone._init_derived()
         return clone
 
-    def join_columns(
-        self, other: "ColumnStore", attributes: Sequence[str]
-    ) -> "ColumnStore":
+    def select(self, predicate: Any) -> "ColumnStore":
+        """The rows whose zero-copy :class:`ColumnRowView` ``predicate`` accepts."""
+        return self._take([r for r in self.iter_rows() if predicate(self.row_view(r))])
+
+    def split(self, route: Any, sites: Iterable[Any]) -> dict[Any, "ColumnStore"]:
+        """Route every row's view to a site, then slice each site's rows."""
+        routed: dict[Any, list[int]] = {site: [] for site in sites}
+        for row in self.iter_rows():
+            routed[route(self.row_view(row))].append(row)
+        return {site: self._take(rows) for site, rows in routed.items()}
+
+    def join(self, others: Sequence[Any], attributes: Sequence[str]) -> "ColumnStore":
+        """The key join as a chain of column-sliced pairwise joins, then
+        the columns laid out in ``attributes`` order."""
+        result = self
+        for other in map(_columns_of, others):
+            merged = result._attrs + tuple(a for a in other._attrs if a not in result._attrs)
+            result = result._join_pair(other, merged)
+        return result.project(attributes)
+
+    def _join_pair(self, other: "ColumnStore", attributes: Sequence[str]) -> "ColumnStore":
         """Key-join two stores (same tid space) into columns ``attributes``.
 
         Only tids present in both stores survive, in this store's
@@ -763,16 +776,16 @@ class ColumnStore:
         clone._init_derived()
         return clone
 
-    def reorder_columns(self, attributes: Sequence[str]) -> "ColumnStore":
-        """The same rows with columns re-ordered to ``attributes``."""
-        return self.project_columns(tuple(attributes))
-
-    def extend_from(self, other: "ColumnStore") -> None:
+    def extend(self, other: Any) -> None:
         """Append another store's live rows (caller has rejected dup tids).
 
         Columns whose dictionaries are shared concatenate code lists
-        directly; others decode and re-intern per row.
+        directly; others decode and re-intern per row.  A store on
+        another backend is appended tuple by tuple.
         """
+        if not isinstance(other, ColumnStore):
+            self.bulk_load(other)
+            return
         dense = not other._dead
         rows = range(len(other._tids)) if dense else other._live_in_order()
         for a in self._attrs:
@@ -808,6 +821,10 @@ class ColumnStore:
             self._groups = {}
         if self._masks:
             self._masks = {}
+
+    def statement_cache_info(self) -> None:
+        """Columns prepare no statements."""
+        return None
 
     def bulk_load(self, tuples) -> None:
         """Append many tuples at once (caller has checked tids are fresh)."""
@@ -866,6 +883,16 @@ class ColumnStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnStore({len(self._rows)} rows, {len(self._attrs)} columns)"
+
+
+def _columns_of(store: Any) -> ColumnStore:
+    """``store`` itself when columnar, else its tuples re-hosted on columns."""
+    if isinstance(store, ColumnStore):
+        return store
+    columns = ColumnStore.__new__(ColumnStore)
+    columns._init_empty(store.attributes)
+    columns.bulk_load(store)
+    return columns
 
 
 def column_store_of(relation: Any) -> ColumnStore | None:

@@ -48,21 +48,18 @@ def mark_violations(
 class CentralizedDetector:
     """Batch detector for a set of CFDs over an in-memory relation.
 
-    The rules compile into same-LHS groups (one group per rule with
-    ``fusion=False``) and the relation's store checks each group in one
-    sweep.  With a :class:`~repro.runtime.scheduler.SiteScheduler`,
+    The rules compile into same-LHS groups and the relation's store
+    checks each group in one sweep.  With a :class:`~repro.runtime.scheduler.SiteScheduler`,
     ``detect`` fans the groups out as independent tasks; without one it
     checks them in one call (the default, used by the many setup paths
     that just need the reference violation set).  Fusion changes how
     many passes the data sees, never the verdicts.
     """
 
-    def __init__(
-        self, cfds: Iterable[CFD], scheduler: Any = None, fusion: bool = True
-    ):
+    def __init__(self, cfds: Iterable[CFD], scheduler: Any = None):
         self._cfds = list(cfds)
         self._scheduler = scheduler
-        self._groups = compile_rule_set(self._cfds, fuse=fusion)
+        self._groups = compile_rule_set(self._cfds)
 
     @property
     def cfds(self) -> list[CFD]:

@@ -9,30 +9,24 @@ The physical layout lives behind a pluggable storage backend
 (:mod:`repro.core.storage`): the default ``"rows"`` backend keeps one
 :class:`~repro.core.tuples.Tuple` per row, the ``"columnar"`` backend of
 :mod:`repro.columnar` keeps one dictionary-encoded code array per
-attribute.  Both are observably identical through this API; the algebra
-below additionally routes projection/selection/join/union through
-column-sliced implementations when both operands are columnar.
+attribute and the ``"sql"`` backend of :mod:`repro.sqlstore` one table of
+an embedded engine.  All are observably identical through this API.
+The algebra below owns the schemas and the error reporting; the rows
+are projected, selected, joined and appended by one call to the store,
+which keeps the result on the left operand's backend.
 """
 
 from __future__ import annotations
 
-from itertools import starmap
 from typing import Any, Callable, Iterable, Iterator, KeysView, Mapping
 
 from repro.core.schema import Schema, SchemaError
 from repro.core.storage import make_storage
-from repro.core.tuples import Tuple, rows_of, tuple_factory
+from repro.core.tuples import Tuple
 
 
 class RelationError(ValueError):
     """Raised on malformed relation operations (duplicate tid, bad attrs)."""
-
-
-def _column_store_of(relation: Any):
-    """The relation's ColumnStore, or None (lazy import keeps core standalone)."""
-    from repro.columnar.store import column_store_of
-
-    return column_store_of(relation)
 
 
 class Relation:
@@ -40,9 +34,9 @@ class Relation:
 
     Tuples are indexed by tid; membership tests, lookups, insertions and
     deletions are all O(1).  ``storage`` selects the physical backend by
-    registry name (``"rows"`` — the default — or ``"columnar"``); an
-    already-built backend instance is also accepted (internal fast
-    paths use this to hand over column slices wholesale).
+    registry name (``"rows"`` — the default —, ``"columnar"``, ``"sql"``,
+    ...); an already-built backend instance is also accepted (the
+    algebra hands over the stores its operations return).
     """
 
     def __init__(
@@ -128,19 +122,8 @@ class Relation:
         if storage == self.storage:
             return self
         converted = Relation(self._schema, storage=storage)
-        converted._load(iter(self))
+        converted.store.bulk_load(self)
         return converted
-
-    def _load(self, tuples: Iterable[Tuple]) -> None:
-        """Append tuples whose tids are fresh and whose attributes are the
-        schema's, unchecked (bulk builders: re-hosting, projection,
-        reconstruction)."""
-        bulk = getattr(self._store, "bulk_load", None)
-        if bulk is not None:
-            bulk(tuples)
-        else:
-            for t in tuples:
-                self._store.insert(t)
 
     # -- mutation ----------------------------------------------------------------
 
@@ -186,58 +169,36 @@ class Relation:
 
     def _extend(self, other: "Relation") -> None:
         """Bulk-append another relation's tuples (duplicate tids rejected)."""
-        mine = _column_store_of(self)
-        theirs = _column_store_of(other)
-        if (
-            mine is not None
-            and theirs is not None
-            and set(mine.attributes) == set(theirs.attributes)
-        ):
-            for tid in theirs.tids():
-                if tid in mine:
-                    raise RelationError(
-                        f"duplicate tid {tid!r} in relation {self._schema.name!r}"
-                    )
-            mine.extend_from(theirs)
-            return
-        for t in other:
-            self.insert(t)
+        for tid in other.tids():
+            if tid in self._store:
+                raise RelationError(
+                    f"duplicate tid {tid!r} in relation {self._schema.name!r}"
+                )
+        self._store.extend(other.store)
 
     # -- algebra -------------------------------------------------------------------
 
     def project(self, attributes: Iterable[str], name: str | None = None) -> "Relation":
-        """Vertical projection onto ``attributes`` (the key is kept).
-
-        The fragment layout and the source positions are resolved once,
-        not per tuple, and the fragment is built in one go.
-        """
+        """Vertical projection onto ``attributes`` (the key is kept)."""
         fragment_schema = self._schema.project(attributes, name=name)
-        keep = fragment_schema.attribute_names
-        store = _column_store_of(self)
-        if store is not None:
-            return Relation(fragment_schema, storage=store.project_columns(keep))
-        fragment = Relation(fragment_schema, storage=self.storage)
-        fragment._load(starmap(tuple_factory(keep), rows_of(self, keep)))
-        return fragment
+        return Relation(
+            fragment_schema, storage=self._store.project(fragment_schema.attribute_names)
+        )
 
     def select(
         self, predicate: Callable[[Tuple], bool], name: str | None = None
     ) -> "Relation":
-        """Horizontal selection of the tuples satisfying ``predicate``."""
+        """Horizontal selection of the tuples satisfying ``predicate``.
+
+        ``predicate`` is passed a read-only mapping with ``.tid`` — the
+        stored tuple, or a zero-copy row view on columnar storage.
+        """
         fragment_schema = Schema(
             name or f"{self._schema.name}_sel",
             self._schema.attribute_names,
             self._schema.key,
         )
-        store = _column_store_of(self)
-        if store is not None:
-            rows = [r for r in store.iter_rows() if predicate(store.row_view(r))]
-            return Relation(fragment_schema, storage=store.take_rows(rows))
-        fragment = Relation(fragment_schema, storage=self.storage)
-        for t in self:
-            if predicate(t):
-                fragment.insert(t)
-        return fragment
+        return Relation(fragment_schema, storage=self._store.select(predicate))
 
     def join(self, other: "Relation", name: str | None = None) -> "Relation":
         """Key join of two vertical fragments of the same relation.
@@ -250,19 +211,10 @@ class Relation:
             if a not in attrs:
                 attrs.append(a)
         joined_schema = Schema(name or self._schema.name, attrs, self._schema.key)
-        mine = _column_store_of(self)
-        theirs = _column_store_of(other)
-        if mine is not None and theirs is not None:
-            return Relation(
-                joined_schema,
-                storage=mine.join_columns(theirs, joined_schema.attribute_names),
-            )
-        joined = Relation(joined_schema, storage=self.storage)
-        for t in self:
-            o = other.get(t.tid)
-            if o is not None:
-                joined.insert(t.merge(o))
-        return joined
+        return Relation(
+            joined_schema,
+            storage=self._store.join([other.store], joined_schema.attribute_names),
+        )
 
     def union(self, other: "Relation", name: str | None = None) -> "Relation":
         """Disjoint union of two horizontal fragments."""
@@ -273,19 +225,10 @@ class Relation:
             self._schema.attribute_names,
             self._schema.key,
         )
-        store = _column_store_of(self)
-        if store is not None:
-            result = Relation(
-                result_schema,
-                storage=store.project_columns(result_schema.attribute_names),
-            )
-            result._extend(other)
-            return result
-        result = Relation(result_schema, storage=self.storage)
-        for t in self:
-            result.insert(t)
-        for t in other:
-            result.insert(t)
+        result = Relation(
+            result_schema, storage=self._store.project(result_schema.attribute_names)
+        )
+        result._extend(other)
         return result
 
     def copy(self) -> "Relation":

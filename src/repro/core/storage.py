@@ -9,9 +9,23 @@ per row).  The columnar backend (:mod:`repro.columnar`) and the SQL
 backend (:mod:`repro.sqlstore`) register themselves here by name, so
 sessions select a backend per run (``repro.session(...).storage("sql")``).
 
-Besides the dict-like contract, every backend implements, once, each
-operation a detector needs, so detectors call ``relation.store.<op>(...)``
-and never ask which backend they hold:
+Besides the dict-like contract, every backend implements, once, the
+relation algebra of the fragmentations of Section 2.2, so ``Relation``
+and the partitioners never ask which backend they hold.  Each operation
+returns a store of the receiver's backend, whatever backend its operands
+are on (:class:`TupleStore` is the one implementation of the backends
+that hold tuples, rows and sql):
+
+* ``project(attributes)``;
+* ``select(predicate)`` — ``predicate`` reads a mapping with ``.tid``;
+* ``split(route, sites)`` — ``{site: the rows route sends there}``;
+* ``join(others, attributes)`` — the n-ary key join: the tids stored in
+  every operand, in this store's order; disagreeing copies of a shared
+  attribute raise ``ValueError``;
+* ``extend(other)``, ``bulk_load(tuples)`` — append rows whose tids the
+  caller has checked are fresh.
+
+Every backend likewise implements each operation a detector needs:
 
 * ``check(groups)`` — per-rule violations of compiled rule groups (one
   sweep per group), one result per member in group order, in the
@@ -27,21 +41,24 @@ and never ask which backend they hold:
   ``(count, bytes)`` of the ``attributes`` projection of the tuples equal
   to ``constants`` (a plain projection when ``constants`` is empty);
 * ``estimate_bytes(attributes)`` — the wire size of shipping the whole store;
-* ``distinct_counts(sample_limit)`` — distinct values per attribute.
+* ``distinct_counts(sample_limit)`` — distinct values per attribute;
+* ``statement_cache_info()`` — prepared-statement cache counters, or
+  None on backends that prepare no statements.
 
 Every backend answers alike (``tests/test_storage_protocol.py``), and
-every operation but ``tids_of`` notes a profile hook.
+every detection operation but ``tids_of`` notes a profile hook.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, starmap
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, KeysView, Protocol, Sequence, runtime_checkable
 
 from repro.core.cfd import CFD, UNNAMED
 from repro.core.schema import Schema
-from repro.core.tuples import Tuple
+from repro.core.tuples import Tuple, rows_of, tuple_factory
 from repro.obs import profile as _prof
 
 
@@ -57,12 +74,15 @@ class StorageBackend(Protocol):
     schema validation and error reporting.  Iteration must yield tuples
     in insertion order (deleted tids drop out; re-inserting a tid moves
     it to the end), matching ``dict`` semantics so the built-in backends
-    are observably identical.  The detection operations are described in
-    the module docstring.
+    are observably identical.  The algebra and detection operations are
+    described in the module docstring.
     """
 
     #: Registry name of the backend ("rows", "columnar", ...).
     name: str
+
+    #: The stored attribute names, in schema order.
+    attributes: tuple[str, ...]
 
     def __len__(self) -> int: ...
 
@@ -90,6 +110,20 @@ class StorageBackend(Protocol):
         """An independent copy (subsequent mutations must not be shared)."""
         ...
 
+    def bulk_load(self, tuples: Iterable[Tuple]) -> None: ...
+
+    def project(self, attributes: Sequence[str]) -> "StorageBackend": ...
+
+    def select(self, predicate: Callable[[Any], bool]) -> "StorageBackend": ...
+
+    def split(
+        self, route: Callable[[Any], Any], sites: Iterable[Any]
+    ) -> dict[Any, "StorageBackend"]: ...
+
+    def join(self, others: Sequence[Any], attributes: Sequence[str]) -> "StorageBackend": ...
+
+    def extend(self, other: Any) -> None: ...
+
     def check(self, groups: Sequence[Any]) -> list[Any]: ...
 
     def tids_of(self, result: Any) -> set[Any]: ...
@@ -106,6 +140,8 @@ class StorageBackend(Protocol):
 
     def distinct_counts(self, sample_limit: int | None = None) -> dict[str, int]: ...
 
+    def statement_cache_info(self) -> dict[str, int] | None: ...
+
 
 def merge_decoded_groups(target: dict, groups: dict) -> None:
     """Fold decoded ``{lhs_key: {rhs_value: [tids]}}`` groups into ``target``."""
@@ -119,7 +155,90 @@ def merge_decoded_groups(target: dict, groups: dict) -> None:
         _prof.note("shipment.merge_groups", perf_counter() - _t0, len(groups))
 
 
-class RowStore:
+class TupleStore:
+    """The relation algebra of every backend that hands out stored tuples.
+
+    Subclasses provide iteration, ``attributes``, ``bulk_load`` and
+    ``_fresh(attributes)`` (an empty store of their own backend); every
+    operation reads its operands as tuples, so an operand may be on any
+    backend.
+    """
+
+    __slots__ = ()
+
+    def project(self, attributes: Sequence[str]) -> Any:
+        """The ``attributes`` of every tuple (positions resolved once per
+        tuple layout), loaded in one go."""
+        store = self._fresh(attributes)
+        store.bulk_load(starmap(tuple_factory(attributes), rows_of(self, attributes)))
+        return store
+
+    def select(self, predicate: Callable[[Any], bool]) -> Any:
+        store = self._fresh(self.attributes)
+        store.bulk_load(t for t in self if predicate(t))
+        return store
+
+    def split(self, route: Callable[[Any], Any], sites: Iterable[Any]) -> dict[Any, Any]:
+        routed: dict[Any, list[Tuple]] = {site: [] for site in sites}
+        for t in self:
+            routed[route(t)].append(t)
+        parts = {}
+        for site, tuples in routed.items():
+            parts[site] = self._fresh(self.attributes)
+            parts[site].bulk_load(tuples)
+        return parts
+
+    def join(self, others: Sequence[Any], attributes: Sequence[str]) -> Any:
+        """The key join in one pass: every operand is read once, and each
+        attribute is taken from the first operand holding it (an *owner
+        plan* resolved once); the later copies of a shared attribute are
+        compared column against column, and every tuple is assembled
+        straight in ``attributes`` order — no chain of pairwise joins, no
+        intermediate merged tuples."""
+        stores = [self, *others]
+        owner: dict[str, tuple[int, int]] = {}
+        replicas: list[tuple[str, int, int]] = []
+        for f, store in enumerate(stores):
+            for p, attribute in enumerate(store.attributes):
+                if attribute in owner:
+                    replicas.append((attribute, f, p))
+                else:
+                    owner[attribute] = (f, p)
+        missing = [a for a in attributes if a not in owner]
+        if missing:
+            raise ValueError(f"no operand stores attributes {missing}")
+
+        rows = [dict(rows_of(store, store.attributes)) for store in stores]
+        kept = rows[0].keys()
+        for other in rows[1:]:
+            kept = kept & other.keys()
+        tids = list(rows[0]) if len(kept) == len(rows[0]) else [t for t in rows[0] if t in kept]
+        parts = [list(map(by_tid.__getitem__, tids)) for by_tid in rows]
+        del rows, kept
+
+        columns = {a: list(map(itemgetter(p), parts[f])) for a, (f, p) in owner.items()}
+        for attribute, f, p in replicas:
+            mine, theirs = columns[attribute], list(map(itemgetter(p), parts[f]))
+            if mine != theirs:
+                for tid, x, y in zip(tids, mine, theirs):
+                    if x != y:
+                        raise ValueError(
+                            f"conflicting values for attribute {attribute!r} "
+                            f"while merging tid {tid!r}"
+                        )
+        joined = self._fresh(attributes)
+        ordered = [columns[a] for a in attributes]
+        joined.bulk_load(map(tuple_factory(attributes), tids, zip(*ordered)))
+        return joined
+
+    def extend(self, other: Any) -> None:
+        self.bulk_load(other)
+
+    def statement_cache_info(self) -> dict[str, int] | None:
+        return None
+
+
+class RowStore(TupleStore):
     """The default backend: one immutable Tuple object per row in a dict."""
 
     name = "rows"
@@ -144,6 +263,15 @@ class RowStore:
 
     def tids(self) -> KeysView[Any]:
         return self._tuples.keys()
+
+    @property
+    def attributes(self) -> tuple[str, ...]:
+        return self._attrs
+
+    def _fresh(self, attributes: Sequence[str]) -> "RowStore":
+        store = RowStore()
+        store._attrs = tuple(attributes)
+        return store
 
     def insert(self, t: Tuple) -> None:
         self._tuples[t.tid] = t

@@ -178,8 +178,7 @@ class TableStrategy:
             # ibatVer/ibatHor: V(Sigma, D) from the free centralized
             # reference, so only the per-batch rebuilds Exp-10 measures
             # are charged.
-            fusion = self._options.get("fusion", True)
-            self._violations = CentralizedDetector(rules, fusion=fusion).detect(self._base)
+            self._violations = CentralizedDetector(rules).detect(self._base)
         else:
             self._violations = self._detect(self._base)
 
@@ -261,57 +260,52 @@ def _hev_planner(cluster: Cluster) -> HEVPlanner:
     return HEVPlanner(partitioner, ReplicationScheme(partitioner))
 
 
-def _inc_ver(cluster, rules, violations=None, plan=None, fusion=True):
-    return VerticalIncrementalDetector(
-        cluster, rules, plan=plan, violations=violations, fusion=fusion
-    )
+def _inc_ver(cluster, rules, violations=None, plan=None):
+    return VerticalIncrementalDetector(cluster, rules, plan=plan, violations=violations)
 
 
-def _opt_ver(cluster, rules, violations=None, plan=None, fusion=True):
+def _opt_ver(cluster, rules, violations=None, plan=None):
     planner = _hev_planner(cluster) if plan is None else None
     return VerticalIncrementalDetector(
-        cluster, rules, plan=plan, planner=planner, violations=violations, fusion=fusion
+        cluster, rules, plan=plan, planner=planner, violations=violations
     )
 
 
-def _inc_hor(cluster, rules, violations=None, use_md5=True, fusion=True):
+def _inc_hor(cluster, rules, violations=None, use_md5=True):
     return HorizontalIncrementalDetector(
-        cluster, rules, violations=violations, use_md5=use_md5, fusion=fusion
+        cluster, rules, violations=violations, use_md5=use_md5
     )
 
 
-def _bat_ver(cluster, rules, violations=None, fusion=True):
-    return VerticalBatchDetector(cluster, rules, fusion=fusion)
+def _bat_ver(cluster, rules, violations=None):
+    return VerticalBatchDetector(cluster, rules)
 
 
-def _bat_hor(cluster, rules, violations=None, fusion=True):
-    return HorizontalBatchDetector(cluster, rules, fusion=fusion)
+def _bat_hor(cluster, rules, violations=None):
+    return HorizontalBatchDetector(cluster, rules)
 
 
-def _ibat_ver(cluster, rules, violations=None, plan=None, fusion=True):
+def _ibat_ver(cluster, rules, violations=None, plan=None):
     return ImprovedVerticalBatchDetector(
-        cluster.vertical_partitioner, rules, plan=plan, network=cluster.network,
-        fusion=fusion,
+        cluster.vertical_partitioner, rules, plan=plan, network=cluster.network
     )
 
 
-def _ibat_hor(cluster, rules, violations=None, use_md5=True, fusion=True):
+def _ibat_hor(cluster, rules, violations=None, use_md5=True):
     return ImprovedHorizontalBatchDetector(
-        cluster.horizontal_partitioner, rules, use_md5=use_md5,
-        network=cluster.network, fusion=fusion,
+        cluster.horizontal_partitioner, rules, use_md5=use_md5, network=cluster.network
     )
 
 
-def _centralized(site, rules, violations=None, fusion=True):
-    return CentralizedDetector(rules, scheduler=site.scheduler, fusion=fusion)
+def _centralized(site, rules, violations=None):
+    return CentralizedDetector(rules, scheduler=site.scheduler)
 
 
-# Matching dependencies have no fused path: ``fusion`` is accepted and ignored.
-def _md(site, rules, violations=None, fusion=True):
+def _md(site, rules, violations=None):
     return MDDetector(rules, scheduler=site.scheduler)
 
 
-def _inc_md(site, rules, violations=None, fusion=True):
+def _inc_md(site, rules, violations=None):
     return IncrementalMDDetector(site.relation, rules)
 
 

@@ -21,7 +21,6 @@ planner switches back.  Planning consults only local statistics, so
 
 from __future__ import annotations
 
-import inspect
 import time
 from functools import partial
 from itertools import islice
@@ -43,8 +42,8 @@ from repro.stats.collector import BatchProfile, RuleProfile, StatsCatalog
 #: Tuples in the fixture a storage backend's ``check`` is timed on.
 FIXTURE_TUPLES = 512
 
-#: ``store.check`` seconds per (backend, attribute list, rule set, fusion),
-#: timed once per process by :func:`fixture_seconds`.
+#: ``store.check`` seconds per (backend, attribute list, rule set), timed
+#: once per process by :func:`fixture_seconds`.
 _FIXTURE_SECONDS: dict[tuple[Any, ...], float] = {}
 
 
@@ -52,28 +51,11 @@ class AdaptiveStrategyError(RuntimeError):
     """Raised on invalid adaptive configurations or use before setup."""
 
 
-def accepts_fusion(factory: Any) -> bool:
-    """True when a strategy factory takes a ``fusion`` option.
-
-    The rule-fusion toggle is forwarded only to factories that declare
-    it (or ``**kwargs``): MD strategies and user-registered factories
-    with closed signatures keep working untouched.
-    """
-    try:
-        params = inspect.signature(factory).parameters.values()
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    return any(
-        p.name == "fusion" or p.kind is inspect.Parameter.VAR_KEYWORD
-        for p in params
-    )
-
-
-def _time_fixture(relation: Relation, cfds: list[Any], backend: str, fusion: bool) -> float:
+def _time_fixture(relation: Relation, cfds: list[Any], backend: str) -> float:
     """One ``store.check`` of ``cfds`` over the first :data:`FIXTURE_TUPLES`
     tuples of ``relation``, re-hosted on ``backend`` (best of three)."""
     fixture = Relation(relation.schema, islice(relation, FIXTURE_TUPLES), storage=backend)
-    groups = compile_rule_set(cfds, fuse=fusion)
+    groups = compile_rule_set(cfds)
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
@@ -82,17 +64,16 @@ def _time_fixture(relation: Relation, cfds: list[Any], backend: str, fusion: boo
     return best
 
 
-def fixture_seconds(relation: Relation, cfds: list[Any], backend: str, fusion: bool) -> float:
+def fixture_seconds(relation: Relation, cfds: list[Any], backend: str) -> float:
     """How long ``backend`` takes to check ``cfds`` on the backend fixture.
 
-    Timed once per process per (backend, attribute list, rule set,
-    fusion) and cached, so rebuilding a session of the same shape times
-    nothing.
+    Timed once per process per (backend, attribute list, rule set) and
+    cached, so rebuilding a session of the same shape times nothing.
     """
-    key = (backend, relation.schema.attribute_names, tuple(cfds), fusion)
+    key = (backend, relation.schema.attribute_names, tuple(cfds))
     seconds = _FIXTURE_SECONDS.get(key)
     if seconds is None:
-        seconds = _FIXTURE_SECONDS[key] = _time_fixture(relation, cfds, backend, fusion)
+        seconds = _FIXTURE_SECONDS[key] = _time_fixture(relation, cfds, backend)
     return seconds
 
 
@@ -147,7 +128,6 @@ class AdaptiveStrategy:
         message_overhead: float = MESSAGE_OVERHEAD_BYTES,
         probe: bool = True,
         backends: Iterable[str] | None = None,
-        fusion: bool = True,
     ):
         self.deployment: Any = None
         self._registry = registry
@@ -155,7 +135,6 @@ class AdaptiveStrategy:
         self._alpha = alpha
         self._message_overhead = message_overhead
         self._probe = probe
-        self._fusion = fusion
         self._backends_spec = list(backends) if backends is not None else None
         self._backend: str | None = None
         self._instances: dict[str, Any] = {}
@@ -220,10 +199,7 @@ class AdaptiveStrategy:
                     f"candidate {name!r} checks {entry.rules} rules but the "
                     f"session rules are {rule_kind}"
                 )
-            if accepts_fusion(entry.factory):
-                strategy = entry.create(fusion=self._fusion)
-            else:
-                strategy = entry.create()
+            strategy = entry.create()
             self._instances[name] = strategy
             hooks[name] = partial(estimate_for_mode, entry.mode, strategy=name)
 
@@ -243,7 +219,6 @@ class AdaptiveStrategy:
             vertical_partitioner=vertical,
             n_violations=len(initial),
             alpha=self._alpha,
-            fusion=self._fusion,
         )
         self._planner = AdaptivePlanner(
             catalog, hooks, message_overhead=self._message_overhead
@@ -270,7 +245,7 @@ class AdaptiveStrategy:
         if self._probe and rule_kind == "cfd" and len(relation) > 0:
             return min(
                 backends,
-                key=lambda b: fixture_seconds(relation, self._rules, b, self._fusion),
+                key=lambda b: fixture_seconds(relation, self._rules, b),
             )
         return min(backends, key=local_work_rate)
 
@@ -351,9 +326,7 @@ class AdaptiveStrategy:
         catalog = self._planner.catalog  # type: ignore[union-attr]
         catalog.n_sites = len(self.deployment)
         if self.deployment.is_vertical():
-            catalog.rules = RuleProfile.of(
-                self._rules, self.deployment.vertical_partitioner, fusion=self._fusion
-            )
+            catalog.rules = RuleProfile.of(self._rules, self.deployment.vertical_partitioner)
 
     # -- switching -----------------------------------------------------------------------
 

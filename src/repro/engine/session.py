@@ -35,7 +35,6 @@ from repro.core.updates import Update, UpdateBatch
 from repro.core.violations import ViolationDelta, ViolationSet
 from repro.distributed.cluster import Cluster
 from repro.distributed.network import Network, NetworkStats
-from repro.engine.adaptive import accepts_fusion
 from repro.engine.protocol import Detector, SingleSite
 from repro.obs import Observability
 from repro.obs import profile as _prof
@@ -92,7 +91,6 @@ class SessionBuilder:
         self._rebalance_policy: RebalancePolicy | None = None
         self._observability: Observability | None = None
         self._session_name: str | None = None
-        self._rule_fusion = True
 
     # -- configuration ----------------------------------------------------------------
 
@@ -144,20 +142,6 @@ class SessionBuilder:
         """
         self._strategy_name = name
         self._strategy_options = dict(options)
-        return self
-
-    def rule_fusion(self, enabled: bool = True) -> "SessionBuilder":
-        """Toggle fused rule-set compilation (on by default).
-
-        With fusion on, rules sharing an LHS attribute list compile into
-        one fused group per list and every check sweeps the data once
-        per *group* instead of once per *rule* — identical violations,
-        ΔV and shipment counters, less local work.  Pass ``False`` to
-        run the per-rule paths (e.g. to benchmark fusion itself, or to
-        isolate one rule's scan in a profile).  An explicit
-        ``strategy(..., fusion=...)`` option wins over this toggle.
-        """
-        self._rule_fusion = bool(enabled)
         return self
 
     def network(self, network: Network) -> "SessionBuilder":
@@ -342,11 +326,6 @@ class SessionBuilder:
             # Adaptive strategies resolve their candidate detectors from
             # the same registry the session was configured with.
             options["registry"] = self._registry
-        if "fusion" not in options and accepts_fusion(entry.factory):
-            # Strategies that understand fused rule-set compilation get
-            # the session's toggle; rule languages without a fused path
-            # (the MD detectors) are left alone.
-            options["fusion"] = self._rule_fusion
         try:
             detector = entry.create(**options)
         except TypeError as exc:
@@ -405,7 +384,6 @@ class SessionBuilder:
             observability=obs,
             root_span=root,
             name=name,
-            rule_fusion=bool(options.get("fusion", self._rule_fusion)),
         )
         if tracing and build_span is not None and net_before is not None:
             delta = network.stats().diff(net_before)
@@ -438,7 +416,6 @@ class DetectionSession:
         observability: Observability | None = None,
         root_span: Span | None = None,
         name: str | None = None,
-        rule_fusion: bool = True,
     ):
         self._entry = entry
         self._detector = detector
@@ -462,7 +439,6 @@ class DetectionSession:
         self._avg_tuple_bytes: float | None = None
         self._obs = observability
         self._root_span = root_span
-        self._rule_fusion = rule_fusion
         self._name = name or f"session-{next(_SESSION_IDS)}"
         if self._obs is not None:
             self._obs.metrics.register_collector(
@@ -977,10 +953,9 @@ class DetectionSession:
 
     # -- reporting ----------------------------------------------------------------------
 
-    def _sql_stores(self) -> list[Any]:
-        """The distinct SQL stores hosting this session's fragments."""
-        from repro.sqlstore.store import sql_store_of
-
+    def _stmt_cache_info(self) -> dict[str, int] | None:
+        """Prepared-SQL statement cache counters summed over the session's
+        distinct stores, or None when no store prepares statements."""
         deployment = self.deployment
         if isinstance(deployment, Cluster):
             relations: list[Any] = [site.fragment for site in deployment.sites()]
@@ -988,24 +963,14 @@ class DetectionSession:
             relations = [deployment.relation]
         else:
             relations = []
-        stores: list[Any] = []
-        seen: set[int] = set()
-        for rel in relations:
-            store = sql_store_of(rel)
-            if store is not None and id(store) not in seen:
-                seen.add(id(store))
-                stores.append(store)
-        return stores
-
-    def _stmt_cache_info(self) -> dict[str, int] | None:
-        """Prepared-SQL statement cache counters summed over the session's
-        stores, or None when no fragment is SQL-backed."""
-        stores = self._sql_stores()
-        if not stores:
+        stores = {id(rel.store): rel.store for rel in relations}.values()
+        infos = [store.statement_cache_info() for store in stores]
+        infos = [info for info in infos if info is not None]
+        if not infos:
             return None
         totals = {"hits": 0, "misses": 0, "size": 0}
-        for store in stores:
-            for key, value in store.statement_cache_info().items():
+        for info in infos:
+            for key, value in info.items():
                 totals[key] = totals.get(key, 0) + value
         return totals
 
@@ -1090,10 +1055,10 @@ class DetectionSession:
         return info
 
     def _rule_fusion_info(self) -> dict[str, Any]:
-        """The ``explain()["rule_fusion"]`` section: the toggle plus the
-        fused group structure of the session's rule set (CFDs only —
-        matching dependencies have no fused path)."""
-        info: dict[str, Any] = {"enabled": self._rule_fusion}
+        """The ``explain()["rule_fusion"]`` section: the fused group
+        structure of the session's rule set (CFDs only — matching
+        dependencies have no fused path)."""
+        info: dict[str, Any] = {}
         if self._rules and all(isinstance(rule, CFD) for rule in self._rules):
             from repro.rulefuse import compile_rule_set
 

@@ -78,7 +78,7 @@ def _site_batch_task(
 class HorizontalBatchDetector:
     """Recompute ``V(Sigma, D)`` over a horizontally partitioned cluster."""
 
-    def __init__(self, cluster: Cluster, cfds: Iterable[CFD], fusion: bool = True):
+    def __init__(self, cluster: Cluster, cfds: Iterable[CFD]):
         if not cluster.is_horizontal():
             raise ValueError("HorizontalBatchDetector requires a horizontal cluster")
         self._cluster = cluster
@@ -92,7 +92,7 @@ class HorizontalBatchDetector:
             lambda cfd: cfd.is_constant()
             or is_locally_checkable(cfd, self._partitioner),
         )
-        self._local_groups = compile_rule_set(local_cfds, fuse=fusion)
+        self._local_groups = compile_rule_set(local_cfds)
 
     def _shipping_sites(self, cfd: CFD, coordinator: int) -> frozenset[int]:
         """Sites that must ship their matching tuples for ``cfd``."""

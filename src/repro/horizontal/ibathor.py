@@ -29,12 +29,10 @@ class ImprovedHorizontalBatchDetector:
         cfds: Iterable[CFD],
         use_md5: bool = True,
         network: Network | None = None,
-        fusion: bool = True,
     ):
         self._partitioner = partitioner
         self._cfds = list(cfds)
         self._use_md5 = use_md5
-        self._fusion = fusion
         # A caller-owned network lets the adaptive planner charge the
         # rebuild to the session ledger it measures; standalone use
         # keeps a private ledger as before.
@@ -61,7 +59,6 @@ class ImprovedHorizontalBatchDetector:
             self._cfds,
             violations=ViolationSet(),
             use_md5=self._use_md5,
-            fusion=self._fusion,
         )
         detector.apply(UpdateBatch.inserts(list(final)))
         return detector.violations

@@ -77,7 +77,6 @@ class HorizontalIncrementalDetector:
         cfds: Iterable[CFD],
         violations: ViolationSet | None = None,
         use_md5: bool = True,
-        fusion: bool = True,
     ):
         if not cluster.is_horizontal():
             raise ValueError("HorizontalIncrementalDetector requires a horizontal cluster")
@@ -85,7 +84,6 @@ class HorizontalIncrementalDetector:
         self._network = cluster.network
         self._partitioner = cluster.horizontal_partitioner
         self._cfds = list(cfds)
-        self._fusion = fusion
         schema = self._partitioner.schema
         for cfd in self._cfds:
             cfd.validate_against(schema)
@@ -113,7 +111,7 @@ class HorizontalIncrementalDetector:
         if violations is not None:
             self._violations = violations.copy()
         else:
-            detector = CentralizedDetector(self._constant_cfds, fusion=self._fusion)
+            detector = CentralizedDetector(self._constant_cfds)
             constant = (
                 [detector.detect(site.fragment) for site in cluster.sites()]
                 if self._constant_cfds

@@ -101,41 +101,21 @@ class HorizontalPartitioner:
     def fragment(self, relation: Relation) -> "HorizontalPartition":
         """Split ``relation`` into per-site fragment relations.
 
-        Column-backed relations route each row through a zero-copy view
-        (same predicates, same disjointness checks) and then build every
-        fragment by column slicing instead of per-tuple insertion.
+        The relation's store routes every row in one pass (same
+        predicates, same disjointness checks) and builds each fragment
+        on its own backend.
         """
-        from repro.columnar.store import column_store_of
-
-        store = column_store_of(relation)
-        if store is not None:
-            site_rows: dict[int, list[int]] = {
-                frag.site: [] for frag in self._fragments
-            }
-            for row in store.iter_rows():
-                site_rows[self.route_tuple(store.row_view(row))].append(row)
-            return HorizontalPartition(
-                self,
-                {
-                    frag.site: Relation(
-                        Schema(
-                            frag.name, self._schema.attribute_names, self._schema.key
-                        ),
-                        storage=store.take_rows(site_rows[frag.site]),
-                    )
-                    for frag in self._fragments
-                },
-            )
-        per_site: dict[int, Relation] = {
-            frag.site: Relation(
-                Schema(frag.name, self._schema.attribute_names, self._schema.key),
-                storage=relation.storage,
-            )
-            for frag in self._fragments
-        }
-        for t in relation:
-            per_site[self.route_tuple(t)].insert(t)
-        return HorizontalPartition(self, per_site)
+        parts = relation.store.split(self.route_tuple, self.sites())
+        return HorizontalPartition(
+            self,
+            {
+                frag.site: Relation(
+                    Schema(frag.name, self._schema.attribute_names, self._schema.key),
+                    storage=parts[frag.site],
+                )
+                for frag in self._fragments
+            },
+        )
 
     def fragment_updates(self, updates: UpdateBatch) -> dict[int, UpdateBatch]:
         """``delta-Di = sigma_Fi(delta-D)`` for every fragment."""
@@ -504,25 +484,16 @@ class HorizontalPartition:
     def reconstruct(self) -> Relation:
         """Union all fragments back into the original relation.
 
-        The result keeps the fragments' storage backend (column-backed
-        fragments concatenate code arrays instead of inserting tuples).
+        The result keeps the lowest site's storage backend, whose store
+        appends the other fragments (column-backed fragments concatenate
+        code arrays instead of inserting tuples).
         """
-        from repro.columnar.store import column_store_of
-
         schema = self._partitioner.schema
         fragments = [rel for _, rel in sorted(self._per_site.items())]
-        first_store = column_store_of(fragments[0]) if fragments else None
-        if first_store is not None:
-            base = Relation(
-                schema, storage=first_store.project_columns(schema.attribute_names)
-            )
-            rest = fragments[1:]
-        else:
-            base = Relation(
-                schema, storage=fragments[0].storage if fragments else "rows"
-            )
-            rest = fragments
-        for rel in rest:
+        if not fragments:
+            return Relation(schema)
+        base = Relation(schema, storage=fragments[0].store.project(schema.attribute_names))
+        for rel in fragments[1:]:
             base._extend(rel)
         return base
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from time import perf_counter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.relation import Relation
 from repro.core.schema import Schema
-from repro.core.tuples import Tuple, rows_of, tuple_factory
+from repro.core.tuples import Tuple
 from repro.core.updates import UpdateBatch
 from repro.obs import profile as _prof
 from repro.partition.migration import ColumnMove, MigrationPlan
@@ -268,78 +267,24 @@ class VerticalPartition:
         in the order of the lowest site's fragment, with the attributes
         in schema order.  A replicated attribute whose copies disagree
         raises ``ValueError``.  The result keeps the lowest site's
-        storage backend.
-
-        Column-backed fragments join and re-order by column slicing.
-        Any other backend is read once per fragment and every full tuple
-        is built once: each attribute is taken from the first fragment
-        holding it (an *owner plan* resolved once), the later copies of a
-        replicated attribute are compared column against column, and
-        every tuple is assembled straight in schema order — no chain of
-        pairwise joins, no intermediate merged tuples.
+        storage backend, whose store runs the n-ary join: a one-pass
+        owner plan over tuples, or a chain of column-sliced joins.
         """
-        from repro.columnar.store import column_store_of
-
         sites = self.sites()
         if not sites:
             raise PartitionError("empty partition cannot be reconstructed")
         schema = self._partitioner.schema
-        fragments = [self._per_site[site] for site in sites]
-        if all(column_store_of(f) is not None for f in fragments):
-            result = fragments[0]
-            for fragment in fragments[1:]:
-                result = result.join(fragment, name=schema.name)
-            store = column_store_of(result)
-            return Relation(schema, storage=store.reorder_columns(schema.attribute_names))
+        first, *rest = (self._per_site[site].store for site in sites)
         if _prof.enabled:
             _t0 = perf_counter()
-        base = Relation(schema, storage=fragments[0].storage)
-        base._load(_joined_tuples(schema, fragments))
+        store = first.join(rest, schema.attribute_names)
         if _prof.enabled:
-            _prof.note("partition.reconstruct", perf_counter() - _t0, len(base))
-        return base
+            _prof.note("partition.reconstruct", perf_counter() - _t0, len(store))
+        return Relation(schema, storage=store)
 
     def total_tuples(self) -> int:
         """Total number of (partial) tuples stored across all sites."""
         return sum(len(rel) for rel in self._per_site.values())
-
-
-def _joined_tuples(schema: Schema, fragments: Sequence[Relation]) -> Iterator[Tuple]:
-    """The key join of ``fragments`` as full tuples in schema order (see
-    :meth:`VerticalPartition.reconstruct`)."""
-    # The owner plan: attribute -> (fragment, position in its schema order).
-    owner: dict[str, tuple[int, int]] = {}
-    replicas: list[tuple[str, int, int]] = []
-    for f, fragment in enumerate(fragments):
-        for p, attribute in enumerate(fragment.schema.attribute_names):
-            if attribute in owner:
-                replicas.append((attribute, f, p))
-            else:
-                owner[attribute] = (f, p)
-    missing = [a for a in schema.attribute_names if a not in owner]
-    if missing:
-        raise PartitionError(f"no fragment stores attributes {missing}")
-
-    rows = [dict(rows_of(f, f.schema.attribute_names)) for f in fragments]
-    kept = rows[0].keys()
-    for other in rows[1:]:
-        kept = kept & other.keys()
-    tids = list(rows[0]) if len(kept) == len(rows[0]) else [t for t in rows[0] if t in kept]
-    parts = [list(map(by_tid.__getitem__, tids)) for by_tid in rows]
-    del rows, kept
-
-    columns = {a: list(map(itemgetter(p), parts[f])) for a, (f, p) in owner.items()}
-    for attribute, f, p in replicas:
-        mine, theirs = columns[attribute], list(map(itemgetter(p), parts[f]))
-        if mine != theirs:
-            for tid, x, y in zip(tids, mine, theirs):
-                if x != y:
-                    raise ValueError(
-                        f"conflicting values for attribute {attribute!r} "
-                        f"while merging tid {tid!r}"
-                    )
-    ordered = [columns[a] for a in schema.attribute_names]
-    return map(tuple_factory(schema.attribute_names), tids, zip(*ordered))
 
 
 def even_vertical_scheme(

@@ -36,7 +36,7 @@ class PlanDecision:
     backend: str | None = None
     #: Rule-set shape the estimates were priced against: how many rules
     #: the session checks and how many fused same-LHS groups they
-    #: compile to (equal when fusion is off or no LHS lists repeat).
+    #: compile to (equal when no LHS lists repeat).
     rule_groups: dict[str, int] | None = None
 
     def as_dict(self) -> dict[str, Any]:
@@ -163,7 +163,7 @@ class AdaptivePlanner:
             backend=backend,
             rule_groups={
                 "n_rules": rules.n_rules,
-                "n_groups": rules.n_groups or rules.n_rules,
+                "n_groups": rules.n_groups,
             },
         )
         self.decisions.append(decision)

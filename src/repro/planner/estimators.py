@@ -88,27 +88,16 @@ def _block_factor(stats: StatsCatalog) -> float:
     return rel.cardinality / max(1, max_distinct)
 
 
-def _n_scans(stats: StatsCatalog) -> int:
-    """How many data sweeps validation pays: fused groups, else rules.
-
-    With rule fusion the local work of a check scales with the number
-    of fused same-LHS groups, not the number of rules (a tableau of k
-    pattern rows costs one sweep).  Shipment priors stay rule-based —
-    fusion never changes what ships.  ``n_groups`` is 0 on profiles
-    built before fusion existed, falling back to ``n_rules``.
-    """
-    return stats.rules.n_groups or stats.rules.n_rules
-
-
 def estimate_incremental(
     stats: StatsCatalog, profile: BatchProfile, strategy: str = "incremental"
 ) -> Estimate:
     """``O(|delta-D| + |delta-V|)`` work and shipment (Prop. 6 / Prop. 8)."""
     driver = float(profile.normalized_size)
-    # Constant work per update per fused rule group; single-site
+    # Constant work per update per fused rule group (a tableau of k
+    # pattern rows is one sweep; shipment stays rule-based); single-site
     # incremental (incMD) additionally compares against its blocking
     # candidates.
-    local = driver * _n_scans(stats)
+    local = driver * stats.rules.n_groups
     if stats.partitioning == "single":
         local *= _block_factor(stats)
     shipment = _inc_per_update(stats).scale(_shipping_updates(stats, profile))
@@ -132,7 +121,7 @@ def estimate_improved_batch(
     return Estimate(
         strategy,
         CostVector(
-            shipment.bytes, shipment.messages, shipment.eqids, driver * _n_scans(stats)
+            shipment.bytes, shipment.messages, shipment.eqids, driver * stats.rules.n_groups
         ),
         driver,
     )
@@ -143,7 +132,7 @@ def estimate_batch(
 ) -> Estimate:
     """Full recomputation: re-ship and re-scan fragments (ICDE 2010 baseline)."""
     driver = float(stats.final_cardinality(profile))
-    local = driver * _n_scans(stats)
+    local = driver * stats.rules.n_groups
     if stats.partitioning == "single":
         # Centralized / MD batch: no shipment, pairwise work within groups.
         return Estimate(

@@ -62,9 +62,8 @@ class FusedGroup:
         }
 
 
-def compile_rule_set(cfds: Iterable[CFD], fuse: bool = True) -> tuple[FusedGroup, ...]:
-    """Fused groups of ``cfds``, keyed by LHS attribute list — or, with
-    ``fuse=False``, one group per rule.
+def compile_rule_set(cfds: Iterable[CFD]) -> tuple[FusedGroup, ...]:
+    """Fused groups of ``cfds``, keyed by LHS attribute list.
 
     Groups come out in first-seen LHS order and members in input order,
     so iterating groups and scattering their results through
@@ -72,7 +71,7 @@ def compile_rule_set(cfds: Iterable[CFD], fuse: bool = True) -> tuple[FusedGroup
     """
     by_key: dict[Any, tuple[list[CFD], list[int]]] = {}
     for i, cfd in enumerate(cfds):
-        members, indexes = by_key.setdefault(cfd.lhs if fuse else i, ([], []))
+        members, indexes = by_key.setdefault(cfd.lhs, ([], []))
         members.append(cfd)
         indexes.append(i)
     return tuple(
@@ -81,11 +80,11 @@ def compile_rule_set(cfds: Iterable[CFD], fuse: bool = True) -> tuple[FusedGroup
     )
 
 
-def n_fused_groups(rules: Sequence[Any], fuse: bool = True) -> int:
+def n_fused_groups(rules: Sequence[Any]) -> int:
     """How many shared-scan groups a rule set compiles to.
 
     Rules that are not CFDs (matching dependencies) never fuse: each
     counts as its own group.
     """
     cfds = [rule for rule in rules if isinstance(rule, CFD)]
-    return len(compile_rule_set(cfds, fuse=fuse)) + len(rules) - len(cfds)
+    return len(compile_rule_set(cfds)) + len(rules) - len(cfds)

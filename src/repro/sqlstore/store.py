@@ -53,7 +53,7 @@ from typing import Any, Callable, Iterator, KeysView, Mapping, Sequence
 
 from repro.core.cfd import CFD
 from repro.core.schema import Schema
-from repro.core.storage import merge_decoded_groups
+from repro.core.storage import TupleStore, merge_decoded_groups
 from repro.core.tuples import Tuple
 from repro.distributed.serialization import TID_BYTES, estimate_value_bytes
 from repro.obs import profile as _prof
@@ -136,11 +136,12 @@ def decode_value(value: Any) -> Any:
     return value
 
 
-class SqlStore:
+class SqlStore(TupleStore):
     """Tuple storage in one embedded-SQL table (sqlite3 engine).
 
-    Satisfies :class:`~repro.core.storage.StorageBackend`, detection
-    operations included; the SQL they run is compiled by
+    Satisfies :class:`~repro.core.storage.StorageBackend`: the relation
+    algebra is the tuple-backed one it shares with the row store, and
+    the detection operations run SQL compiled by
     :mod:`repro.sqlstore.compiler`.
     """
 
@@ -239,6 +240,11 @@ class SqlStore:
     def column(self, attribute: str) -> str:
         """The physical column name storing ``attribute``."""
         return self._col[attribute]
+
+    def _fresh(self, attributes) -> "SqlStore":
+        """An empty store of this engine over ``attributes``, placed where
+        newly created stores go (see :func:`configure`)."""
+        return type(self)(Schema(f"{self.name}_fragment", attributes, self._key))
 
     # -- write buffering -----------------------------------------------------------------
 
@@ -385,7 +391,7 @@ class SqlStore:
     @property
     def query_count(self) -> int:
         """How many kernel queries this store has executed (``query_all``
-        calls — the unit the rule-fusion benchmark gates on)."""
+        calls: one per fused rule group per check)."""
         return self._query_count
 
     def scan(self, sql: str, params: tuple = ()) -> Iterator[tuple]:

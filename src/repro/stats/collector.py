@@ -169,11 +169,10 @@ class RuleProfile:
     (Fig. 8).  Matching dependencies count as general rules.
 
     ``n_groups`` is the number of fused same-LHS rule groups the
-    rule-fusion compiler produces — the number of data sweeps a fused
+    rule-fusion compiler produces — the number of data sweeps a
     validation pays, which is what the local-work estimators scale
-    with.  It equals ``n_rules`` when fusion is off (or for MD rule
-    sets, which fuse nothing) and can be much smaller for tableau-style
-    rule sets.
+    with.  It equals ``n_rules`` for MD rule sets, which fuse nothing,
+    and can be much smaller for tableau-style rule sets.
 
     ``eqids_per_update`` is ``Neqid`` of Section 5: the eqids one update
     ships for the general CFDs.  Given a vertical partitioner it is read
@@ -197,7 +196,6 @@ class RuleProfile:
         cls,
         rules: Iterable[Any],
         vertical_partitioner: Any = None,
-        fusion: bool = True,
     ) -> "RuleProfile":
         rules = list(rules)
         from repro.similarity.md import MatchingDependency
@@ -243,7 +241,7 @@ class RuleProfile:
             n_general=n_general,
             avg_lhs=sum(lhs_sizes) / len(lhs_sizes) if lhs_sizes else 1.0,
             kind="cfd",
-            n_groups=n_fused_groups(rules, fuse=fusion),
+            n_groups=n_fused_groups(rules),
             eqids_per_update=eqids_per_update,
         )
 
@@ -417,11 +415,10 @@ class StatsCatalog:
         vertical_partitioner: Any = None,
         n_violations: int = 0,
         alpha: float = 0.3,
-        fusion: bool = True,
     ) -> "StatsCatalog":
         return cls(
             relation=RelationStats.collect(relation),
-            rules=RuleProfile.of(rules, vertical_partitioner, fusion=fusion),
+            rules=RuleProfile.of(rules, vertical_partitioner),
             partitioning=partitioning,
             n_sites=n_sites,
             n_violations=n_violations,

@@ -60,14 +60,13 @@ def _site_ship_task(
 class VerticalBatchDetector:
     """Recompute ``V(Sigma, D)`` over a vertically partitioned cluster."""
 
-    def __init__(self, cluster: Cluster, cfds: Iterable[CFD], fusion: bool = True):
+    def __init__(self, cluster: Cluster, cfds: Iterable[CFD]):
         if not cluster.is_vertical():
             raise ValueError("VerticalBatchDetector requires a vertical cluster")
         self._cluster = cluster
         self._network = cluster.network
         self._partitioner = cluster.vertical_partitioner
         self._cfds = list(cfds)
-        self._fusion = fusion
         for cfd in self._cfds:
             cfd.validate_against(self._partitioner.schema)
 
@@ -180,7 +179,7 @@ class VerticalBatchDetector:
             site = coordinators.get(cfd.name, self._partitioner.home_site(cfd.rhs))
             by_check_site.setdefault(site, []).append(cfd)
         check_groups = {
-            site: compile_rule_set(cfds, fuse=self._fusion)
+            site: compile_rule_set(cfds)
             for site, cfds in sorted(by_check_site.items())
         }
         check_tasks = [

@@ -33,12 +33,10 @@ class ImprovedVerticalBatchDetector:
         cfds: Iterable[CFD],
         plan: HEVPlan | None = None,
         network: Network | None = None,
-        fusion: bool = True,
     ):
         self._partitioner = partitioner
         self._cfds = list(cfds)
         self._plan = plan
-        self._fusion = fusion
         # A caller-owned network lets the adaptive planner charge the
         # rebuild to the session ledger it measures; standalone use
         # keeps a private ledger as before.
@@ -67,7 +65,6 @@ class ImprovedVerticalBatchDetector:
             self._cfds,
             plan=self._plan,
             violations=ViolationSet(),
-            fusion=self._fusion,
         )
         detector.apply(UpdateBatch.inserts(list(final)))
         return detector.violations

@@ -77,7 +77,6 @@ class VerticalIncrementalDetector:
         plan: HEVPlan | None = None,
         planner: HEVPlanner | None = None,
         violations: ViolationSet | None = None,
-        fusion: bool = True,
     ):
         if not cluster.is_vertical():
             raise ValueError("VerticalIncrementalDetector requires a vertical cluster")
@@ -85,7 +84,6 @@ class VerticalIncrementalDetector:
         self._network = cluster.network
         self._partitioner = cluster.vertical_partitioner
         self._cfds = list(cfds)
-        self._fusion = fusion
         schema = self._partitioner.schema
         for cfd in self._cfds:
             cfd.validate_against(schema)
@@ -121,7 +119,7 @@ class VerticalIncrementalDetector:
         if violations is not None:
             self._violations = violations.copy()
         else:
-            detector = CentralizedDetector(self._constant_cfds, fusion=self._fusion)
+            detector = CentralizedDetector(self._constant_cfds)
             constant = [detector.detect(snapshot)] if self._constant_cfds else []
             self._violations = violations_from_index(
                 {name: (index,) for name, index in self._indices.items()}, constant

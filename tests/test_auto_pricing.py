@@ -199,9 +199,9 @@ class TestBackends:
         monkeypatch.setattr(adaptive, "_FIXTURE_SECONDS", {})
         time_fixture = adaptive._time_fixture
 
-        def recorded(relation, cfds, backend, fusion):
+        def recorded(relation, cfds, backend):
             calls.append(backend)
-            return time_fixture(relation, cfds, backend, fusion)
+            return time_fixture(relation, cfds, backend)
 
         monkeypatch.setattr(adaptive, "_time_fixture", recorded)
         return calls
@@ -227,7 +227,7 @@ class TestBackends:
         monkeypatch.setattr(adaptive, "_FIXTURE_SECONDS", {})
         monkeypatch.setattr(
             adaptive, "_time_fixture",
-            lambda relation, cfds, backend, fusion: {"rows": 1.0, "sql": 0.5}[backend],
+            lambda relation, cfds, backend: {"rows": 1.0, "sql": 0.5}[backend],
         )
         auto, auto_deltas = run(
             generator, small, cfds, small_waves, "auto", backends=["rows", "sql"]

@@ -157,7 +157,7 @@ def _table_session(row, tpch, base, rules):
 class TestStrategyTable:
     @pytest.mark.parametrize("name", [row.name for row in STRATEGY_TABLE] + ["auto"])
     def test_every_builtin_raises_before_setup(self, name):
-        strategy = DEFAULT_REGISTRY.detector(name).create(fusion=False)
+        strategy = DEFAULT_REGISTRY.detector(name).create()
         error = AdaptiveStrategyError if name == "auto" else StrategyStateError
         with pytest.raises(error):
             strategy.apply(UpdateBatch())

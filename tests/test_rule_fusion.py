@@ -1,28 +1,29 @@
 """Rule-fusion parity: fused compilation is invisible in the results.
 
-Fused rule-set compilation (one sweep per same-LHS group instead of one
-per rule) is a pure local-work optimization: for every strategy — the
-full registry plus ``auto`` — on every storage backend (rows, columnar,
-sql) the fused paths must produce the identical violation set, identical
-ΔV and identical shipment counters as the per-rule paths, batch after
-batch, including across mid-stream scale and rebalance events.  The
-grouping itself is exercised by an 8-rule tableau sharing 3 LHS lists,
-and the SQL backend must additionally issue *fewer* queries when fused —
-the whole point of the shared tagged query per group.
+Every check sweeps a fragment once per same-LHS rule group, never once
+per rule.  For every strategy — the full registry plus ``auto`` — each
+storage backend (rows, columnar, sql) must produce the identical
+violation set, ΔV and shipment counters as the same strategy on rows,
+batch after batch, including across mid-stream scale and rebalance
+events; and V must equal the per-rule oracle: one ``detect_violations``
+call per rule over D ⊕ ΔD.  The grouping itself is exercised by an
+8-rule tableau sharing 3 LHS lists, on which the SQL backend issues one
+query per group per check — the whole point of the shared tagged query.
 """
 
 import pytest
 
 from repro.core.cfd import CFD, split_local_general
+from repro.core.detector import detect_violations
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.tuples import Tuple
 from repro.core.updates import Update, UpdateBatch
 from repro.engine.session import session
 from repro.rulefuse import compile_rule_set, n_fused_groups
+from repro.similarity.detector import MDDetector
 from repro.similarity.md import MatchingDependency
 from repro.similarity.predicates import NormalizedStringMatch
-from repro.sqlstore.store import sql_store_of
 from repro.workloads.rules import generate_cfds
 from repro.workloads.tpch import TPCHGenerator
 from repro.workloads.updates import generate_updates
@@ -33,9 +34,8 @@ N_UPDATES = 50
 N_CFDS = 6
 N_SITES = 3
 
-#: Every registered strategy (the MD detectors have no fused path — the
-#: session toggle must be a silent no-op for them) plus ``auto`` on both
-#: partitionings.
+#: Every registered strategy (the MD detectors have no fused path) plus
+#: ``auto`` on both partitionings.
 STRATEGIES = [
     ("incVer", "vertical"),
     ("batVer", "vertical"),
@@ -83,50 +83,49 @@ def mds():
     ]
 
 
-def run_strategy(
-    strategy, partitioning, storage, fusion, generator, relation, cfds, mds, updates
-):
+def per_rule_oracle(rules, tuples):
+    """``V`` from every rule checked on its own: one ``detect_violations``
+    call per CFD, the exhaustive pairwise reference per MD."""
+    tuples = list(tuples)
+    found = {}
+    for rule in rules:
+        if isinstance(rule, CFD):
+            tids = detect_violations([rule], tuples).tids_for(rule.name)
+        else:
+            tids = MDDetector.violations_of(rule, tuples)
+        for tid in tids:
+            found.setdefault(tid, set()).add(rule.name)
+    return found
+
+
+def run_strategy(strategy, partitioning, storage, generator, relation, cfds, mds, updates):
     builder = session(relation)
     if partitioning == "vertical":
         builder = builder.partition(generator.vertical_partitioner(N_SITES))
     elif partitioning == "horizontal":
         builder = builder.partition(generator.horizontal_partitioner(N_SITES))
     rules = mds if strategy in ("md", "incMD") else cfds
-    sess = (
-        builder.rules(rules)
-        .strategy(strategy)
-        .storage(storage)
-        .rule_fusion(fusion)
-        .build()
-    )
+    sess = builder.rules(rules).strategy(strategy).storage(storage).build()
     delta = sess.apply(updates)
-    report = sess.report()
-    info = sess.explain()
+    stats = sess.network.stats()
     sess.close()
-    assert info["rule_fusion"]["enabled"] is fusion
     return {
         "initial": sess.initial_violations.as_dict(),
         "violations": sess.violations.as_dict(),
         "added": delta.added,
         "removed": delta.removed,
-        "messages": report.network.messages,
-        "bytes": report.network.bytes,
-        "units_by_kind": report.network.units_by_kind,
-        "bytes_by_kind": report.network.bytes_by_kind,
-        "messages_by_pair": report.network.messages_by_pair,
+        "network": stats,
     }
 
 
 @pytest.fixture(scope="module")
-def per_rule_outcomes(generator, relation, cfds, mds, updates):
-    """Reference results with fusion switched off, per strategy × storage."""
+def rows_outcomes(generator, relation, cfds, mds, updates):
+    """Reference results on the rows backend, per strategy."""
     return {
-        (strategy, partitioning, storage): run_strategy(
-            strategy, partitioning, storage, False,
-            generator, relation, cfds, mds, updates,
+        (strategy, partitioning): run_strategy(
+            strategy, partitioning, "rows", generator, relation, cfds, mds, updates
         )
         for strategy, partitioning in STRATEGIES
-        for storage in STORAGES
     }
 
 
@@ -134,19 +133,24 @@ class TestFusionParity:
     @pytest.mark.parametrize("storage", STORAGES)
     @pytest.mark.parametrize("strategy,partitioning", STRATEGIES)
     def test_fused_matches_per_rule(
-        self, strategy, partitioning, storage, per_rule_outcomes,
+        self, strategy, partitioning, storage, rows_outcomes,
         generator, relation, cfds, mds, updates,
     ):
-        fused = run_strategy(
-            strategy, partitioning, storage, True,
-            generator, relation, cfds, mds, updates,
+        expected = rows_outcomes[(strategy, partitioning)]
+        fused = (
+            expected
+            if storage == "rows"
+            else run_strategy(
+                strategy, partitioning, storage, generator, relation, cfds, mds, updates
+            )
         )
-        expected = per_rule_outcomes[(strategy, partitioning, storage)]
         assert fused == expected
+        rules = mds if strategy in ("md", "incMD") else cfds
+        assert fused["violations"] == per_rule_oracle(rules, updates.apply_to(relation))
 
-    def test_reference_outcomes_are_not_vacuous(self, per_rule_outcomes):
-        assert any(o["violations"] for o in per_rule_outcomes.values())
-        assert any(o["messages"] for o in per_rule_outcomes.values())
+    def test_reference_outcomes_are_not_vacuous(self, rows_outcomes):
+        assert any(o["violations"] for o in rows_outcomes.values())
+        assert any(o["network"].messages for o in rows_outcomes.values())
 
 
 # -- mid-stream elasticity ----------------------------------------------------------------
@@ -164,19 +168,16 @@ WAVE_STRATEGIES = [
 
 @pytest.fixture(scope="module")
 def waves(generator, relation):
-    batches = []
+    """``(batch, D ⊕ every batch so far)`` per wave."""
+    waves = []
     current = relation
     for size, seed in WAVE_SIZES:
         batch = generate_updates(
             current, generator, size, insert_fraction=0.6, seed=seed, skew=1.2
         )
-        batches.append(batch)
         current = batch.apply_to(current)
-    return batches
-
-
-def _viol_key(violations):
-    return {tid: frozenset(violations.cfds_of(tid)) for tid in violations.tids()}
+        waves.append((batch, current))
+    return waves
 
 
 def _delta_key(delta):
@@ -186,29 +187,28 @@ def _delta_key(delta):
     )
 
 
-def run_waves(strategy, partitioning, storage, fusion, generator, relation, cfds, waves):
+def run_waves(strategy, partitioning, storage, generator, relation, cfds, waves):
     builder = session(relation)
     if partitioning == "vertical":
         builder = builder.partition(generator.vertical_partitioner(N_SITES))
     else:
         builder = builder.partition(generator.horizontal_partitioner(N_SITES))
-    sess = (
-        builder.rules(cfds).strategy(strategy).storage(storage).rule_fusion(fusion).build()
-    )
+    sess = builder.rules(cfds).strategy(strategy).storage(storage).build()
     records = []
     with sess:
-        for i, wave in enumerate(waves):
+        for i, (wave, _final) in enumerate(waves):
             if i == 1:
                 sess.scale(sites=SCALE_OUT)
             if i == 2:
                 if partitioning == "horizontal":
                     sess.rebalance()
                 sess.scale(sites=SCALE_IN)
+            # Per-wave shipment only: columnar prices the migrations' column
+            # moves by their dictionary encoding, so those bytes differ.
+            before = sess.network.stats()
             delta = sess.apply(wave)
-            stats = sess.network.stats()
-            records.append(
-                (_delta_key(delta), _viol_key(sess.violations), stats.bytes, stats.messages)
-            )
+            shipped = sess.network.stats().diff(before)
+            records.append((_delta_key(delta), sess.violations.as_dict(), shipped))
     return records
 
 
@@ -218,13 +218,11 @@ class TestFusionElasticityParity:
     def test_scaled_streams_stay_identical(
         self, strategy, partitioning, storage, generator, relation, cfds, waves
     ):
-        fused = run_waves(
-            strategy, partitioning, storage, True, generator, relation, cfds, waves
-        )
-        plain = run_waves(
-            strategy, partitioning, storage, False, generator, relation, cfds, waves
-        )
-        assert fused == plain
+        fused = run_waves(strategy, partitioning, storage, generator, relation, cfds, waves)
+        rows = run_waves(strategy, partitioning, "rows", generator, relation, cfds, waves)
+        assert fused == rows
+        for (_delta, violations, _stats), (_wave, final) in zip(fused, waves):
+            assert violations == per_rule_oracle(cfds, final)
 
 
 # -- shared-LHS tableau -------------------------------------------------------------------
@@ -305,26 +303,22 @@ class TestSharedLhsTableau:
     def test_tableau_parity_all_backends(
         self, storage, tableau_relation, tableau_cfds, tableau_updates
     ):
-        outcomes = {}
-        for fusion in (True, False):
-            sess = (
-                session(tableau_relation)
-                .partition("horizontal", n_fragments=N_SITES)
-                .rules(tableau_cfds)
-                .strategy("incHor")
-                .storage(storage)
-                .rule_fusion(fusion)
-                .build()
-            )
-            delta = sess.apply(tableau_updates)
-            outcomes[fusion] = (
-                sess.initial_violations.as_dict(),
-                sess.violations.as_dict(),
-                _delta_key(delta),
-                sess.network.stats().bytes,
-            )
-            sess.close()
-        assert outcomes[True] == outcomes[False]
+        sess = (
+            session(tableau_relation)
+            .partition("horizontal", n_fragments=N_SITES)
+            .rules(tableau_cfds)
+            .strategy("incHor")
+            .storage(storage)
+            .build()
+        )
+        with sess:
+            initial = sess.initial_violations.as_dict()
+            sess.apply(tableau_updates)
+            violations = sess.violations.as_dict()
+        assert initial == per_rule_oracle(tableau_cfds, tableau_relation)
+        final = tableau_updates.apply_to(tableau_relation)
+        assert violations == per_rule_oracle(tableau_cfds, final)
+        assert violations
 
     def test_explain_reports_group_structure(
         self, tableau_relation, tableau_cfds, tableau_updates
@@ -340,7 +334,6 @@ class TestSharedLhsTableau:
         info = sess.explain()
         sess.close()
         fusion = info["rule_fusion"]
-        assert fusion["enabled"] is True
         assert fusion["n_groups"] == 3
         assert [g["lhs"] for g in fusion["groups"]] == [["a", "b"], ["a"], ["b", "c"]]
         assert sum(len(g["rules"]) for g in fusion["groups"]) == len(tableau_cfds)
@@ -350,28 +343,24 @@ class TestSharedLhsTableau:
     def test_fused_sql_issues_fewer_queries(
         self, tableau_relation, tableau_cfds, tableau_updates
     ):
-        counts = {}
-        for fusion in (True, False):
-            sess = (
-                session(tableau_relation)
-                .rules(tableau_cfds)
-                .strategy("centralized")
-                .storage("sql")
-                .rule_fusion(fusion)
-                .build()
-            )
+        """One query per LHS group per check: 3, not 8, for the tableau."""
+        sess = (
+            session(tableau_relation)
+            .rules(tableau_cfds)
+            .strategy("centralized")
+            .storage("sql")
+            .build()
+        )
+        with sess:
+            setup_store = sess.deployment.relation.store
+            assert setup_store.name == "sql"
+            assert setup_store.query_count == 3
             sess.apply(tableau_updates)
-            stores = [
-                store
-                for store in [sql_store_of(sess.deployment.relation)]
-                if store is not None
-            ]
-            assert stores, "sql session must expose a SqlStore"
-            counts[fusion] = sum(store.query_count for store in stores)
-            violations = sess.violations.as_dict()
-            sess.close()
-            assert violations
-        assert counts[True] < counts[False]
+            # The wave's re-check runs on the updated copy of the relation.
+            wave_store = sess.deployment.relation.store
+            assert wave_store is not setup_store
+            assert wave_store.query_count == 3
+            assert sess.violations.as_dict()
 
     def test_stmt_cache_counters_in_explain(
         self, tableau_relation, tableau_cfds, tableau_updates
@@ -445,17 +434,13 @@ class TestPlannerGroupAwareness:
     def test_local_work_scales_with_groups_not_rules(
         self, tableau_relation, tableau_cfds
     ):
-        from repro.planner.estimators import _n_scans
-        from repro.stats.collector import StatsCatalog
+        from repro.planner.estimators import estimate_batch
+        from repro.stats.collector import BatchProfile, StatsCatalog
 
-        fused = StatsCatalog.collect(
-            tableau_relation, tableau_cfds, n_sites=N_SITES,
-            partitioning="horizontal", fusion=True,
+        catalog = StatsCatalog.collect(
+            tableau_relation, tableau_cfds, n_sites=N_SITES, partitioning="horizontal"
         )
-        plain = StatsCatalog.collect(
-            tableau_relation, tableau_cfds, n_sites=N_SITES,
-            partitioning="horizontal", fusion=False,
-        )
-        assert _n_scans(fused) == 3
-        assert _n_scans(plain) == 8
-        assert fused.rules.n_rules == plain.rules.n_rules == 8
+        assert catalog.rules.n_groups == 3
+        assert catalog.rules.n_rules == 8
+        estimate = estimate_batch(catalog, BatchProfile.of(UpdateBatch()))
+        assert estimate.cost.local_work == 3 * len(tableau_relation)

@@ -1,4 +1,10 @@
-"""Conformance of the storage backends' detection operations.
+"""Conformance of the storage backends' algebra and detection operations.
+
+The relation algebra — ``project``, ``select``, ``join``, ``union``, the
+horizontal partitioner's ``fragment`` and both ``reconstruct``s, each
+one call to the store — is held to :class:`~repro.core.storage.RowStore`
+on deleted rows, NULLs, an empty relation and mixed ``1``/``1.0``/``True``
+values, with operands on every pair of backends.
 
 Every operation a detector runs through ``relation.store`` is held to
 :class:`~repro.core.storage.RowStore` over the same tuples: ``check``
@@ -7,7 +13,7 @@ Every operation a detector runs through ``relation.store`` is held to
 ``distinct_counts``.  The inputs are the awkward ones: NULLs on both
 sides of a rule, deleted rows, an empty relation, a shared-LHS tableau
 mixing constant and variable rows, a pattern constant that only an
-insert makes reachable and one group per rule (``fuse=False``).  With
+insert makes reachable and one group per rule (singleton groups).  With
 ``1``, ``1.0`` and ``True`` in one column the backends differ, so each
 one's answer is pinned.  The last test checks that profiled waves note
 only hooks the benchmark harness attributes to a layer.
@@ -20,14 +26,16 @@ import pytest
 
 import repro
 from repro.core.cfd import CFD
-from repro.core.relation import Relation
+from repro.core.relation import Relation, RelationError
 from repro.core.schema import Schema
 from repro.core.storage import storage_backend_names
 from repro.core.tuples import Tuple
 from repro.distributed.serialization import PriceTable, estimate_relation_bytes
 from repro.indexes.idx import CFDIndex
 from repro.obs import profile
-from repro.rulefuse import compile_rule_set
+from repro.partition.horizontal import hash_horizontal_scheme
+from repro.partition.vertical import VerticalPartitioner
+from repro.rulefuse import FusedGroup, compile_rule_set
 from repro.sqlstore import DUCKDB_AVAILABLE
 
 BACKENDS = [
@@ -172,8 +180,7 @@ def test_check_matches_rows(backend, case):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_one_group_per_rule_matches_fused(backend):
     rel, rules = build("tableau", backend)
-    per_rule = compile_rule_set(rules, fuse=False)
-    assert [group.members for group in per_rule] == [(cfd,) for cfd in rules]
+    per_rule = [FusedGroup(cfd.lhs, (cfd,), (i,)) for i, cfd in enumerate(rules)]
     fused = compile_rule_set(rules)
     assert len(fused) == 2
     assert checked(rel.store, per_rule) == checked(rel.store, fused)
@@ -344,6 +351,139 @@ def test_distinct_counts_match_rows(backend, case):
     reference, _ = build(case, "rows")
     rel, _ = build(case, backend)
     assert rel.store.distinct_counts() == reference.store.distinct_counts()
+
+
+# -- relation algebra -----------------------------------------------------------------
+
+#: case -> (rows, tids deleted after loading).
+ALGEBRA_CASES = {
+    "kernel_after_deletes": (KERNEL_ROWS, (0, 7, 13, 21)),
+    "nulls": (NULL_ROWS, ()),
+    "empty": ((), ()),
+    "mixed_numbers": (MIXED_ROWS, ()),
+}
+
+
+def algebra_input(case, storage):
+    rows, deleted = ALGEBRA_CASES[case]
+    rel = relation(rows, storage)
+    for tid in deleted:
+        rel.delete(tid)
+    return rel
+
+
+def in_tid_order(rel):
+    return sorted(rel, key=lambda t: t.tid)
+
+
+def keep(t):
+    """A selection predicate reading both ``t.tid`` and ``t[attr]``."""
+    return t.tid % 3 == 0 or t["a"] == 1
+
+
+#: The pair of vertical fragments the joins use: ``b`` is replicated.
+LEFT, RIGHT = ["a", "b"], ["b", "c"]
+
+
+def algebra(rel, other):
+    """Every algebra operation on ``rel`` (the left operand) and ``other``
+    (the right one, on any backend), each result as a relation."""
+    vertical = VerticalPartitioner(SCHEMA, [LEFT, RIGHT, ["c", "a"]])
+    horizontal = hash_horizontal_scheme(SCHEMA, 3)
+    pieces = horizontal.fragment(rel)
+    # The last fragment lacks the first tid, which the join must drop.
+    gapped = vertical.fragment(rel)
+    for tid in list(rel.tids())[:1]:
+        gapped.fragment_at(2).delete(tid)
+    return {
+        "project": rel.project(["c", "a"]),
+        "select": rel.select(keep),
+        "join": rel.project(LEFT).join(other.project(RIGHT)),
+        "union": rel.select(keep).union(other.select(lambda t: not keep(t))),
+        **{f"fragment_{site}": fragment for site, fragment in pieces},
+        "horizontal_reconstruct": pieces.reconstruct(),
+        "vertical_reconstruct": vertical.fragment(rel).reconstruct(),
+        "vertical_reconstruct_gapped": gapped.reconstruct(),
+    }
+
+
+@pytest.mark.parametrize("case", list(ALGEBRA_CASES))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_algebra_matches_rows(backend, case):
+    rel = algebra_input(case, backend)
+    expected = algebra(algebra_input(case, "rows"), algebra_input(case, "rows"))
+    found = algebra(rel, rel)
+    assert list(found) == list(expected)
+    for op, result in found.items():
+        assert result.storage == backend, op
+        assert result.schema.attribute_names == expected[op].schema.attribute_names, op
+        assert in_tid_order(result) == in_tid_order(expected[op]), op
+
+
+@pytest.mark.parametrize("right", BACKENDS)
+@pytest.mark.parametrize("left", BACKENDS)
+def test_mixed_operands_keep_the_left_backend(left, right):
+    case = "kernel_after_deletes"
+    expected = algebra(algebra_input(case, "rows"), algebra_input(case, "rows"))
+    found = algebra(algebra_input(case, left), algebra_input(case, right))
+    for op in ("join", "union"):
+        assert found[op].storage == left
+        assert in_tid_order(found[op]) == in_tid_order(expected[op])
+
+
+#: What each backend reads back for ``a`` of MIXED_ROWS after a projection,
+#: by repr.  Columnar interns values that compare equal to their first-seen
+#: representative, so ``1.0`` and ``True`` read back as ``1`` (README,
+#: *Interning caveats*); rows and sql return the values that went in.
+MIXED_READ_BACK = {
+    "rows": ["1", "1.0", "True", "2", "2.0"],
+    "columnar": ["1", "1", "1", "2", "2"],
+    "sql": ["1", "1.0", "True", "2", "2.0"],
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_mixed_numbers_read_back_each_backends_representative(backend):
+    if backend not in MIXED_READ_BACK:
+        pytest.skip(f"no answer recorded for {backend}")
+    rel = relation(MIXED_ROWS, backend)
+    for result in algebra(rel, rel).values():
+        if "a" in result.schema and len(result) == len(MIXED_ROWS):
+            assert [repr(t["a"]) for t in in_tid_order(result)] == MIXED_READ_BACK[backend]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_conflicting_replicated_value_raises(backend):
+    rel = relation(KERNEL_ROWS, backend)
+    left, right = rel.project(LEFT), rel.project(RIGHT)
+    right.insert(right.delete(5).with_values(b="other"))
+    with pytest.raises(ValueError, match="conflicting values for attribute 'b'"):
+        left.join(right)
+    partition = VerticalPartitioner(SCHEMA, [LEFT, RIGHT]).fragment(rel)
+    replica = partition.fragment_at(1)
+    replica.insert(replica.delete(5).with_values(b="other"))
+    with pytest.raises(ValueError, match="conflicting values for attribute 'b'"):
+        partition.reconstruct()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_union_rejects_a_duplicate_tid(backend):
+    rel = relation(KERNEL_ROWS, backend)
+    with pytest.raises(RelationError, match="duplicate tid"):
+        rel.select(keep).union(rel.select(lambda t: t.tid == 3))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_select_predicate_reads_tid_and_attributes(backend):
+    seen = []
+
+    def predicate(t):
+        seen.append((t.tid, t["a"], t["b"]))
+        return t.tid == 4
+
+    rel = relation(NULL_ROWS, backend)
+    assert [t.tid for t in rel.select(predicate)] == [4]
+    assert seen == [(t.tid, t["a"], t["b"]) for t in relation(NULL_ROWS)]
 
 
 # -- profile hooks --------------------------------------------------------------------
