@@ -14,14 +14,15 @@ The package provides:
   (horizontal) with cost ``O(|delta-D| + |delta-V|)``, their batch
   counterparts ``batVer`` / ``batHor`` and the improved baselines of the
   paper's Exp-10;
-* the ``optVer`` HEV-placement heuristic minimising eqid shipment;
+* the ``optVer`` HEV-placement heuristic minimising eqid shipment, which
+  places the HEVs of every ``incVer`` session;
 * workload generators (TPCH-like, DBLP-like, the EMP running example)
   and the experiment harness that regenerates every figure and table of
   the paper's evaluation section;
 * the detection engine: :func:`repro.session` builds a fluent
   :class:`DetectionSession` over any of the above through a pluggable
-  strategy registry (``incVer``, ``batVer``, ``optVer``, ``incHor``,
-  ``batHor``, improved baselines, centralized and MD detection), with
+  strategy registry (``incVer``, ``batVer``, ``incHor``, ``batHor``,
+  improved baselines, centralized and MD detection), with
   ``apply``/``stream`` for updates and structured ``report()`` output.
 """
 
@@ -92,7 +93,6 @@ from repro.engine import (
     TopologyEvent,
     register_detector,
     register_partitioner,
-    register_storage,
     session,
 )
 from repro.similarity import (
@@ -249,7 +249,6 @@ __all__ = [
     "DEFAULT_REGISTRY",
     "register_detector",
     "register_partitioner",
-    "register_storage",
     # multi-tenant detection service
     "DetectionService",
     "ServiceError",

@@ -5,11 +5,13 @@
   ``stream`` and ``report``.
 * :class:`StrategyRegistry` / :func:`register_detector` /
   :func:`register_partitioner` — the pluggable strategy registry; the
-  paper's algorithms are pre-registered as ``incVer``, ``batVer``,
-  ``ibatVer``, ``optVer``, ``incHor``, ``batHor``, ``ibatHor``, plus
-  ``centralized``, ``md`` and ``incMD`` — one :class:`StrategyRow` each
-  in :data:`STRATEGY_TABLE`, all run by the one :class:`TableStrategy`
-  adapter — and ``auto`` (:class:`AdaptiveStrategy`).
+  paper's algorithms are pre-registered as ``incVer`` (which runs the
+  ``optVer`` HEV plan), ``batVer``, ``ibatVer``, ``incHor``, ``batHor``,
+  ``ibatHor``, plus ``centralized``, ``md`` and ``incMD`` — one
+  :class:`StrategyRow` each in :data:`STRATEGY_TABLE`, all run by the one
+  :class:`TableStrategy` adapter — and ``auto`` (:class:`AdaptiveStrategy`).
+  Storage backends register in one place,
+  :func:`repro.core.storage.register_storage_backend`.
 * :class:`Detector` — the protocol every strategy satisfies.
 """
 
@@ -27,11 +29,9 @@ from repro.engine.registry import (
     DetectorEntry,
     PartitionerEntry,
     RegistryError,
-    StorageEntry,
     StrategyRegistry,
     register_detector,
     register_partitioner,
-    register_storage,
 )
 from repro.engine.report import DetectionReport, SiteCost, SiteTiming, TopologyEvent
 from repro.engine.session import DetectionSession, SessionBuilder, SessionError, session
@@ -55,7 +55,6 @@ __all__ = [
     "SiteCost",
     "TopologyEvent",
     "SiteTiming",
-    "StorageEntry",
     "StrategyRegistry",
     "StrategyRow",
     "StrategyState",
@@ -64,6 +63,5 @@ __all__ = [
     "register_builtin_strategies",
     "register_detector",
     "register_partitioner",
-    "register_storage",
     "session",
 ]

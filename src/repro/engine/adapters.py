@@ -8,7 +8,7 @@ differs per registered name is one :class:`StrategyRow` of
   the wrapped detector (its keyword options are the strategy's options);
 * ``holds``, which says where the current data lives:
 
-  - :data:`FRAGMENTS` — the deployment's fragments: incVer/optVer/incHor
+  - :data:`FRAGMENTS` — the deployment's fragments: incVer/incHor
     maintain them, batVer/batHor write into them through
     ``deliver_updates``;
   - :data:`RELATION` — a relation the adapter keeps: ibatVer/ibatHor
@@ -28,7 +28,7 @@ win).  Cost estimates come from the row's mode
 charges the deployment's one network ledger.
 
 ``register_builtin_strategies`` wires the table, ``auto`` and the
-built-in partition schemes and storage backends into a
+built-in partition schemes into a
 :class:`~repro.engine.registry.StrategyRegistry`.
 """
 
@@ -51,9 +51,7 @@ from repro.engine.registry import StrategyRegistry
 from repro.horizontal.bathor import HorizontalBatchDetector
 from repro.horizontal.ibathor import ImprovedHorizontalBatchDetector
 from repro.horizontal.inchor import HorizontalIncrementalDetector
-from repro.indexes.planner import HEVPlanner
 from repro.partition.horizontal import HorizontalPartitioner, hash_horizontal_scheme
-from repro.partition.replication import ReplicationScheme
 from repro.partition.vertical import VerticalPartitioner, even_vertical_scheme
 from repro.similarity.detector import MDDetector
 from repro.similarity.incremental import IncrementalMDDetector
@@ -66,7 +64,7 @@ RELATION = "relation"
 MATERIALIZED = "materialized"
 
 #: Modes whose detector maintains violations under its own ``apply``.
-_DELEGATING_MODES = frozenset({"incremental", "optimized"})
+_DELEGATING_MODES = frozenset({"incremental"})
 
 
 class StrategyStateError(RuntimeError):
@@ -255,20 +253,8 @@ class TableStrategy:
 # -- the table ------------------------------------------------------------------------------
 
 
-def _hev_planner(cluster: Cluster) -> HEVPlanner:
-    partitioner = cluster.vertical_partitioner
-    return HEVPlanner(partitioner, ReplicationScheme(partitioner))
-
-
 def _inc_ver(cluster, rules, violations=None, plan=None):
     return VerticalIncrementalDetector(cluster, rules, plan=plan, violations=violations)
-
-
-def _opt_ver(cluster, rules, violations=None, plan=None):
-    planner = _hev_planner(cluster) if plan is None else None
-    return VerticalIncrementalDetector(
-        cluster, rules, plan=plan, planner=planner, violations=violations
-    )
 
 
 def _inc_hor(cluster, rules, violations=None, use_md5=True):
@@ -312,17 +298,10 @@ def _inc_md(site, rules, violations=None):
 STRATEGY_TABLE: tuple[StrategyRow, ...] = (
     StrategyRow(
         "incVer", "vertical", "incremental",
-        "incremental CFD detection over vertical fragments (Fig. 5)",
+        "incremental CFD detection over vertical fragments (Fig. 5) "
+        "through the optVer HEV plan (Section 5)",
         _inc_ver, FRAGMENTS,
         rehome=lambda detector, cluster, result: detector.rehome(cluster),
-    ),
-    StrategyRow(
-        "optVer", "vertical", "optimized",
-        "incVer with the optVer HEV-placement plan (Section 5)",
-        _opt_ver, FRAGMENTS,
-        rehome=lambda detector, cluster, result: detector.rehome(
-            cluster, planner=_hev_planner(cluster)
-        ),
     ),
     StrategyRow(
         "batVer", "vertical", "batch",
@@ -436,30 +415,3 @@ def register_builtin_strategies(registry: StrategyRegistry) -> None:
         _build_horizontal_partitioner,
         description="alias of 'horizontal': hash buckets over the key",
     )
-
-    registry.register_storage(
-        "rows",
-        lambda relation: relation.with_storage("rows"),
-        description="one Tuple object per row (the default layout)",
-    )
-    registry.register_storage(
-        "columnar",
-        lambda relation: relation.with_storage("columnar"),
-        description="dictionary-encoded column arrays with vectorized kernels",
-    )
-    registry.register_storage(
-        "sql",
-        lambda relation: relation.with_storage("sql"),
-        description=(
-            "embedded-SQL table (sqlite3, file-backed or :memory:) with "
-            "CFD checks pushed down as set-oriented queries"
-        ),
-    )
-    from repro.sqlstore import DUCKDB_AVAILABLE
-
-    if DUCKDB_AVAILABLE:  # pragma: no cover - requires optional duckdb
-        registry.register_storage(
-            "duckdb",
-            lambda relation: relation.with_storage("duckdb"),
-            description="DuckDB engine behind the same SQL pushdown compiler",
-        )

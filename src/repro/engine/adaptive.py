@@ -317,7 +317,8 @@ class AdaptiveStrategy:
         the ordinary ``export_state``/``import_state`` handoff the next
         time the planner activates them, so only the warm side pays
         re-homing work.  The catalog's topology statistics follow the
-        new site count and, vertically, the new HEV plan's ``Neqid``.
+        new site count and, vertically, the new HEV plan's ``Neqid``;
+        the shipment feedback measured on the old layout is forgotten.
         """
         self._require_setup()
         active = self._instances[self._active]
@@ -325,6 +326,7 @@ class AdaptiveStrategy:
         self.deployment = getattr(active, "deployment", None) or self.deployment
         catalog = self._planner.catalog  # type: ignore[union-attr]
         catalog.n_sites = len(self.deployment)
+        catalog.forget_feedback()
         if self.deployment.is_vertical():
             catalog.rules = RuleProfile.of(self._rules, self.deployment.vertical_partitioner)
 

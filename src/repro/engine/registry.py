@@ -57,30 +57,12 @@ class PartitionerEntry:
     description: str = ""
 
 
-@dataclass(frozen=True)
-class StorageEntry:
-    """One registered storage backend converter (``factory(relation)``).
-
-    The factory re-hosts a relation on the backend (typically
-    ``relation.with_storage(name)``) and returns it; sessions call it
-    once at build time, before the data is fragmented over sites.
-    """
-
-    name: str
-    factory: Callable[..., Any]
-    description: str = ""
-
-    def convert(self, relation: Any) -> Any:
-        return self.factory(relation)
-
-
 class StrategyRegistry:
     """Named detection strategies and partition schemes."""
 
     def __init__(self) -> None:
         self._detectors: dict[str, DetectorEntry] = {}
         self._partitioners: dict[str, PartitionerEntry] = {}
-        self._storages: dict[str, StorageEntry] = {}
 
     # -- detectors -------------------------------------------------------------------
 
@@ -203,41 +185,6 @@ class StrategyRegistry:
     def partitioner_names(self) -> list[str]:
         return sorted(self._partitioners)
 
-    # -- storage backends ---------------------------------------------------------------
-
-    def register_storage(
-        self,
-        name: str,
-        factory: Callable[..., Any],
-        *,
-        description: str = "",
-        replace: bool = False,
-    ) -> StorageEntry:
-        """Register a storage backend converter ``factory(relation)``."""
-        if name in self._storages and not replace:
-            raise RegistryError(
-                f"storage backend {name!r} is already registered; "
-                f"pass replace=True to override"
-            )
-        entry = StorageEntry(name, factory, description)
-        self._storages[name] = entry
-        return entry
-
-    def has_storage(self, name: str) -> bool:
-        return name in self._storages
-
-    def storage(self, name: str) -> StorageEntry:
-        try:
-            return self._storages[name]
-        except KeyError:
-            known = ", ".join(sorted(self._storages)) or "(none)"
-            raise RegistryError(
-                f"no storage backend named {name!r}; registered: {known}"
-            ) from None
-
-    def storage_names(self) -> list[str]:
-        return sorted(self._storages)
-
 
 #: The registry the package-level helpers and default sessions use.
 DEFAULT_REGISTRY = StrategyRegistry()
@@ -274,18 +221,5 @@ def register_partitioner(
 ) -> PartitionerEntry:
     """Register a partition scheme builder in the default registry."""
     return DEFAULT_REGISTRY.register_partitioner(
-        name, factory, description=description, replace=replace
-    )
-
-
-def register_storage(
-    name: str,
-    factory: Callable[..., Any],
-    *,
-    description: str = "",
-    replace: bool = False,
-) -> StorageEntry:
-    """Register a storage backend converter in the default registry."""
-    return DEFAULT_REGISTRY.register_storage(
         name, factory, description=description, replace=replace
     )

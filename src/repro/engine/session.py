@@ -1,9 +1,8 @@
 """Fluent detection sessions: one entry point over every detector.
 
-The builder picks the right strategy from (partitioning × mode), wires
-the HEV planner automatically for ``optVer``, and hands back a
-:class:`DetectionSession` that streams update batches through whichever
-detector was chosen::
+The builder picks the right strategy from (partitioning × mode) and
+hands back a :class:`DetectionSession` that streams update batches
+through whichever detector was chosen::
 
     sess = (
         repro.session(relation)
@@ -31,6 +30,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.cfd import CFD
 from repro.core.relation import Relation
+from repro.core.storage import storage_backend_names
 from repro.core.updates import Update, UpdateBatch
 from repro.core.violations import ViolationDelta, ViolationSet
 from repro.distributed.cluster import Cluster
@@ -135,10 +135,12 @@ class SessionBuilder:
         """Pick the detection strategy by registry name or generic mode.
 
         Generic modes (``"incremental"``, ``"batch"``,
-        ``"improved-batch"``, ``"optimized"``) are resolved against the
+        ``"improved-batch"``, ``"adaptive"``) are resolved against the
         chosen partitioning; registry names (``"incVer"``, ``"batHor"``,
         ...) select a strategy directly.  Options are forwarded to the
-        strategy factory (e.g. ``use_md5=False``, ``plan=...``).
+        strategy factory (e.g. ``use_md5=False``, or ``plan=...`` to
+        replace the ``optVer`` HEV plan vertical incremental detection
+        runs by default).
         """
         self._strategy_name = name
         self._strategy_options = dict(options)
@@ -152,11 +154,12 @@ class SessionBuilder:
     def storage(self, backend: str) -> "SessionBuilder":
         """Pick the storage layout the session's data is hosted on.
 
-        ``backend`` is a registered storage backend name (``"rows"`` —
-        the default — or ``"columnar"``).  The relation is re-hosted
-        once at build time, *before* fragmentation, so every site
-        fragment inherits the layout and the detectors' vectorized fast
-        paths engage.  Every backend produces the identical violation
+        ``backend`` is a name registered through
+        :func:`~repro.core.storage.register_storage_backend` (``"rows"``
+        — the default — ``"columnar"``, ``"sql"`` or a plug-in).  The
+        relation is re-hosted once at build time, *before*
+        fragmentation, so every site fragment inherits the layout and
+        the detectors' vectorized fast paths engage.  Every backend produces the identical violation
         set, ΔV and shipment counters; only wall-clock changes.  (One
         documented exception: columnar byte counters can drift when
         ``==``-equal values of different wire widths, e.g. ``True`` and
@@ -166,10 +169,11 @@ class SessionBuilder:
             raise SessionError(
                 f"storage(...) takes a backend name, not {type(backend).__name__}"
             )
-        try:
-            self._registry.storage(backend)
-        except RegistryError as exc:
-            raise SessionError(str(exc)) from None
+        known = storage_backend_names()
+        if backend not in known:
+            raise SessionError(
+                f"no storage backend named {backend!r}; registered: {', '.join(known)}"
+            )
         self._storage_name = backend
         return self
 
@@ -298,7 +302,7 @@ class SessionBuilder:
 
         relation = self._relation
         if self._storage_name is not None:
-            relation = self._registry.storage(self._storage_name).convert(relation)
+            relation = relation.with_storage(self._storage_name)
         storage_name = getattr(relation, "storage", "rows")
 
         try:

@@ -22,7 +22,7 @@ from repro.distributed.network import Network
 from repro.engine.registry import DEFAULT_REGISTRY
 from repro.engine.session import session
 from repro.experiments.metrics import ExperimentSeries
-from repro.indexes.planner import HEVPlanner
+from repro.indexes.planner import HEVPlanner, naive_chain_plan
 from repro.partition.replication import ReplicationScheme
 from repro.workloads.dblp import DBLPGenerator
 from repro.workloads.rules import generate_cfds
@@ -176,11 +176,14 @@ class ExperimentRunner:
         )
         partitioner = generator.vertical_partitioner(n_partitions)
 
+        # Without ``optimize`` the naive chains of Fig. 6(a) replace the
+        # optVer plan incVer runs by default.
+        plan = None if optimize else naive_chain_plan(cfds, partitioner)
         inc = (
             session(base)
             .partition(partitioner)
             .rules(cfds)
-            .strategy("optVer" if optimize else "incVer")
+            .strategy("incVer", plan=plan)
             .build()
         )
         delta, inc_elapsed = _timed(lambda: inc.apply(updates))

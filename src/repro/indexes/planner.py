@@ -13,7 +13,9 @@ heuristic ``optVer`` (Fig. 7).  This module implements:
   the IDX keys, expand with shared-intersection HEVs and base HEVs,
   place every HEV with ``findLoc``, then greedily remove redundant HEVs
   while keeping every IDX key computable, retaining the solution with
-  the fewest eqid shipments.
+  the fewest eqid shipments;
+* :func:`hev_plan` — the plan every incremental vertical detector runs
+  unless the caller supplies one: ``optVer`` over the primary placement.
 """
 
 from __future__ import annotations
@@ -312,3 +314,12 @@ class HEVPlanner:
             "without_optimization": naive.eqid_shipments_per_update(),
             "with_optimization": optimized.eqid_shipments_per_update(),
         }
+
+
+def hev_plan(cfds: Iterable[CFD], partitioner: VerticalPartitioner) -> HEVPlan:
+    """The default HEV plan: ``optVer`` over ``partitioner``'s placement.
+
+    Never ships more eqids per update than :func:`naive_chain_plan`,
+    which :meth:`HEVPlanner.plan` falls back to when it cannot beat it.
+    """
+    return HEVPlanner(partitioner, ReplicationScheme(partitioner)).plan(cfds)

@@ -7,7 +7,8 @@
 * :class:`AdaptivePlanner` / :class:`PlanDecision` — per-batch choice
   between the incremental and batch sides, calibrated by EWMA feedback;
 * :func:`hev_plan_cost` — the cost core shared with the ``optVer`` HEV
-  placement search in :mod:`repro.indexes.planner`.
+  placement search in :mod:`repro.indexes.planner`, whose plan every
+  ``incVer`` session runs and ``auto`` prices.
 """
 
 from repro.planner.adaptive import AdaptivePlanner, PlanDecision

@@ -6,10 +6,10 @@ prior plus the *driver* — the number of units the strategy's cost
 scales with, which the EWMA feedback loop later calibrates per-unit
 rates against:
 
-* incremental detection (incVer / optVer / incHor / incMD) costs
+* incremental detection (incVer / incHor / incMD) costs
   ``O(|delta-D| + |delta-V|)`` — driver: normalized batch size; the
-  vertical shipment is priced from the HEV plan's ``Neqid``, the
-  horizontal one from the per-site digest broadcast;
+  vertical shipment is priced from the ``Neqid`` of the optVer HEV plan
+  incVer runs, the horizontal one from the per-site digest broadcast;
 * the improved batch baselines (ibatVer / ibatHor) rebuild ``V`` by
   incremental insertion from empty — driver: ``|D (+) delta-D|``, with
   the *same* per-unit shipment prior as the incremental side (they run
@@ -155,7 +155,6 @@ def estimate_batch(
 #: adaptive planner prices every candidate through its mode's entry.
 ESTIMATORS: Dict[str, Callable[[StatsCatalog, BatchProfile, str], Estimate]] = {
     "incremental": estimate_incremental,
-    "optimized": estimate_incremental,
     "improved-batch": estimate_improved_batch,
     "batch": estimate_batch,
 }

@@ -176,10 +176,11 @@ class RuleProfile:
 
     ``eqids_per_update`` is ``Neqid`` of Section 5: the eqids one update
     ships for the general CFDs.  Given a vertical partitioner it is read
-    off the HEV plan ``incVer`` builds (the naive chains), which is exact
-    when every general CFD's LHS pattern is all wildcards and an upper
-    bound otherwise (a tuple outside the pattern ships nothing);
-    without one it is the chain bound ``sum(|X| + 1)``.
+    off the optVer HEV plan ``incVer`` builds
+    (:func:`~repro.indexes.planner.hev_plan`), which is exact when every
+    general CFD's LHS pattern is all wildcards and an upper bound
+    otherwise (a tuple outside the pattern ships nothing); without one
+    it is the chain bound ``sum(|X| + 1)``.
     """
 
     n_rules: int
@@ -228,9 +229,9 @@ class RuleProfile:
         from repro.rulefuse import n_fused_groups
 
         if vertical_partitioner is not None:
-            from repro.indexes.planner import naive_chain_plan
+            from repro.indexes.planner import hev_plan
 
-            plan = naive_chain_plan(rules, vertical_partitioner)
+            plan = hev_plan(rules, vertical_partitioner)
             eqids_per_update = float(plan.eqid_shipments_per_update())
         else:
             eqids_per_update = float(sum(size + 1 for size in lhs_sizes))
@@ -442,6 +443,13 @@ class StatsCatalog:
     ) -> None:
         """Feed one measured batch back into the strategy's EWMAs."""
         self.feedback_for(strategy).observe(driver, cost, seconds)
+
+    def forget_feedback(self) -> None:
+        """Drop every strategy's learned rates, e.g. after a migration
+        changed the layout they were measured on; estimates restart from
+        the analytic priors."""
+        with self._lock:
+            self._feedback.clear()
 
     def note_batch(self, profile: BatchProfile, n_violations: int | None = None) -> None:
         """Cardinality (and violation-set) maintenance after a batch.

@@ -34,7 +34,7 @@ from repro.distributed.message import MessageKind
 from repro.distributed.serialization import estimate_tuple_bytes
 from repro.indexes.hev import HEVPlan, ShipmentCache
 from repro.indexes.idx import CFDIndex, violations_from_index
-from repro.indexes.planner import HEVPlanner, naive_chain_plan
+from repro.indexes.planner import hev_plan
 from repro.runtime.executor import SiteTask
 
 
@@ -75,7 +75,6 @@ class VerticalIncrementalDetector:
         cluster: Cluster,
         cfds: Iterable[CFD],
         plan: HEVPlan | None = None,
-        planner: HEVPlanner | None = None,
         violations: ViolationSet | None = None,
     ):
         if not cluster.is_vertical():
@@ -90,12 +89,7 @@ class VerticalIncrementalDetector:
 
         self._classify()
 
-        if plan is not None:
-            self._plan = plan
-        elif planner is not None:
-            self._plan = planner.plan(self._cfds)
-        else:
-            self._plan = naive_chain_plan(self._cfds, self._partitioner)
+        self._plan = plan if plan is not None else hev_plan(self._cfds, self._partitioner)
 
         # Setup phase, O(|D| x |Sigma|) once and not charged to the network
         # (the paper assumes the indices and V(Sigma, D) exist before updates
@@ -161,12 +155,7 @@ class VerticalIncrementalDetector:
             else:
                 self._general_cfds.append(cfd)
 
-    def rehome(
-        self,
-        cluster: Cluster,
-        plan: HEVPlan | None = None,
-        planner: HEVPlanner | None = None,
-    ) -> None:
+    def rehome(self, cluster: Cluster, plan: HEVPlan | None = None) -> None:
         """Warm re-homing after an in-place cluster migration.
 
         The IDX indices are *logical* — grouped by LHS value over the
@@ -184,12 +173,7 @@ class VerticalIncrementalDetector:
         self._network = cluster.network
         self._partitioner = cluster.vertical_partitioner
         self._classify()
-        if plan is not None:
-            self._plan = plan
-        elif planner is not None:
-            self._plan = planner.plan(self._cfds)
-        else:
-            self._plan = naive_chain_plan(self._cfds, self._partitioner)
+        self._plan = plan if plan is not None else hev_plan(self._cfds, self._partitioner)
 
     # -- public state ----------------------------------------------------------------
 
@@ -200,7 +184,7 @@ class VerticalIncrementalDetector:
 
     @property
     def plan(self) -> HEVPlan:
-        """The HEV plan in use (naive chains unless a planner/plan was supplied)."""
+        """The HEV plan in use (``optVer``'s unless a plan was supplied)."""
         return self._plan
 
     @property

@@ -32,7 +32,6 @@ FIXED_STRATEGIES = [
     ("incVer", "vertical", "cfd"),
     ("batVer", "vertical", "cfd"),
     ("ibatVer", "vertical", "cfd"),
-    ("optVer", "vertical", "cfd"),
     ("incHor", "horizontal", "cfd"),
     ("batHor", "horizontal", "cfd"),
     ("ibatHor", "horizontal", "cfd"),

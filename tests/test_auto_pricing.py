@@ -104,15 +104,34 @@ class TestVerticalPricing:
         self, generator, relation, cfds
     ):
         with auto_session(generator, relation, cfds, "vertical") as sess:
-            assert sess.detector.catalog.rules.eqids_per_update == 11
+            assert sess.detector.catalog.rules.eqids_per_update == 10
             sess.apply(generate_updates(relation, generator, 1, seed=SEED))
             (decision,) = sess.report().plan_trace
         assert decision.chosen == "incVer"
         assert (decision.actual.bytes, decision.actual.messages, decision.actual.eqids) == (
-            88, 11, 11
+            80, 10, 10
         )
         estimated = decision.estimated
-        assert (estimated.bytes, estimated.messages, estimated.eqids) == (88, 11, 11)
+        assert (estimated.bytes, estimated.messages, estimated.eqids) == (80, 10, 10)
+
+    def test_the_first_wave_after_a_scale_is_priced_from_the_new_layout(
+        self, generator, relation, cfds
+    ):
+        # Feedback learned at 8 sites must not price the 2- and 4-site plans.
+        current = relation
+        with auto_session(generator, relation, cfds, "vertical") as sess:
+            for step, sites in enumerate((None, 2, 4)):
+                if sites is not None:
+                    sess.scale(sites=sites)
+                batch = generate_updates(current, generator, 1, seed=SEED + step)
+                sess.apply(batch)
+                current = batch.apply_to(current)
+                decision = sess.report().plan_trace[-1]
+                actual, estimated = decision.actual, decision.estimated
+                assert decision.chosen == "incVer"
+                assert (estimated.bytes, estimated.messages, estimated.eqids) == (
+                    actual.bytes, actual.messages, actual.eqids
+                ), sites
 
     def test_neqid_is_an_upper_bound_under_pattern_constants(self, generator, relation):
         # A constant in the LHS pattern: tuples outside it ship nothing.

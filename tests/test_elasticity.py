@@ -352,7 +352,6 @@ def test_migration_charged_to_ledger_as_migration_tag(generator, relation):
 
 @pytest.mark.parametrize("strategy,partitioning", [
     ("incVer", "vertical"),
-    ("optVer", "vertical"),
     ("incHor", "horizontal"),
 ])
 def test_scale_never_rede_tects_incremental(

@@ -25,7 +25,7 @@ SCALE_OUT = 5
 SCALE_IN = 2
 WAVE_SIZES = [(18, 31), (24, 32), (16, 33)]
 
-VERTICAL_STRATEGIES = ["incVer", "optVer", "batVer", "ibatVer", "auto"]
+VERTICAL_STRATEGIES = ["incVer", "batVer", "ibatVer", "auto"]
 HORIZONTAL_STRATEGIES = ["incHor", "batHor", "ibatHor", "auto"]
 SINGLE_STRATEGIES = ["centralized", "md", "incMD"]
 

@@ -27,6 +27,8 @@ from repro.engine import (
     register_builtin_strategies,
 )
 from repro.horizontal.inchor import HorizontalIncrementalDetector
+from repro.indexes.planner import HEVPlanner
+from repro.partition.replication import ReplicationScheme
 from repro.similarity import (
     IncrementalMDDetector,
     MatchingDependency,
@@ -50,7 +52,7 @@ INC_VER = DEFAULT_REGISTRY.detector("incVer").factory
 
 
 class TestRegistry:
-    PAPER_NAMES = ["incVer", "batVer", "ibatVer", "optVer", "incHor", "batHor", "ibatHor"]
+    PAPER_NAMES = ["incVer", "batVer", "ibatVer", "incHor", "batHor", "ibatHor"]
 
     def test_paper_algorithms_are_registered(self):
         for name in self.PAPER_NAMES + ["centralized", "md", "incMD"]:
@@ -344,16 +346,32 @@ class TestSessionParity:
         assert sess.violations == detect_violations(emp_cfds, final)
 
     def test_optimized_vertical_strategy(self, emp, emp_cfds, emp_batch):
-        sess = (
-            session(emp.relation())
-            .partition(emp.vertical_partitioner())
-            .rules(emp_cfds)
-            .strategy("optVer")
-            .build()
-        )
+        # optVer is incVer's HEV plan, not a strategy of its own.
+        for name in ("optVer", "optimized"):
+            with pytest.raises(SessionError):
+                (
+                    session(emp.relation())
+                    .partition(emp.vertical_partitioner())
+                    .rules(emp_cfds)
+                    .strategy(name)
+                    .build()
+                )
+        assert len(DEFAULT_REGISTRY.detector_names()) == 10
+        partitioner = emp.vertical_partitioner()
+        sess = session(emp.relation()).partition(partitioner).rules(emp_cfds).build()
+        expected = HEVPlanner(partitioner, ReplicationScheme(partitioner)).plan(emp_cfds)
+
+        def shape(plan):
+            return (
+                [(node.attributes, node.site) for node in plan.nodes],
+                {name: plan.idx_site(name) for name in plan.cfd_names()},
+                plan.eqid_shipments_per_update(),
+            )
+
+        assert sess.strategy == "incVer"
+        assert shape(sess.detector.inner.plan) == shape(expected)
         sess.apply(emp_batch)
         final = emp_batch.apply_to(emp.relation())
-        assert sess.strategy == "optVer"
         assert sess.violations == detect_violations(emp_cfds, final)
 
     def test_centralized_default_for_unpartitioned(self, emp, emp_cfds, emp_batch):

@@ -109,6 +109,13 @@ class TestRunnerShapes:
         by_mode = {row["mode"]: row for row in series.rows}
         assert by_mode["md5"]["inc_shipped_bytes"] <= by_mode["full_tuple"]["inc_shipped_bytes"]
 
+    def test_ablation_naive_chains_ship_more_eqids_than_optver(self, runner):
+        series = runner.ablation_optimized_plan()
+        by_mode = {row["mode"]: row for row in series.rows}
+        naive, optimized = by_mode["naive_chains"], by_mode["optVer"]
+        assert naive["inc_shipped_eqids"] > optimized["inc_shipped_eqids"]
+        assert naive["violations"] == optimized["violations"]
+
     def test_run_vertical_verifies_against_batch(self, runner):
         row = runner.run_vertical(runner.tpch(), 60, 30, 4)
         assert row["violations"] >= 0

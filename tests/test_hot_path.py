@@ -166,13 +166,15 @@ class TestAllocationIndependentOfGroupSize:
 
 #: NetworkStats of the stream below, recorded at the revision before the
 #: probes stopped copying (PR 11).  A detector change that moves them
-#: changed what is shipped, not just how fast.
+#: changed what is shipped, not just how fast.  incVer's were re-derived
+#: when its default HEV plan became optVer's, which shares HEVs and so
+#: ships fewer eqids per update than the naive chains.
 PINNED_LEDGER = {
     "incVer": {
-        "messages": 33024,
-        "bytes": 266411,
-        "eqids": 32000,
-        "units_by_kind": {"eqid": 32000, "partial_tuple": 1024},
+        "messages": 21024,
+        "bytes": 170411,
+        "eqids": 20000,
+        "units_by_kind": {"eqid": 20000, "partial_tuple": 1024},
     },
     "incHor": {
         "messages": 7399,

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core.cfd import CFD
+from repro.core.cfd import CFD, UNNAMED
 from repro.core.detector import detect_violations
 from repro.core.updates import Update, UpdateBatch
 from repro.distributed.cluster import Cluster
 from repro.distributed.network import Network
-from repro.indexes.planner import HEVPlanner
+from repro.engine.session import session
+from repro.indexes.planner import HEVPlanner, hev_plan, naive_chain_plan
 from repro.vertical.incver import VerticalIncrementalDetector
 from repro.workloads.tpch import TPCHGenerator
 from repro.workloads.rules import generate_cfds
@@ -150,3 +151,43 @@ class TestEquivalenceWithCentralized:
         assert detector.violations == expected
         assert 5 not in detector.violations.tids_for("phi1")
         assert delta.removed
+
+
+class TestNaiveChainPlan:
+    """The naive chains of Fig. 6(a), run through ``plan=``, stay a working plan."""
+
+    @pytest.mark.parametrize("storage", ["rows", "columnar", "sql"])
+    def test_naive_chains_match_the_default_plan_and_ship_their_neqid(self, storage):
+        generator = TPCHGenerator(seed=7, error_rate=0.1)
+        specs = generator.fd_specs()
+        cfds = generate_cfds(specs, len(specs), seed=7)  # the plain FDs: all wildcards
+        assert all(cfd.pattern.entry(a) is UNNAMED for cfd in cfds for a in cfd.lhs)
+        base = generator.relation(120)
+        updates = list(generate_updates(base, generator, 30, seed=7))
+        partitioner = generator.vertical_partitioner(8)
+        naive = naive_chain_plan(cfds, partitioner)
+        assert naive.eqid_shipments_per_update() > hev_plan(
+            cfds, partitioner
+        ).eqid_shipments_per_update()
+
+        def run(plan):
+            sess = (
+                session(base)
+                .partition(partitioner)
+                .rules(cfds)
+                .strategy("incVer", plan=plan)
+                .storage(storage)
+                .build()
+            )
+            deltas, eqids = [], []
+            with sess:
+                for update in updates:
+                    before = sess.network.stats().eqids_shipped
+                    delta = sess.apply(UpdateBatch([update]))
+                    deltas.append((delta.added, delta.removed))
+                    eqids.append(sess.network.stats().eqids_shipped - before)
+                return sess.violations, deltas, eqids
+
+        naive_run, default_run = run(naive), run(None)
+        assert len(naive_run[0]) and naive_run[:2] == default_run[:2]
+        assert naive_run[2] == [naive.eqid_shipments_per_update()] * len(updates)

@@ -44,5 +44,5 @@ class TestPublicAPI:
 
     def test_registry_covers_paper_algorithms(self):
         names = repro.DEFAULT_REGISTRY.detector_names()
-        for name in ("incVer", "batVer", "ibatVer", "optVer", "incHor", "batHor", "ibatHor"):
+        for name in ("incVer", "batVer", "ibatVer", "incHor", "batHor", "ibatHor"):
             assert name in names

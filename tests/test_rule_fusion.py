@@ -40,7 +40,6 @@ STRATEGIES = [
     ("incVer", "vertical"),
     ("batVer", "vertical"),
     ("ibatVer", "vertical"),
-    ("optVer", "vertical"),
     ("incHor", "horizontal"),
     ("batHor", "horizontal"),
     ("ibatHor", "horizontal"),

@@ -34,7 +34,6 @@ STRATEGIES = [
     ("incVer", "vertical"),
     ("batVer", "vertical"),
     ("ibatVer", "vertical"),
-    ("optVer", "vertical"),
     ("auto", "vertical"),
     ("incHor", "horizontal"),
     ("batHor", "horizontal"),

@@ -31,7 +31,6 @@ STRATEGIES = [
     ("incVer", "vertical"),
     ("batVer", "vertical"),
     ("ibatVer", "vertical"),
-    ("optVer", "vertical"),
     ("incHor", "horizontal"),
     ("batHor", "horizontal"),
     ("ibatHor", "horizontal"),
@@ -275,7 +274,7 @@ class TestSqlElasticity:
 
 
 class TestSqlEmptyBatch:
-    @pytest.mark.parametrize("strategy,partitioning", STRATEGIES[:8])
+    @pytest.mark.parametrize("strategy,partitioning", STRATEGIES[:7])
     def test_empty_batch_is_a_no_op(
         self, strategy, partitioning, executors, generator, relation, cfds, mds
     ):

@@ -32,7 +32,6 @@ STRATEGIES = [
     ("incVer", "vertical"),
     ("batVer", "vertical"),
     ("ibatVer", "vertical"),
-    ("optVer", "vertical"),
     ("incHor", "horizontal"),
     ("batHor", "horizontal"),
     ("ibatHor", "horizontal"),
@@ -243,6 +242,38 @@ class TestStorageSemantics:
 
         with pytest.raises(SessionError, match="no storage backend"):
             session(relation).storage("parquet")
+
+    def test_one_registry_names_the_backends_of_both_paths(
+        self, monkeypatch, generator, relation, cfds, updates
+    ):
+        from repro.core import storage
+        from repro.core.storage import RowStore, register_storage_backend
+        from repro.engine.adaptive import AdaptiveStrategyError
+        from repro.engine.session import SessionError
+
+        monkeypatch.setitem(storage._BACKENDS, "rows2", None)  # undone on teardown
+        register_storage_backend("rows2", RowStore, replace=True)
+
+        def build(backend, strategy, **options):
+            builder = session(relation).partition(generator.vertical_partitioner(N_SITES))
+            if backend is not None:
+                builder = builder.storage(backend)
+            return builder.rules(cfds).strategy(strategy, **options).build()
+
+        outcomes = []
+        for sess in (
+            build("rows2", "incVer"),
+            build(None, "auto", backends=["rows2"]),
+            build(None, "incVer"),
+        ):
+            with sess:
+                delta = sess.apply(updates)
+                outcomes.append((sess.violations.as_dict(), delta.added, delta.removed))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        with pytest.raises(SessionError, match="no storage backend"):
+            session(relation).storage("rows3")
+        with pytest.raises(AdaptiveStrategyError, match="unknown storage backend"):
+            build(None, "auto", backends=["rows3"])
 
     def test_columnar_relation_is_used_without_explicit_storage(
         self, executors, generator, relation, cfds
