@@ -8,7 +8,7 @@
 * :mod:`repro.indexes.idx` — the IDX index: for each LHS equivalence
   class, the distinct RHS values and their tuple ids.
 * :mod:`repro.indexes.planner` — the ``optVer`` heuristic that places
-  and shares HEVs to minimise eqid shipment (:func:`hev_plan`, the plan
+  and shares HEVs to minimise eqid shipment (``hev_plan``, the plan
   incremental vertical detection runs by default), plus the naive
   per-CFD chain plan used as the unoptimized baseline.
 """
@@ -16,7 +16,7 @@
 from repro.indexes.equivalence import EqidRegistry
 from repro.indexes.hev import HEVNode, HEVPlan, ShipmentCache
 from repro.indexes.idx import CFDIndex
-from repro.indexes.planner import HEVPlanner, hev_plan, naive_chain_plan
+from repro.indexes.planner import HEVPlanner, naive_chain_plan
 
 __all__ = [
     "EqidRegistry",
@@ -25,6 +25,5 @@ __all__ = [
     "ShipmentCache",
     "CFDIndex",
     "HEVPlanner",
-    "hev_plan",
     "naive_chain_plan",
 ]
