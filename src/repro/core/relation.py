@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, KeysView, Mapping
 
 from repro.core.schema import Schema, SchemaError
-from repro.core.storage import make_storage
+from repro.core.storage import ProjectionView, make_storage
 from repro.core.tuples import Tuple
 
 
@@ -234,6 +234,14 @@ class Relation:
     def copy(self) -> "Relation":
         """A shallow copy (tuples are immutable so sharing them is safe)."""
         return Relation(self._schema, storage=self._store.copy())
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A vertical fragment crosses a process boundary as its projection:
+        # only its columns ship, not the resident relation it views.
+        state = dict(self.__dict__)
+        if isinstance(self._store, ProjectionView):
+            state["_store"] = self._store.copy()
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Relation({self._schema.name!r}, {len(self)} tuples, {self.storage})"

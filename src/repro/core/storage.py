@@ -47,6 +47,10 @@ Every backend likewise implements each operation a detector needs:
 
 Every backend answers alike (``tests/test_storage_protocol.py``), and
 every detection operation but ``tids_of`` notes a profile hook.
+
+A vertical fragment is no store of its own: :class:`ProjectionView`
+shows some attributes of one resident relation, on any backend, and
+runs every operation above on the resident store.
 """
 
 from __future__ import annotations
@@ -455,6 +459,129 @@ class RowStore(TupleStore):
         if _prof.enabled:
             _prof.note("rulefuse.rows_scan_distinct", perf_counter() - _t0, len(self._tuples))
         return {a: len(values) for a, values in seen.items()}
+
+
+class ProjectionView:
+    """Some attributes of a resident relation, seen as a read-only store.
+
+    A vertical fragment ``pi_X(D)`` is this view of ``X`` over the one
+    resident copy of ``D``: nothing is copied per fragment.  Iterating
+    the view or looking a tid up builds tuples projected onto ``X``, at
+    that edge only.  Every detection operation a vertical site runs
+    checks the attributes it is asked for against ``X`` once, then runs
+    on the resident store, so results come in that store's wire form.  Reading an
+    attribute outside ``X`` raises :class:`StorageError`, and so does
+    every write: writes go through the deployment
+    (``Cluster.deliver_updates``) or the resident relation.  A relation
+    over a view pickles as the projection, so a process executor ships
+    only the fragment's columns.
+    """
+
+    __slots__ = ("_resident", "_attrs")
+
+    def __init__(self, resident: Any, attributes: Sequence[str]):
+        outside = [a for a in attributes if a not in resident.store.attributes]
+        if outside:
+            raise StorageError(f"the resident relation does not store {outside}")
+        self._resident = resident
+        self._attrs = tuple(attributes)
+
+    @property
+    def name(self) -> str:
+        return self._resident.store.name
+
+    @property
+    def attributes(self) -> tuple[str, ...]:
+        return self._attrs
+
+    @property
+    def resident(self) -> Any:
+        """The relation this view reads."""
+        return self._resident
+
+    def _reads(self, attributes: Iterable[str]) -> None:
+        outside = [a for a in attributes if a not in self._attrs]
+        if outside:
+            raise StorageError(
+                f"attributes {outside} are outside this fragment {list(self._attrs)}"
+            )
+
+    def _read_only(self, *_args: Any) -> None:
+        raise StorageError(
+            "a vertical fragment is a read-only view; write through the "
+            "deployment (Cluster.deliver_updates) or its resident relation"
+        )
+
+    insert = pop = bulk_load = extend = _read_only
+
+    def __len__(self) -> int:
+        return len(self._resident.store)
+
+    def __iter__(self) -> Iterator[Tuple]:
+        return starmap(tuple_factory(self._attrs), rows_of(self._resident.store, self._attrs))
+
+    def __contains__(self, tid: Any) -> bool:
+        return tid in self._resident.store
+
+    def get(self, tid: Any) -> Tuple | None:
+        t = self._resident.store.get(tid)
+        return None if t is None else t.project(self._attrs)
+
+    def tids(self) -> KeysView[Any]:
+        return self._resident.store.tids()
+
+    def copy(self) -> Any:
+        """The projection as a store of its own (independent of the view)."""
+        return self._resident.store.project(self._attrs)
+
+    def __reduce__(self) -> Any:
+        # A relation over a view pickles the projection instead; a bare
+        # view would drag the whole resident relation along.
+        raise TypeError("pickle the fragment relation, not its view")
+
+    # -- algebra: on the projection ------------------------------------------------------
+
+    def project(self, attributes: Sequence[str]) -> Any:
+        self._reads(attributes)
+        return self._resident.store.project(attributes)
+
+    def join(self, others: Sequence[Any], attributes: Sequence[str]) -> Any:
+        return self.copy().join(others, attributes)
+
+    # -- detection operations: checked, then run on the resident store -------------------
+
+    def check(self, groups: Sequence[Any]) -> list[Any]:
+        for group in groups:
+            self._reads(group.lhs)
+            self._reads([cfd.rhs for cfd in group.members])
+        return self._resident.store.check(groups)
+
+    def tids_of(self, result: Any) -> set[Any]:
+        return self._resident.store.tids_of(result)
+
+    def build_indexes(self, indexes: Sequence[Any]) -> None:
+        for index in indexes:
+            self._reads(index.cfd.attributes)
+        self._resident.store.build_indexes(indexes)
+
+    def ship_scan(self, attributes: Sequence[str], constants: dict, prices: Any) -> tuple[int, int]:
+        self._reads(attributes)
+        return self._resident.store.ship_scan(attributes, constants, prices)
+
+    def estimate_bytes(self, attributes: Iterable[str] | None = None) -> int:
+        if attributes is None:
+            attributes = self._attrs
+        else:
+            attributes = list(attributes)
+            self._reads(attributes)
+        return self._resident.store.estimate_bytes(attributes)
+
+    def distinct_counts(self, sample_limit: int | None = None) -> dict[str, int]:
+        counts = self._resident.store.distinct_counts(sample_limit)
+        return {a: counts[a] for a in self._attrs}
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"ProjectionView({list(self._attrs)} of {self._resident.store!r})"
 
 
 def store_of(tuples: Iterable[Tuple]) -> Any:

@@ -1,10 +1,10 @@
 """The simulated cluster: a set of sites sharing one network.
 
-A :class:`Cluster` is built from a materialized partition (vertical or
-horizontal) and is the object the detectors operate on.  It knows which
+A :class:`Cluster` is built from a partition (vertical or horizontal)
+and is the object the detectors operate on.  It knows which
 partitioning produced it, owns the :class:`Network` used for all
-cross-site shipments, and can verify that the union/join of its
-fragments still reconstructs the logical database (used by tests).
+cross-site shipments, and hands out the logical database its sites
+hold (:meth:`Cluster.reconstruct`).
 """
 
 from __future__ import annotations
@@ -144,21 +144,17 @@ class Cluster:
     def __iter__(self) -> Iterator[Site]:
         return iter(self.sites())
 
-    # -- global views (for verification only) --------------------------------------------
+    # -- the logical database ------------------------------------------------------------
 
     def reconstruct(self) -> Relation:
-        """Rebuild the logical database from the *current* site fragments.
+        """The logical database the sites hold right now.
 
-        Tests use this to check that detectors maintain fragments
-        correctly; detection algorithms themselves never call it (that
-        would be free data shipment).
+        On a vertical deployment this is the resident relation every
+        fragment views: free, and it ships nothing.  On a horizontal one
+        it is the union of the site fragments, built afresh.
         """
         if self.is_vertical():
-            partitioner = self.vertical_partitioner
-            rebuilt = VerticalPartition(
-                partitioner, {s.site_id: s.fragment for s in self.sites()}
-            )
-            return rebuilt.reconstruct()
+            return self._partition.reconstruct()
         partitioner = self.horizontal_partitioner
         rebuilt = HorizontalPartition(
             partitioner, {s.site_id: s.fragment for s in self.sites()}
@@ -190,7 +186,9 @@ class Cluster:
 
         The fragment-level twin of ``UpdateBatch.apply_in_place`` on the
         logical relation: each update lands at its owning site(s) — free
-        of charge, exactly the paper's delivery model — with the same
+        of charge, exactly the paper's delivery model; on a vertical
+        deployment that is one write to the resident relation all the
+        fragments view — with the same
         up-front validation (a duplicate insertion raises before
         anything mutates) and the same end state as re-fragmenting the
         updated relation.  Crucially the fragment *objects* survive, so
@@ -235,32 +233,8 @@ class Cluster:
                 self._sites[destination].fragment.insert(update.tuple)
 
     def _deliver_vertical(self, batch: Any) -> None:
-        sites = self.sites()
-        first = sites[0].fragment
-        seen: dict[Any, bool] = {}
-        for update in batch:
-            tid = update.tid
-            exists = seen.get(tid)
-            if exists is None:
-                exists = tid in first
-            if update.is_insert():
-                if exists:
-                    raise RelationError(
-                        f"duplicate tid {tid!r} in relation "
-                        f"{self.vertical_partitioner.schema.name!r}"
-                    )
-                seen[tid] = True
-            else:
-                seen[tid] = False
-        for update in batch:
-            if update.is_insert():
-                for site in sites:
-                    site.fragment.insert(
-                        update.tuple.project(site.fragment.schema.attribute_names)
-                    )
-            else:
-                for site in sites:
-                    site.fragment.discard(update.tid)
+        # Every fragment views the resident relation: one write serves all.
+        batch.apply_in_place(self._partition.resident)
 
     def _check_plan(self, plan: MigrationPlan) -> None:
         expected = "vertical" if self.is_vertical() else "horizontal"
@@ -394,48 +368,34 @@ class Cluster:
 
     def _migrate_vertical(
         self, plan: MigrationPlan
-    ) -> dict[tuple[int, int], tuple[Tuple, ...]]:
+    ) -> dict[tuple[int, int], tuple[Any, ...]]:
+        """Re-view the resident relation under ``plan.target``, charging
+        each column a site newly stores as shipped from its old home."""
         target: VerticalPartitioner = plan.target
         source = self._partition.partitioner
-        key = source.schema.key
+        resident = self._partition.resident
+        every_tid = tuple(resident.tids())
         current_sites = set(self.site_ids())
-        moved: dict[tuple[int, int], tuple[Tuple, ...]] = {}
-
-        per_site: dict[int, Relation] = {}
+        moved: dict[tuple[int, int], tuple[Any, ...]] = {}
         for frag in target.fragments:
             stored = (
                 set(source.fragment_for_site(frag.site).attributes)
                 if frag.site in current_sites
                 else set()
             )
-            if stored == set(frag.attributes):
-                per_site[frag.site] = self._sites[frag.site].fragment
-                continue
-            local = [a for a in frag.attributes if a in stored]
             by_source: dict[int, list[str]] = {}
             for a in frag.attributes:
                 if a not in stored:
                     by_source.setdefault(source.home_site(a), []).append(a)
-            parts: list[Relation] = []
-            if local:
-                keep = tuple(dict.fromkeys((key, *local)))
-                parts.append(self._sites[frag.site].fragment.project(keep))
             for src, attrs in sorted(by_source.items()):
-                src_rel = self._sites[src].fragment
                 ship_fragment(
-                    self._network, src, frag.site, src_rel,
+                    self._network, src, frag.site, self._sites[src].fragment,
                     attributes=attrs, tag="migration",
                 )
-                moved[(src, frag.site)] = tuple(src_rel)
-                keep = tuple(dict.fromkeys((key, *attrs)))
-                parts.append(src_rel.project(keep))
-            rebuilt = parts[0]
-            for part in parts[1:]:
-                rebuilt = rebuilt.join(part)
-            per_site[frag.site] = rebuilt.project(frag.attributes, name=frag.name)
+                moved[(src, frag.site)] = every_tid
 
-        self._partition = VerticalPartition(target, per_site)
-        self._rebind_sites(per_site)
+        self._partition = VerticalPartition(target, resident)
+        self._rebind_sites(dict(self._partition))
         return moved
 
     def _rebind_sites(self, per_site: dict[int, Relation]) -> None:

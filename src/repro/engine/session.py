@@ -961,8 +961,11 @@ class DetectionSession:
         """Prepared-SQL statement cache counters summed over the session's
         distinct stores, or None when no store prepares statements."""
         deployment = self.deployment
-        if isinstance(deployment, Cluster):
-            relations: list[Any] = [site.fragment for site in deployment.sites()]
+        if isinstance(deployment, Cluster) and deployment.is_vertical():
+            # Every fragment views the one resident relation.
+            relations: list[Any] = [deployment.reconstruct()]
+        elif isinstance(deployment, Cluster):
+            relations = [site.fragment for site in deployment.sites()]
         elif deployment is not None:
             relations = [deployment.relation]
         else:

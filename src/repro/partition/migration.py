@@ -97,9 +97,9 @@ class MigrationPlan:
 class MigrationResult:
     """What one applied migration actually moved and charged.
 
-    ``moved`` maps ``(from_site, to_site)`` to the tuples shipped along
-    that edge — whole tuples for horizontal migrations, the tuples whose
-    column projections shipped for vertical ones.  Detector re-homing
+    ``moved`` maps ``(from_site, to_site)`` to what shipped along that
+    edge — whole tuples for horizontal migrations, the tids whose
+    columns shipped for vertical ones.  Detector re-homing
     hooks consume it to relocate their per-site index slices tuple by
     tuple instead of rebuilding.
     """

@@ -5,17 +5,20 @@ each attribute set ``Xi`` contains the key, and ``D`` is reconstructed
 by joining the fragments on the key (Section 2.2).  Attributes may be
 *replicated*, i.e. appear in more than one fragment — the planner of
 Section 5 exploits replication to choose cheaper index locations.
+
+A fragmented relation is held once: each ``Di`` is a read-only view of
+``Xi`` over one resident copy of ``D``, so that copy is also the join.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.relation import Relation
 from repro.core.schema import Schema
+from repro.core.storage import ProjectionView
 from repro.core.tuples import Tuple
 from repro.core.updates import UpdateBatch
 from repro.obs import profile as _prof
@@ -132,15 +135,12 @@ class VerticalPartitioner:
     # -- fragmentation ---------------------------------------------------------------
 
     def fragment(self, relation: Relation) -> "VerticalPartition":
-        """Split ``relation`` into per-site fragment relations."""
+        """Host ``relation`` as one resident copy with a view per site."""
         if relation.schema.attribute_names != self._schema.attribute_names:
             raise PartitionError(
                 "relation schema does not match the partitioner's schema"
             )
-        per_site: dict[int, Relation] = {}
-        for frag in self._fragments:
-            per_site[frag.site] = relation.project(frag.attributes, name=frag.name)
-        return VerticalPartition(self, per_site)
+        return VerticalPartition(self, relation.copy())
 
     def fragment_tuple(self, t: Tuple) -> dict[int, Tuple]:
         """Project a single tuple onto every fragment (site -> partial tuple)."""
@@ -238,15 +238,35 @@ class VerticalPartitioner:
 
 
 class VerticalPartition:
-    """The materialized result of vertically fragmenting one relation."""
+    """One vertically fragmented relation: the resident relation, which
+    every site reads, and per site a :class:`~repro.core.storage.ProjectionView`
+    of its fragment's attributes over it.
 
-    def __init__(self, partitioner: VerticalPartitioner, per_site: Mapping[int, Relation]):
+    The paper charges every shipment to the ledger, never to a copy, so
+    simulated sites share the one resident store and differ only in the
+    attributes they may read.
+    """
+
+    def __init__(self, partitioner: VerticalPartitioner, resident: Relation):
         self._partitioner = partitioner
-        self._per_site = dict(per_site)
+        self._resident = resident
+        schema = partitioner.schema
+        self._per_site: dict[int, Relation] = {}
+        for frag in partitioner.fragments:
+            fragment_schema = schema.project(frag.attributes, name=frag.name)
+            self._per_site[frag.site] = Relation(
+                fragment_schema,
+                storage=ProjectionView(resident, fragment_schema.attribute_names),
+            )
 
     @property
     def partitioner(self) -> VerticalPartitioner:
         return self._partitioner
+
+    @property
+    def resident(self) -> Relation:
+        """The relation every fragment views (writes go here)."""
+        return self._resident
 
     def fragment_at(self, site: int) -> Relation:
         try:
@@ -261,30 +281,18 @@ class VerticalPartition:
         return iter(sorted(self._per_site.items()))
 
     def reconstruct(self) -> Relation:
-        """Join all fragments back into the original relation, on the key.
+        """The logical relation: the resident one itself, with no join.
 
-        Only tids stored in every fragment survive (the natural join),
-        in the order of the lowest site's fragment, with the attributes
-        in schema order.  A replicated attribute whose copies disagree
-        raises ``ValueError``.  The result keeps the lowest site's
-        storage backend, whose store runs the n-ary join: a one-pass
-        owner plan over tuples, or a chain of column-sliced joins.
+        Every fragment is a view over it, so it is exactly the join of
+        the fragments on the key, and reading it ships nothing.
         """
-        sites = self.sites()
-        if not sites:
-            raise PartitionError("empty partition cannot be reconstructed")
-        schema = self._partitioner.schema
-        first, *rest = (self._per_site[site].store for site in sites)
         if _prof.enabled:
-            _t0 = perf_counter()
-        store = first.join(rest, schema.attribute_names)
-        if _prof.enabled:
-            _prof.note("partition.reconstruct", perf_counter() - _t0, len(store))
-        return Relation(schema, storage=store)
+            _prof.note("partition.reconstruct", 0.0, len(self._resident))
+        return self._resident
 
     def total_tuples(self) -> int:
-        """Total number of (partial) tuples stored across all sites."""
-        return sum(len(rel) for rel in self._per_site.values())
+        """Total number of (partial) tuples the sites see."""
+        return len(self._resident) * len(self._per_site)
 
 
 def even_vertical_scheme(

@@ -15,7 +15,8 @@ meter exactly what crosses the boundary:
     Release a resident (views, segment attachment).
 ``("task", index, fn, args)``
     Run one task; :class:`ResidentRef` markers inside ``args`` resolve
-    to resident relations.  Replies ``("ok", index, seconds, value)`` or
+    to resident relations, or to vertical fragments viewing them.
+    Replies ``("ok", index, seconds, value)`` or
     ``("err", index, exc, traceback_text)``.
 ``("stop",)``
     Release everything and exit.
@@ -41,12 +42,17 @@ from typing import Any
 
 
 class ResidentRef:
-    """A picklable placeholder for a fragment resident in the worker."""
+    """A picklable placeholder for a fragment resident in the worker.
 
-    __slots__ = ("key",)
+    ``view`` is None for the resident relation itself, or the
+    ``(schema, attributes)`` of a vertical fragment viewing it.
+    """
 
-    def __init__(self, key: Any):
+    __slots__ = ("key", "view")
+
+    def __init__(self, key: Any, view: tuple | None = None):
         self.key = key
+        self.view = view
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResidentRef({self.key!r})"
@@ -123,7 +129,13 @@ def _resolve(obj: Any, residents: dict) -> Any:
             raise RuntimeError(f"no resident fragment under key {obj.key!r}")
         if entry.error is not None:
             raise entry.error
-        return entry.relation
+        if obj.view is None:
+            return entry.relation
+        from repro.core.relation import Relation
+        from repro.core.storage import ProjectionView
+
+        schema, attributes = obj.view
+        return Relation(schema, storage=ProjectionView(entry.relation, attributes))
     if type(obj) is tuple:
         return tuple(_resolve(item, residents) for item in obj)
     if type(obj) is list:

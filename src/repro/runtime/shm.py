@@ -29,6 +29,11 @@ when a worker dies without cleaning up.  Workers merely attach and
 detach.  Equal fragments published to several workers share one segment
 per ``(store uid, version)`` with refcounting.
 
+A vertical fragment views one resident relation
+(:class:`~repro.core.storage.ProjectionView`): the resident columns are
+published once per worker, and every fragment over them crosses the
+pipe as a reference plus its attribute list.
+
 Anything that is not a columnar relation — plain row lists, CFDs,
 indexes — falls back to ordinary pickling, so the backend accepts every
 workload the process backend does.
@@ -42,6 +47,7 @@ from typing import Any
 
 from repro.columnar.shmcol import export_payload
 from repro.columnar.store import column_store_of
+from repro.core.storage import ProjectionView
 from repro.runtime.executor import ProcessExecutor
 from repro.runtime.ipc import ResidentRef
 from repro.runtime.pool import WorkerCrashed, WorkerPool
@@ -120,6 +126,15 @@ class SharedMemoryExecutor(ProcessExecutor):
     # -- argument rewriting -------------------------------------------------------------
 
     def _rewrite(self, pool: WorkerPool, slot: int, obj: Any) -> Any:
+        store = getattr(obj, "store", None)
+        if isinstance(store, ProjectionView):
+            # A vertical fragment: attach the resident columns once per
+            # worker, shared by every fragment (and the whole relation).
+            resident = store.resident
+            columns = column_store_of(resident)
+            if columns is not None:
+                ref = self._ensure_resident(pool, slot, resident, columns)
+                return ResidentRef(ref.key, (obj.schema, store.attributes))
         store = column_store_of(obj)
         if store is not None:
             return self._ensure_resident(pool, slot, obj, store)

@@ -13,7 +13,8 @@ avoids.
 Execution is split into two scheduler rounds: one pure task per site
 plans the shipments the site would make (:func:`_site_ship_task`), then
 one task per checking site runs its CFDs' rule groups against the
-reconstructed snapshot (:func:`~repro.core.detector.check_task`).  The
+logical relation (:func:`~repro.core.detector.check_task`) — the
+resident relation the fragments view, so reading it ships nothing.  The
 coordinator charges the planned shipments to the network between the
 rounds, so every executor backend yields the identical violation set and
 identical shipment counts.

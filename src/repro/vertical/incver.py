@@ -93,8 +93,8 @@ class VerticalIncrementalDetector:
 
         # Setup phase, O(|D| x |Sigma|) once and not charged to the network
         # (the paper assumes the indices and V(Sigma, D) exist before updates
-        # arrive): one join of the fragments, one sweep per fused LHS group
-        # to build the IDX indices, then V(Sigma, D) read off them -- a group
+        # arrive): one sweep of the resident relation per fused LHS group to
+        # build the IDX indices, then V(Sigma, D) read off them -- a group
         # with two or more RHS classes is exactly a set of violations -- so
         # only the constant CFDs are scanned.
         snapshot = cluster.reconstruct()
@@ -205,18 +205,6 @@ class VerticalIncrementalDetector:
         if self._violations.remove(tid, cfd_name):
             delta.remove(tid, cfd_name)
 
-    # -- fragment maintenance ------------------------------------------------------------
-
-    def _maintain_fragments(self, update: Update) -> None:
-        """Apply one update to every site's fragment (the delta is delivered
-        to the owning sites by assumption; this is not data shipment)."""
-        for frag in self._partitioner.fragments:
-            site = self._cluster.site(frag.site)
-            if update.is_insert():
-                site.fragment.insert(update.tuple.project(frag.attributes))
-            else:
-                site.fragment.discard(update.tid)
-
     # -- per-CFD processing ----------------------------------------------------------------
 
     def _process_constant(self, cfd: CFD, update: Update, delta: ViolationDelta) -> None:
@@ -268,12 +256,15 @@ class VerticalIncrementalDetector:
         outcome).
         """
         delta = ViolationDelta()
-        normalized = list(updates.normalized())
-        if not normalized:
+        batch = updates.normalized()
+        if not len(batch):
             return delta
+        # The delta is delivered to the owning sites by assumption (no
+        # shipment): one write to the resident relation the fragments view.
+        self._cluster.deliver_updates(batch)
+        normalized = list(batch)
         for update in normalized:
             t = update.tuple
-            self._maintain_fragments(update)
             cache = ShipmentCache()
             for cfd in self._constant_cfds:
                 self._process_constant(cfd, update, delta)

@@ -1,8 +1,9 @@
 """Conformance of the storage backends' algebra and detection operations.
 
 The relation algebra — ``project``, ``select``, ``join``, ``union``, the
-horizontal partitioner's ``fragment`` and both ``reconstruct``s, each
-one call to the store — is held to :class:`~repro.core.storage.RowStore`
+horizontal partitioner's ``fragment``, both ``reconstruct``s and the
+n-ary key join of independently built projections, each one call to the
+store — is held to :class:`~repro.core.storage.RowStore`
 on deleted rows, NULLs, an empty relation and mixed ``1``/``1.0``/``True``
 values, with operands on every pair of backends.
 
@@ -391,10 +392,10 @@ def algebra(rel, other):
     vertical = VerticalPartitioner(SCHEMA, [LEFT, RIGHT, ["c", "a"]])
     horizontal = hash_horizontal_scheme(SCHEMA, 3)
     pieces = horizontal.fragment(rel)
-    # The last fragment lacks the first tid, which the join must drop.
-    gapped = vertical.fragment(rel)
+    # The last projection lacks the first tid, which the join must drop.
+    gapped = projections(rel, vertical)
     for tid in list(rel.tids())[:1]:
-        gapped.fragment_at(2).delete(tid)
+        gapped[2].delete(tid)
     return {
         "project": rel.project(["c", "a"]),
         "select": rel.select(keep),
@@ -403,8 +404,22 @@ def algebra(rel, other):
         **{f"fragment_{site}": fragment for site, fragment in pieces},
         "horizontal_reconstruct": pieces.reconstruct(),
         "vertical_reconstruct": vertical.fragment(rel).reconstruct(),
-        "vertical_reconstruct_gapped": gapped.reconstruct(),
+        "vertical_join": key_join(projections(rel, vertical)),
+        "vertical_join_gapped": key_join(gapped),
     }
+
+
+def projections(rel, partitioner):
+    """One independently built projection of ``rel`` per fragment."""
+    return [rel.project(frag.attributes) for frag in partitioner.fragments]
+
+
+def key_join(parts):
+    """The n-ary key join of ``parts``, in one call to the first one's store."""
+    first, *rest = parts
+    return Relation(
+        SCHEMA, storage=first.store.join([p.store for p in rest], SCHEMA.attribute_names)
+    )
 
 
 @pytest.mark.parametrize("case", list(ALGEBRA_CASES))
@@ -459,11 +474,11 @@ def test_conflicting_replicated_value_raises(backend):
     right.insert(right.delete(5).with_values(b="other"))
     with pytest.raises(ValueError, match="conflicting values for attribute 'b'"):
         left.join(right)
-    partition = VerticalPartitioner(SCHEMA, [LEFT, RIGHT]).fragment(rel)
-    replica = partition.fragment_at(1)
+    parts = projections(rel, VerticalPartitioner(SCHEMA, [LEFT, RIGHT]))
+    replica = parts[1]
     replica.insert(replica.delete(5).with_values(b="other"))
     with pytest.raises(ValueError, match="conflicting values for attribute 'b'"):
-        partition.reconstruct()
+        key_join(parts)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -128,10 +128,9 @@ class TestFragmentation:
         assert set(batches[0][0].tuple) == {"k", "a", "b"}
 
 
-def _join_fold(partition, schema):
-    """The reference reconstruction: pairwise ``Relation.join`` in site
-    order, then every tuple re-ordered to the schema."""
-    fragments = [partition.fragment_at(site) for site in partition.sites()]
+def _join_fold(fragments, schema):
+    """The reference reconstruction: pairwise ``Relation.join`` in order,
+    then every tuple re-ordered to the schema."""
     joined = fragments[0]
     for fragment in fragments[1:]:
         joined = joined.join(fragment)
@@ -142,6 +141,19 @@ def _rows(relation):
     return [(t.tid, t.as_dict()) for t in relation]
 
 
+def _projections(relation, partitioner):
+    """One independently built projection of ``relation`` per fragment."""
+    return [relation.project(frag.attributes) for frag in partitioner.fragments]
+
+
+def _key_join(fragments, schema):
+    """The n-ary key join, in one call to the first fragment's store."""
+    first, *rest = fragments
+    return Relation(
+        schema, storage=first.store.join([f.store for f in rest], schema.attribute_names)
+    )
+
+
 class TestOnePassReconstruction:
     @pytest.mark.parametrize("storage", ["rows", "sql"])
     @pytest.mark.parametrize("replicate", [None, {"a": [1, 2], "d": [0]}])
@@ -150,7 +162,8 @@ class TestOnePassReconstruction:
         partition = partitioner.fragment(relation.with_storage(storage))
         rebuilt = partition.reconstruct()
         assert rebuilt.storage == storage
-        assert _rows(rebuilt) == _join_fold(partition, schema)
+        fragments = [partition.fragment_at(site) for site in partition.sites()]
+        assert _rows(rebuilt) == _join_fold(fragments, schema)
         assert _rows(rebuilt) == _rows(relation)
 
     @pytest.mark.parametrize("storage", ["rows", "sql"])
@@ -163,30 +176,31 @@ class TestOnePassReconstruction:
 
     def test_conflicting_replicated_value_raises(self, schema, relation):
         partitioner = even_vertical_scheme(schema, 2, replicate={"a": [1]})
-        partition = partitioner.fragment(relation)
-        replica = partition.fragment_at(1)
+        fragments = _projections(relation, partitioner)
+        replica = fragments[1]
         replica.insert(replica.delete(3).with_values(a="other"))
         with pytest.raises(ValueError, match="conflicting values for attribute 'a'"):
-            partition.reconstruct()
+            _key_join(fragments, schema)
 
     def test_tid_missing_from_one_fragment_drops_out(self, schema, relation):
-        partition = VerticalPartitioner(schema, [["a", "b"], ["c"], ["d"]]).fragment(relation)
-        partition.fragment_at(1).delete(2)
-        rebuilt = partition.reconstruct()
+        partitioner = VerticalPartitioner(schema, [["a", "b"], ["c"], ["d"]])
+        fragments = _projections(relation, partitioner)
+        fragments[1].delete(2)
+        rebuilt = _key_join(fragments, schema)
         assert list(rebuilt.tids()) == [1, 3, 4, 5]
-        assert _rows(rebuilt) == _join_fold(partition, schema)
+        assert _rows(rebuilt) == _join_fold(fragments, schema)
 
     def test_tuples_inserted_in_another_attribute_order(self, schema, relation):
         partitioner = even_vertical_scheme(schema, 2, replicate={"a": [1]})
-        partition = partitioner.fragment(relation)
+        fragments = _projections(relation, partitioner)
         extra = Tuple(9, {"k": 9, "a": "A", "b": "B", "c": "C", "d": "D"})
-        for frag in partitioner.fragments:
+        for frag, fragment in zip(partitioner.fragments, fragments):
             # The scheme lists a replica after the fragment's own attributes;
             # the fragment relation keeps schema order.  Both layouts mix.
-            partition.fragment_at(frag.site).insert(extra.project(frag.attributes))
-        rebuilt = partition.reconstruct()
+            fragment.insert(extra.project(frag.attributes))
+        rebuilt = _key_join(fragments, schema)
         assert rebuilt[9].as_dict() == extra.as_dict()
-        assert _rows(rebuilt) == _join_fold(partition, schema)
+        assert _rows(rebuilt) == _join_fold(fragments, schema)
 
     def test_columnar_path_unchanged(self, schema, relation):
         partitioner = even_vertical_scheme(schema, 3, replicate={"a": [1]})
