@@ -615,23 +615,15 @@ def register_storage_backend(
 
 
 #: Built-in backends living in their own subpackages, registered on
-#: import: name -> module to import.  A module may register fewer names
-#: than it is listed under (``repro.sqlstore`` only registers
-#: ``"duckdb"`` when the optional dependency is installed), so an entry
-#: here is a *candidate*, not a promise.
+#: import: name -> module to import.
 _LAZY_BUILTINS: dict[str, str] = {
     "columnar": "repro.columnar",
     "sql": "repro.sqlstore",
-    "duckdb": "repro.sqlstore",
 }
 
 
 def storage_backend_names() -> list[str]:
-    """The registered backend names (the built-ins plus any plug-ins).
-
-    Lazy built-ins whose module imports but does not register them
-    (optional engines with a missing dependency) are not listed.
-    """
+    """The registered backend names (the built-ins plus any plug-ins)."""
     for name in _LAZY_BUILTINS:
         _ensure_builtin(name)
     return sorted(_BACKENDS)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 from repro.core.relation import Relation
 from repro.core.tuples import Tuple
@@ -211,16 +211,6 @@ class UpdateBatch:
             else:
                 relation.discard(update.tid)
         return relation
-
-    def project(self, attributes: Sequence[str]) -> "UpdateBatch":
-        """``pi_Xi(delta-D)``: the batch restricted to a vertical fragment's attributes."""
-        return UpdateBatch(
-            Update(u.kind, u.tuple.project(attributes)) for u in self._updates
-        )
-
-    def select(self, predicate) -> "UpdateBatch":
-        """``sigma_Fi(delta-D)``: the batch restricted to a horizontal fragment."""
-        return UpdateBatch(u for u in self._updates if predicate(u.tuple))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         n_ins = len(self.insertions)

@@ -265,7 +265,7 @@ class Cluster:
         ``tag="migration"``, so elasticity costs land in
         :class:`~repro.distributed.network.NetworkStats` like any other
         shipment.  Returns a :class:`MigrationResult` whose ``moved``
-        map lets detectors re-home their per-site state tuple by tuple.
+        map lists the tuples that crossed each ``(from, to)`` edge.
         """
         self._check_plan(plan)
         sites_before = tuple(self.site_ids())

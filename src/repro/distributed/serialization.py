@@ -184,17 +184,6 @@ def encode_relation_columns(
     return tids, blocks
 
 
-def decode_relation_columns(
-    tids: list[Any], blocks: Iterable[ColumnBlock]
-) -> list[dict[str, Any]]:
-    """Invert :func:`encode_relation_columns` into row dicts (tid order)."""
-    blocks = list(blocks)
-    return [
-        {block.attribute: block.values[block.codes[i]] for block in blocks}
-        for i in range(len(tids))
-    ]
-
-
 def estimate_column_bytes(tids: list[Any], blocks: Iterable[ColumnBlock]) -> int:
     """Wire size of a column-encoded shipment (tids plus every block)."""
     return TID_BYTES * len(tids) + sum(block.wire_bytes() for block in blocks)
@@ -287,10 +276,3 @@ class IpcLedger:
             "messages": self.messages,
             "by_kind": {k: {"messages": m, "bytes": b} for k, (m, b) in self.by_kind.items()},
         }
-
-
-def pickle_blob(obj: Any) -> bytes:
-    """Pickle ``obj`` for the wire with the highest available protocol."""
-    import pickle
-
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)

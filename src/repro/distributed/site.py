@@ -56,8 +56,5 @@ class Site:
     def has_state(self, key: str) -> bool:
         return key in self._state
 
-    def clear_state(self) -> None:
-        self._state.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Site({self._name}, {len(self._fragment)} tuples)"

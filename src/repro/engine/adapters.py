@@ -77,7 +77,8 @@ class StrategyRow:
 
     ``rehome(detector, cluster, result)`` re-homes an incremental
     detector's warm indices after an in-place migration; rows without it
-    rebuild their (stateless) detector over the migrated deployment.
+    rebuild their detector over the migrated deployment, keeping the
+    violations.
     """
 
     name: str
@@ -247,7 +248,7 @@ class TableStrategy:
         if self.row.rehome is not None:
             self.row.rehome(self.inner, self.deployment, result)
         else:
-            self.inner = self.row.build(self.deployment, list(rules), **self._options)
+            self.import_state(self.export_state(), rules)
 
 
 # -- the table ------------------------------------------------------------------------------
@@ -317,7 +318,6 @@ STRATEGY_TABLE: tuple[StrategyRow, ...] = (
         "incHor", "horizontal", "incremental",
         "incremental CFD detection over horizontal fragments (Fig. 8)",
         _inc_hor, FRAGMENTS,
-        rehome=lambda detector, cluster, result: detector.rehome(cluster, result.moved),
     ),
     StrategyRow(
         "batHor", "horizontal", "batch",

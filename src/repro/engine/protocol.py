@@ -1,6 +1,6 @@
 """The :class:`Detector` protocol and the degenerate single-site deployment.
 
-Every detection strategy — the seven distributed detectors of the paper,
+Every detection strategy — the six distributed detectors of the paper,
 the centralized reference and the matching-dependency extension — is
 exposed to the engine through one uniform surface:
 
@@ -22,8 +22,9 @@ for mid-session handoff and elasticity: ``export_state()`` /
 ``migrate(result, rules)`` — called after the deployment migrated in
 place (``session.scale()`` / ``session.rebalance()``), with the
 :class:`~repro.partition.migration.MigrationResult` describing what
-moved, so the strategy can re-home its per-site state per moved tuple
-instead of rebuilding or re-detecting.
+moved, so the strategy can rebuild its indices over the new layout (or,
+for ``incVer``, re-derive only its placement metadata) while its
+violations carry over and nothing is re-detected.
 """
 
 from __future__ import annotations

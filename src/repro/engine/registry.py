@@ -182,9 +182,6 @@ class StrategyRegistry:
                 f"no partitioner named {name!r}; registered: {known}"
             ) from None
 
-    def partitioner_names(self) -> list[str]:
-        return sorted(self._partitioners)
-
 
 #: The registry the package-level helpers and default sessions use.
 DEFAULT_REGISTRY = StrategyRegistry()

@@ -102,9 +102,9 @@ class DetectionReport:
     violations: ViolationSet
     network: NetworkStats
     site_costs: tuple[SiteCost, ...] = field(default_factory=tuple)
-    #: Execution backend the session ran on ("serial", "threads", "processes").
+    #: Execution backend the session ran on ("serial", "threads", "processes", "shm").
     executor: str = "serial"
-    #: Storage backend the session's data was hosted on ("rows", "columnar").
+    #: Storage backend the session's data was hosted on ("rows", "columnar", "sql").
     storage: str = "rows"
     #: Wall-clock spent in detector setup plus every apply (seconds).
     wall_seconds: float = 0.0

@@ -535,7 +535,7 @@ class DetectionSession:
 
     @property
     def executor(self) -> str:
-        """The execution backend name ("serial", "threads", "processes")."""
+        """The execution backend name ("serial", "threads", "processes", "shm")."""
         return self._scheduler.backend
 
     @property
@@ -644,10 +644,10 @@ class DetectionSession:
 
         Computes the minimal :class:`~repro.partition.migration.MigrationPlan`
         from the current layout, ships only the moved fragments through
-        the session :class:`Network` ledger, and re-homes the strategy's
-        warm state — incremental strategies relocate their per-site
-        index slices per moved tuple, batch strategies invalidate
-        lazily; detection is never re-run.  Returns the recorded
+        the session :class:`Network` ledger, and carries the strategy's
+        violations over — ``incVer`` re-derives its placement metadata,
+        every other strategy rebuilds its detector over the new layout;
+        detection is never re-run.  Returns the recorded
         :class:`~repro.engine.report.TopologyEvent`.
         """
         cluster = self._require_cluster("scale")

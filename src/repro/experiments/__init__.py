@@ -23,12 +23,11 @@ to laptop scale; the *shapes* of the curves are what the reproduction
 checks.
 """
 
-from repro.experiments.metrics import ExperimentSeries, Measurement, render_table
+from repro.experiments.metrics import ExperimentSeries, render_table
 from repro.experiments.runner import ExperimentRunner, RunConfig
 from repro.experiments.report import generate_experiments_report
 
 __all__ = [
-    "Measurement",
     "ExperimentSeries",
     "render_table",
     "ExperimentRunner",

@@ -1,37 +1,9 @@
-"""Measurement containers and plain-text rendering for the experiments."""
+"""Result containers and plain-text rendering for the experiments."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
-
-
-@dataclass
-class Measurement:
-    """One measured run of a detector on one configuration."""
-
-    label: str
-    params: dict[str, Any] = field(default_factory=dict)
-    elapsed_seconds: float = 0.0
-    shipped_bytes: int = 0
-    shipped_eqids: int = 0
-    shipped_tuples: int = 0
-    messages: int = 0
-    violations: int = 0
-    delta_size: int = 0
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            **self.params,
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "shipped_bytes": self.shipped_bytes,
-            "shipped_eqids": self.shipped_eqids,
-            "shipped_tuples": self.shipped_tuples,
-            "messages": self.messages,
-            "violations": self.violations,
-            "delta_size": self.delta_size,
-        }
 
 
 @dataclass

@@ -160,41 +160,6 @@ class HorizontalIncrementalDetector:
 
             self._protocols.append((protocol, mark, unmark))
 
-    def rehome(self, cluster: Cluster, moved: Any) -> None:
-        """Warm re-homing after an in-place cluster migration.
-
-        ``moved`` maps ``(from_site, to_site)`` edges to the tuples that
-        migrated along them (a
-        :class:`~repro.partition.migration.MigrationResult` ``moved``
-        mapping).  Each variable CFD's per-site index slices follow the
-        moved tuples one by one — remove at the source, add at the
-        destination — instead of rebuilding from the fragments, so the
-        work is ``O(|moved| x |CFDs|)``.  The violation set is untouched
-        (migration does not change the logical database); the
-        local/general classification and the broadcast protocols are
-        re-derived from the new fragment predicates.
-        """
-        if not cluster.is_horizontal():
-            raise ValueError("rehome requires a horizontal cluster")
-        self._cluster = cluster
-        self._network = cluster.network
-        self._partitioner = cluster.horizontal_partitioner
-        self._classify()
-        site_ids = set(cluster.site_ids())
-        for cfd in self._local_cfds + self._general_cfds:
-            per_site = self._site_indices[cfd.name]
-            for site_id in site_ids - per_site.keys():
-                per_site[site_id] = CFDIndex(cfd)
-            for (src, dst), tuples in sorted(moved.items()):
-                source_index = per_site[src]
-                target_index = per_site[dst]
-                for t in tuples:
-                    if source_index.remove_tuple(t):
-                        target_index.add_tuple(t)
-            for site_id in list(per_site.keys() - site_ids):
-                del per_site[site_id]
-        self._bind_protocols()
-
     # -- classification helpers --------------------------------------------------------
 
     def _eligible_sites(self, cfd: CFD) -> list[int]:

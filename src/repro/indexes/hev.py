@@ -60,9 +60,6 @@ class HEVNode:
         """Base HEVs key on a single raw attribute value."""
         return len(self.attributes) == 1
 
-    def attribute_set(self) -> frozenset[str]:
-        return frozenset(self.attributes)
-
     def __hash__(self) -> int:
         return id(self)
 

@@ -46,7 +46,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.obs import profile as _prof
 
@@ -208,18 +208,6 @@ class Tracer:
         finally:
             _ACTIVE.reset(token)
             self.end_span(span)
-
-    @contextmanager
-    def activate(self, span: Optional[Span]) -> Iterator[None]:
-        """Make an already-open span the ambient parent for the body."""
-        if span is None or not self.enabled:
-            yield
-            return
-        token = _ACTIVE.set((self, span))
-        try:
-            yield
-        finally:
-            _ACTIVE.reset(token)
 
     def ambient_parent(self) -> Optional[Span]:
         """The ambient span if it belongs to this tracer, else None."""
@@ -470,11 +458,3 @@ def run_traced_task(
             "attrs": {"site": site, "label": label, "pid": os.getpid()},
         }
     return TracedResult(value, record, delta)
-
-
-def iter_trace_records(
-    spans: Iterable[Span],
-) -> Iterator[Dict[str, Any]]:
-    """Plain-dict records for a span iterable (report/JSON plumbing)."""
-    for span in spans:
-        yield span.as_dict()

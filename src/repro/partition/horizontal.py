@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.tuples import Tuple
-from repro.core.updates import UpdateBatch
 from repro.partition.migration import BucketMove, MigrationPlan
 from repro.partition.predicates import BucketMap, HashBucket, OrPredicate, Predicate
 from repro.partition.vertical import PartitionError
@@ -116,13 +115,6 @@ class HorizontalPartitioner:
                 for frag in self._fragments
             },
         )
-
-    def fragment_updates(self, updates: UpdateBatch) -> dict[int, UpdateBatch]:
-        """``delta-Di = sigma_Fi(delta-D)`` for every fragment."""
-        routed: dict[int, UpdateBatch] = {frag.site: UpdateBatch() for frag in self._fragments}
-        for update in updates:
-            routed[self.route_tuple(update.tuple)].append(update)
-        return routed
 
     # -- elastic re-planning -----------------------------------------------------------
 

@@ -19,8 +19,6 @@ from typing import Iterable, Mapping, Sequence
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.storage import ProjectionView
-from repro.core.tuples import Tuple
-from repro.core.updates import UpdateBatch
 from repro.obs import profile as _prof
 from repro.partition.migration import ColumnMove, MigrationPlan
 
@@ -141,18 +139,6 @@ class VerticalPartitioner:
                 "relation schema does not match the partitioner's schema"
             )
         return VerticalPartition(self, relation.copy())
-
-    def fragment_tuple(self, t: Tuple) -> dict[int, Tuple]:
-        """Project a single tuple onto every fragment (site -> partial tuple)."""
-        return {
-            frag.site: t.project(frag.attributes) for frag in self._fragments
-        }
-
-    def fragment_updates(self, updates: UpdateBatch) -> dict[int, UpdateBatch]:
-        """``delta-Di = pi_Xi(delta-D)`` for every fragment."""
-        return {
-            frag.site: updates.project(frag.attributes) for frag in self._fragments
-        }
 
     # -- elastic re-planning -----------------------------------------------------------
 

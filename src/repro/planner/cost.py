@@ -28,7 +28,7 @@ MESSAGE_OVERHEAD_BYTES = 0.0
 
 #: Relative cost of one unit of local work per storage backend.  The
 #: row backend is the baseline; columnar kernels batch whole columns
-#: and SQL backends evaluate checks set-at-a-time inside the engine,
+#: and the SQL backend evaluates checks set-at-a-time inside sqlite,
 #: so a unit of the paper's per-tuple work costs less there.  ``auto``
 #: picks its backend by these priors when it does not time the backend
 #: fixture (``probe=False``).
@@ -36,7 +36,6 @@ LOCAL_WORK_RATES: dict[str, float] = {
     "rows": 1.0,
     "columnar": 0.35,
     "sql": 0.55,
-    "duckdb": 0.45,
 }
 
 

@@ -79,10 +79,6 @@ class WorkerPool:
     def size(self) -> int:
         return self._size
 
-    @property
-    def context_name(self) -> str:
-        return self._context_name
-
     # -- placement ------------------------------------------------------------------
 
     def worker_for(self, site: Any) -> int:

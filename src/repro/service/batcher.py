@@ -52,9 +52,6 @@ class CoalescingQueue:
         if len(self._items) > self.max_depth:
             self.max_depth = len(self._items)
 
-    def oldest_enqueued_at(self) -> float | None:
-        return self._items[0].enqueued_at if self._items else None
-
     def due(self, now: float, force: bool = False) -> bool:
         """Is the window ready to fold?
 

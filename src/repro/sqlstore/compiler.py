@@ -12,19 +12,42 @@ Python.
 
 Every query is compiled once per (store, rule shape) through the store's
 ``cached_sql`` cache and parameterized — constants travel as bind
-parameters encoded with the store's value encoding, never as SQL text.
-Dialect differences (sqlite ``IS`` vs DuckDB ``IS NOT DISTINCT FROM``)
-come from the store's :class:`~repro.sqlstore.store.SqlDialect`.
+parameters in the store's value encoding (:func:`encode_value`), never
+as SQL text.  Null-safe equality is sqlite's ``IS`` / ``IS NOT``.
 """
 
 from __future__ import annotations
 
+import pickle
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.cfd import CFD, UNNAMED
 
 if TYPE_CHECKING:
     from repro.sqlstore.store import SqlStore
+
+#: Tag byte prefixing pickled (non-native) values in the engine.
+_PICKLE_TAG = b"\x01"
+
+
+def encode_value(value: Any) -> Any:
+    """Encode a Python value for storage/comparison inside the engine.
+
+    Native for ``str``/``int``/``float``/``None`` (engine equality then
+    matches Python's), tagged pickle blob for everything else (equality
+    degrades to byte equality of the pickle — exact for ``bool`` and
+    deterministic for the simple immutables that appear as data values).
+    """
+    if value is None or type(value) in (str, int, float):
+        return value
+    return _PICKLE_TAG + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def decode_value(value: Any) -> Any:
+    """Invert :func:`encode_value`."""
+    if isinstance(value, bytes):
+        return pickle.loads(value[1:])
+    return value
 
 
 def pattern_constants(cfd: CFD) -> list[tuple[str, Any]]:
@@ -55,12 +78,11 @@ def pattern_filter(
 ) -> tuple[str, tuple[Any, ...]]:
     """``t[X] ~ tp[X]`` as a WHERE conjunction plus bind parameters."""
     prefix = f"{alias}." if alias else ""
-    eq = store.dialect.eq
     clauses = []
     params = []
     for a, constant in pattern_constants(cfd):
-        clauses.append(f"{prefix}{store.column(a)} {eq} ?")
-        params.append(store.encode(constant))
+        clauses.append(f"{prefix}{store.column(a)} IS ?")
+        params.append(encode_value(constant))
     return " AND ".join(clauses) or "1 = 1", tuple(params)
 
 
@@ -96,18 +118,17 @@ def fused_violation_query(
         if cfd.is_constant():
             parts.append(
                 f"SELECT {i} AS rule, tid FROM data WHERE {where} "
-                f"AND {rhs} {store.dialect.neq} ?"
+                f"AND {rhs} IS NOT ?"
             )
             params.extend(p)
-            params.append(store.encode(cfd.pattern.entry(cfd.rhs)))
+            params.append(encode_value(cfd.pattern.entry(cfd.rhs)))
             key_parts.append(("const", cfd.lhs, cfd.rhs, const_attrs))
         else:
             lhs_cols = [store.column(a) for a in cfd.lhs]
-            eq = store.dialect.eq
             where_d, _ = pattern_filter(store, cfd, alias="d")
             keys = ", ".join(f"{c} AS k{j}" for j, c in enumerate(lhs_cols))
             group_by = ", ".join(lhs_cols)
-            on = " AND ".join(f"d.{c} {eq} g.k{j}" for j, c in enumerate(lhs_cols))
+            on = " AND ".join(f"d.{c} IS g.k{j}" for j, c in enumerate(lhs_cols))
             parts.append(
                 f"SELECT {i} AS rule, d.tid FROM data d JOIN ("
                 f"SELECT {keys} FROM data WHERE {where} GROUP BY {group_by} "
@@ -160,9 +181,8 @@ def constant_match_query(
     The vertical batch detector's ship scans and the IDX builds'
     projections.
     """
-    eq = store.dialect.eq
     constrained = [a for a in relevant if a in constants]
-    clauses = " AND ".join(f"{store.column(a)} {eq} ?" for a in constrained) or "1 = 1"
+    clauses = " AND ".join(f"{store.column(a)} IS ?" for a in constrained) or "1 = 1"
     cols = ", ".join(store.column(a) for a in relevant)
     select = f"tid{', ' + cols if cols else ''}"
 
@@ -171,4 +191,4 @@ def constant_match_query(
 
     key = ("cmatch", tuple(relevant), tuple(constrained))
     sql = store.cached_sql(key, build)
-    return sql, tuple(store.encode(constants[a]) for a in constrained)
+    return sql, tuple(encode_value(constants[a]) for a in constrained)

@@ -1,8 +1,7 @@
-"""SQL-backed tuple storage over embedded engines (sqlite3 / DuckDB).
+"""SQL-backed tuple storage over embedded sqlite.
 
-A :class:`SqlStore` keeps a relation's tuples in one table of an
-embedded SQL engine — stdlib :mod:`sqlite3` by default, file-backed or
-``:memory:`` — and satisfies the same
+A :class:`SqlStore` keeps a relation's tuples in one table of stdlib
+:mod:`sqlite3`, file-backed or ``:memory:``, and satisfies the same
 :class:`~repro.core.storage.StorageBackend` protocol as the row and
 columnar backends: tuples indexed by tid, O(1) membership, insertion
 order preserved (dict semantics: deleted tids drop out, re-inserting a
@@ -43,11 +42,9 @@ Layout and semantics:
 from __future__ import annotations
 
 import os
-import pickle
 import sqlite3
 import threading
 import uuid
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Iterator, KeysView, Mapping, Sequence
 
@@ -59,24 +56,13 @@ from repro.distributed.serialization import TID_BYTES, estimate_value_bytes
 from repro.obs import profile as _prof
 from repro.rulefuse import compile_rule_set
 from repro.sqlstore import compiler
+from repro.sqlstore.compiler import decode_value, encode_value
 
 #: Buffered inserts flush to the engine at this size even without a read.
 FLUSH_LIMIT = 2000
 
 #: Rows fetched per chunk when streaming iteration / byte estimation.
 FETCH_CHUNK = 1024
-
-#: Tag byte prefixing pickled (non-native) values in the engine.
-_PICKLE_TAG = b"\x01"
-
-try:  # pragma: no cover - exercised only where duckdb is installed
-    import duckdb  # type: ignore
-
-    DUCKDB_AVAILABLE = True
-except ImportError:  # pragma: no cover - the container default
-    duckdb = None
-    DUCKDB_AVAILABLE = False
-
 
 #: Module configuration for newly created stores (see :func:`configure`).
 _CONFIG: dict[str, Any] = {"directory": None}
@@ -99,43 +85,6 @@ def configured_directory() -> str | None:
     return _CONFIG["directory"]
 
 
-@dataclass(frozen=True)
-class SqlDialect:
-    """The engine-specific SQL spellings the compiler needs."""
-
-    name: str
-    #: Null-safe equality between a column and a placeholder/column.
-    eq: str
-    #: Null-safe inequality.
-    neq: str
-
-
-SQLITE_DIALECT = SqlDialect(name="sqlite", eq="IS", neq="IS NOT")
-DUCKDB_DIALECT = SqlDialect(
-    name="duckdb", eq="IS NOT DISTINCT FROM", neq="IS DISTINCT FROM"
-)
-
-
-def encode_value(value: Any) -> Any:
-    """Encode a Python value for storage/comparison inside the engine.
-
-    Native for ``str``/``int``/``float``/``None`` (engine equality then
-    matches Python's), tagged pickle blob for everything else (equality
-    degrades to byte equality of the pickle — exact for ``bool`` and
-    deterministic for the simple immutables that appear as data values).
-    """
-    if value is None or type(value) in (str, int, float):
-        return value
-    return _PICKLE_TAG + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def decode_value(value: Any) -> Any:
-    """Invert :func:`encode_value`."""
-    if isinstance(value, bytes):
-        return pickle.loads(value[1:])
-    return value
-
-
 class SqlStore(TupleStore):
     """Tuple storage in one embedded-SQL table (sqlite3 engine).
 
@@ -146,7 +95,6 @@ class SqlStore(TupleStore):
     """
 
     name = "sql"
-    dialect = SQLITE_DIALECT
 
     def __init__(self, schema: Schema, path: str | None = None):
         self._attrs: tuple[str, ...] = tuple(schema.attribute_names)
@@ -178,13 +126,6 @@ class SqlStore(TupleStore):
         self._cache_misses = 0
         self._query_count = 0
         self._lock = threading.RLock()
-        self._conn = self._connect(path)
-        self._create_table()
-        placeholders = ", ".join("?" for _ in range(len(self._attrs) + 2))
-        self._insert_sql = f"INSERT INTO data VALUES ({placeholders})"
-        self._row_cols = ", ".join(self._colnames)
-
-    def _connect(self, path: str | None) -> Any:
         conn = sqlite3.connect(
             path if path is not None else ":memory:",
             check_same_thread=False,
@@ -197,11 +138,12 @@ class SqlStore(TupleStore):
             conn.execute("PRAGMA journal_mode=MEMORY")
             conn.execute("PRAGMA synchronous=OFF")
             conn.execute("PRAGMA cache_size=-2048")  # 2 MiB page cache
-        return conn
-
-    def _create_table(self) -> None:
         cols = ", ".join(["seq INTEGER PRIMARY KEY", "tid", *self._colnames])
-        self._conn.execute(f"CREATE TABLE data ({cols})")
+        conn.execute(f"CREATE TABLE data ({cols})")
+        self._conn = conn
+        placeholders = ", ".join("?" for _ in range(len(self._attrs) + 2))
+        self._insert_sql = f"INSERT INTO data VALUES ({placeholders})"
+        self._row_cols = ", ".join(self._colnames)
 
     def close(self) -> None:
         """Close the connection and remove the backing file (if any)."""
@@ -371,13 +313,10 @@ class SqlStore(TupleStore):
         )
         with self._lock:
             self._flush_locked()
-            self._backup_into(clone)
+            self._conn.backup(clone._conn)
             clone._index = dict(self._index)
             clone._next_seq = self._next_seq
         return clone
-
-    def _backup_into(self, clone: "SqlStore") -> None:
-        self._conn.backup(clone._conn)
 
     # -- queries (the detection operations' entry points) ---------------------------------------------
 
@@ -395,13 +334,9 @@ class SqlStore(TupleStore):
         return self._query_count
 
     def scan(self, sql: str, params: tuple = ()) -> Iterator[tuple]:
-        """Flush and stream a result set chunk-wise (locked per chunk).
-
-        ``sql`` must select ``seq`` as its first column and be written
-        against the ``__KEYSET__`` placeholder (``seq > ?`` is appended
-        by the caller); used for full-table streams that must not
-        materialize in Python.
-        """
+        """Flush and stream a result set in ``FETCH_CHUNK``-row chunks,
+        holding the lock until the stream ends; for full-table reads
+        that must not materialize in Python."""
         with self._lock:
             self._flush_locked()
             cursor = self._conn.execute(sql, params)
@@ -456,7 +391,7 @@ class SqlStore(TupleStore):
                 (
                     indexes[i],
                     tuple(
-                        (1 + lhs.index(a), self.encode(constant))
+                        (1 + lhs.index(a), encode_value(constant))
                         for a, constant in compiler.pattern_constants(cfd)
                         if a not in shared
                     ),
@@ -564,10 +499,6 @@ class SqlStore(TupleStore):
             _prof.note("sql.distinct_counts", perf_counter() - _t0, len(self))
         return dict(zip(self._attrs, row))
 
-    def encode(self, value: Any) -> Any:
-        """Encode a query constant the way this engine stores values."""
-        return encode_value(value)
-
     # -- compiled-SQL cache --------------------------------------------------------------
 
     def cached_sql(self, key: Any, build: Callable[[], str]) -> str:
@@ -620,90 +551,6 @@ class SqlStore(TupleStore):
         return f"SqlStore({len(self)} rows, {len(self._attrs)} columns, {where})"
 
 
-class DuckStore(SqlStore):  # pragma: no cover - requires optional duckdb
-    """The DuckDB engine behind the same compiler (optional dependency).
-
-    Registered as ``storage("duckdb")`` only when :mod:`duckdb` imports.
-    DuckDB requires typed columns, so every value (tid included) is
-    stored tagged-pickled in BLOB columns; engine equality is byte
-    equality of the pickles — exact for same-type values, with the same
-    cross-type caveat the sqlite engine documents for tagged values.
-    """
-
-    name = "duckdb"
-    dialect = DUCKDB_DIALECT
-
-    def __init__(self, schema: Schema):
-        if not DUCKDB_AVAILABLE:
-            raise RuntimeError(
-                "the duckdb storage backend needs the optional 'duckdb' package "
-                "(pip install repro[sql])"
-            )
-        super().__init__(schema, path=None)
-
-    def _connect(self, path: str | None):
-        return duckdb.connect(":memory:")
-
-    def _create_table(self) -> None:
-        cols = ", ".join(
-            ["seq BIGINT PRIMARY KEY", "tid BLOB", *(f"{c} BLOB" for c in self._colnames)]
-        )
-        self._conn.execute(f"CREATE TABLE data ({cols})")
-
-    def _flush_locked(self) -> None:
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        self._conn.execute("BEGIN TRANSACTION")
-        try:
-            self._conn.executemany(self._insert_sql, pending)
-            self._conn.execute("COMMIT")
-        except Exception:
-            self._conn.execute("ROLLBACK")
-            raise
-
-    def _encode_row(self, t: Tuple, seq: int) -> tuple:
-        return (
-            seq,
-            _PICKLE_TAG + pickle.dumps(t.tid, protocol=pickle.HIGHEST_PROTOCOL),
-            *(
-                _PICKLE_TAG + pickle.dumps(t[a], protocol=pickle.HIGHEST_PROTOCOL)
-                for a in self._attrs
-            ),
-        )
-
-    def encode(self, value: Any) -> Any:
-        return _PICKLE_TAG + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _backup_into(self, clone: "SqlStore") -> None:
-        rows = self._conn.execute(
-            f"SELECT seq, tid, {self._row_cols} FROM data ORDER BY seq"
-        ).fetchall()
-        if rows:
-            clone._conn.executemany(clone._insert_sql, rows)
-
-    def query_all(self, sql: str, params: tuple = ()) -> list:
-        with self._lock:
-            self._flush_locked()
-            self._query_count += 1
-            return self._conn.execute(sql, params).fetchall()
-
-    def scan(self, sql: str, params: tuple = ()):
-        with self._lock:
-            self._flush_locked()
-            yield from self._conn.execute(sql, params).fetchall()
-
-    def close(self) -> None:
-        conn = getattr(self, "_conn", None)
-        if conn is None:
-            return
-        self._conn = None
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
 def _decoded_columns(rows: list[tuple]) -> list[Sequence[Any]]:
     """Raw result rows transposed into decoded columns.
 
@@ -721,7 +568,7 @@ def sql_store_of(relation: Any) -> SqlStore | None:
 
     The dispatch hook every pushed-down fast path uses (the twin of
     :func:`repro.columnar.store.column_store_of`): accepts anything and
-    answers None unless the object is a relation backed by a SQL engine.
+    answers None unless the object is a relation backed by sqlite.
     """
     store = getattr(relation, "store", None)
     return store if isinstance(store, SqlStore) else None

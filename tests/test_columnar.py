@@ -13,7 +13,6 @@ from repro.core.storage import StorageError, make_storage, storage_backend_names
 from repro.core.tuples import Tuple
 from repro.distributed.network import Network
 from repro.distributed.serialization import (
-    decode_relation_columns,
     encode_relation_columns,
     estimate_column_bytes,
     estimate_relation_bytes,
@@ -261,9 +260,8 @@ class TestColumnSerialization:
         rel = make_relation(schema, n=10)
         tids, blocks = encode_relation_columns(rel)
         assert tids == [t.tid for t in rel]
-        decoded = decode_relation_columns(tids, blocks)
-        for t, row in zip(rel, decoded):
-            assert dict(t) == row
+        for i, t in enumerate(rel):
+            assert dict(t) == {b.attribute: b.values[b.codes[i]] for b in blocks}
 
     def test_columnar_estimate_beats_rows_on_repetitive_data(self, schema):
         rel = make_relation(schema, n=200)

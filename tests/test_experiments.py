@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.metrics import ExperimentSeries, Measurement, render_table, speedup
+from repro.experiments.metrics import ExperimentSeries, render_table, speedup
 from repro.experiments.runner import ExperimentRunner, RunConfig
 
 
@@ -31,11 +31,6 @@ def runner():
 
 
 class TestMetrics:
-    def test_measurement_as_dict(self):
-        m = Measurement("incVer", {"n": 10}, elapsed_seconds=0.5, shipped_bytes=100)
-        d = m.as_dict()
-        assert d["label"] == "incVer" and d["n"] == 10 and d["shipped_bytes"] == 100
-
     def test_series_columns_and_markdown(self):
         series = ExperimentSeries("exp", "Fig. X", "n")
         series.add_row({"n": 1, "t": 0.5})

@@ -5,7 +5,6 @@ import pytest
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.tuples import Tuple
-from repro.core.updates import Update, UpdateBatch
 from repro.partition.horizontal import (
     HorizontalFragment,
     HorizontalPartitioner,
@@ -84,12 +83,6 @@ class TestRouting:
         )
         with pytest.raises(PartitionError):
             partitioner.route_tuple(row(1, "A", x=7))
-
-    def test_fragment_updates_routing(self, partitioner):
-        batch = UpdateBatch.of(Update.insert(row(5, "A")), Update.delete(row(6, "B")))
-        routed = partitioner.fragment_updates(batch)
-        assert [u.tid for u in routed[0]] == [5]
-        assert [u.tid for u in routed[1]] == [6]
 
 
 class TestFragmentation:

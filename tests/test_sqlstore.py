@@ -28,7 +28,6 @@ from repro.distributed.serialization import (
 )
 from repro.rulefuse import compile_rule_set
 from repro.sqlstore import (
-    DUCKDB_AVAILABLE,
     SqlStore,
     configure,
     configured_directory,
@@ -258,7 +257,9 @@ class TestRegistry:
         back = r_sql.with_storage("rows")
         assert [dict(t) for t in back] == [dict(t) for t in r]
 
-    @pytest.mark.skipif(DUCKDB_AVAILABLE, reason="duckdb installed")
     def test_duckdb_unavailable_raises_clean_storage_error(self):
-        with pytest.raises(StorageError, match="duckdb"):
+        # An unregistered backend name fails with the registered names.
+        with pytest.raises(
+            StorageError, match=r"'duckdb'; registered: columnar, rows, sql$"
+        ):
             make_storage("duckdb", SCHEMA)

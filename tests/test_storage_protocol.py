@@ -37,17 +37,8 @@ from repro.obs import profile
 from repro.partition.horizontal import hash_horizontal_scheme
 from repro.partition.vertical import VerticalPartitioner
 from repro.rulefuse import FusedGroup, compile_rule_set
-from repro.sqlstore import DUCKDB_AVAILABLE
 
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=pytest.mark.skipif(
-            name == "duckdb" and not DUCKDB_AVAILABLE, reason="duckdb not installed"
-        ),
-    )
-    for name in sorted({*storage_backend_names(), "duckdb"})
-]
+BACKENDS = storage_backend_names()
 
 SCHEMA = Schema("R", ["k", "a", "b", "c"], key="k")
 

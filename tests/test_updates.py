@@ -160,16 +160,6 @@ class TestApplication:
         assert updated.tids() == {1, 3}
         assert base.tids() == {1, 2}
 
-    def test_project_for_vertical_fragment(self):
-        batch = UpdateBatch.of(Update.insert(row(1)))
-        projected = batch.project(["k", "a"])
-        assert set(projected[0].tuple) == {"k", "a"}
-
-    def test_select_for_horizontal_fragment(self):
-        batch = UpdateBatch.of(Update.insert(row(1, a="x")), Update.insert(row(2, a="y")))
-        selected = batch.select(lambda t: t["a"] == "y")
-        assert [u.tid for u in selected] == [2]
-
     def test_repr_counts(self):
         batch = UpdateBatch.of(Update.insert(row(1)), Update.delete(row(2)))
         assert "+1" in repr(batch) and "-1" in repr(batch)

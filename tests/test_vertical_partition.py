@@ -5,7 +5,6 @@ import pytest
 from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.tuples import Tuple
-from repro.core.updates import Update, UpdateBatch
 from repro.partition.vertical import (
     PartitionError,
     VerticalFragment,
@@ -114,18 +113,6 @@ class TestFragmentation:
         other = Relation(Schema("S", ["k", "x"], key="k"))
         with pytest.raises(PartitionError):
             partitioner.fragment(other)
-
-    def test_fragment_tuple(self, partitioner):
-        t = Tuple(9, {"k": 9, "a": "A", "b": "B", "c": "C", "d": "D"})
-        parts = partitioner.fragment_tuple(t)
-        assert set(parts) == {0, 1, 2}
-        assert dict(parts[1]) == {"k": 9, "c": "C"}
-
-    def test_fragment_updates(self, partitioner):
-        t = Tuple(9, {"k": 9, "a": "A", "b": "B", "c": "C", "d": "D"})
-        batches = partitioner.fragment_updates(UpdateBatch.of(Update.insert(t)))
-        assert set(batches) == {0, 1, 2}
-        assert set(batches[0][0].tuple) == {"k", "a", "b"}
 
 
 def _join_fold(fragments, schema):
