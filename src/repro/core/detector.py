@@ -13,7 +13,10 @@ equivalent and serves two roles in this repository:
 
 The check itself belongs to the store holding the data
 (:mod:`repro.core.storage`): the rules compile into same-LHS groups and
-``store.check`` sweeps the data once per group, on any backend.
+``store.check`` sweeps the data once per group, on any backend.  Each
+group is checked and its tids marked before the next group is checked,
+so computing ``V(Sigma, D)`` from scratch never holds |Sigma| violating
+tid sets at once.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ def mark_violations(
     ``store`` — as violating their rules."""
     rules = (cfd for group in groups for cfd in group.members)
     for cfd, result in zip(rules, found):
-        for tid in store.tids_of(result):
-            violations.add(tid, cfd.name)
+        violations._mark_all(store.tids_of(result), cfd.name)
 
 
 class CentralizedDetector:
@@ -51,9 +53,10 @@ class CentralizedDetector:
     The rules compile into same-LHS groups and the relation's store
     checks each group in one sweep.  With a :class:`~repro.runtime.scheduler.SiteScheduler`,
     ``detect`` fans the groups out as independent tasks; without one it
-    checks them in one call (the default, used by the many setup paths
-    that just need the reference violation set).  Fusion changes how
-    many passes the data sees, never the verdicts.
+    checks and marks one group per ``store.check`` call (the default,
+    used by the many setup paths that just need the reference violation
+    set), so only one group's violating tids are held besides the marks.
+    Fusion changes how many passes the data sees, never the verdicts.
     """
 
     def __init__(self, cfds: Iterable[CFD], scheduler: Any = None):
@@ -86,18 +89,19 @@ class CentralizedDetector:
     def detect(self, relation: Relation | Iterable[Tuple]) -> ViolationSet:
         """Compute ``V(Sigma, D)`` with per-CFD marks."""
         store = store_of(relation)
-        if self._scheduler is None:
-            found = store.check(self._groups)
-        else:
-            from repro.runtime.executor import SiteTask
-
-            tasks = [
-                SiteTask(i, check_task, (relation, (group,)), label=",".join(group.lhs))
-                for i, group in enumerate(self._groups)
-            ]
-            found = [r for result in self._scheduler.run(tasks) for r in result.value]
         violations = ViolationSet()
-        mark_violations(violations, store, self._groups, found)
+        if self._scheduler is None:
+            for group in self._groups:
+                mark_violations(violations, store, (group,), store.check((group,)))
+            return violations
+        from repro.runtime.executor import SiteTask
+
+        tasks = [
+            SiteTask(i, check_task, (relation, (group,)), label=",".join(group.lhs))
+            for i, group in enumerate(self._groups)
+        ]
+        for group, result in zip(self._groups, self._scheduler.run(tasks)):
+            mark_violations(violations, store, (group,), result.value)
         return violations
 
 

@@ -13,7 +13,8 @@ delta-V-`` produced by the incremental detectors, again per CFD.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from itertools import repeat
+from typing import Any, Collection, Iterable, Iterator, Mapping
 
 # The marks of a tid are an immutable frozenset shared by every tid (in
 # every ViolationSet and ViolationDelta of the process) that carries the
@@ -51,6 +52,18 @@ def _discard(store: dict[Any, _Marks], tid: Any, cfd_name: str) -> bool:
     return True
 
 
+class _Grown(dict):
+    """``marks -> marks | {name}`` for one CFD name, shared, filled on demand."""
+
+    def __init__(self, name: str):
+        super().__init__()
+        self._name = name
+
+    def __missing__(self, marks: _Marks) -> _Marks:
+        grown = self[marks] = _with(marks, self._name)
+        return grown
+
+
 def _mutable(store: dict[Any, _Marks]) -> dict[Any, set[str]]:
     """A deep copy callers may mutate: fresh ``set`` per tid."""
     return {tid: set(marks) for tid, marks in store.items()}
@@ -66,35 +79,6 @@ class ViolationSet:
                 for name in cfd_names:
                     self.add(tid, name)
 
-    @classmethod
-    def _from_tid_sets(cls, tids_by_cfd: Mapping[str, set[Any]]) -> "ViolationSet":
-        """Bulk-build from ``V(phi, D)`` per CFD name (the sets are not kept).
-
-        Equal to ``add(tid, name)`` for every pair, at set-algebra speed:
-        the tids are partitioned by the combination of CFDs they violate
-        (one intersection per CFD and combination class), then every tid
-        of a class gets the class's one shared frozenset.
-        """
-        classes: list[tuple[_Marks, set[Any]]] = []
-        for name, tids in tids_by_cfd.items():
-            rest = set(tids)
-            refined: list[tuple[_Marks, set[Any]]] = []
-            for marks, members in classes:
-                both = members & rest
-                if both:
-                    rest -= both
-                    members -= both
-                    refined.append((_with(marks, name), both))
-                if members:
-                    refined.append((marks, members))
-            if rest:
-                refined.append((_with(_NO_MARKS, name), rest))
-            classes = refined
-        built = cls()
-        for marks, members in classes:
-            built._by_tid.update(dict.fromkeys(members, marks))
-        return built
-
     # -- mutation -------------------------------------------------------------
 
     def add(self, tid: Any, cfd_name: str) -> bool:
@@ -104,6 +88,16 @@ class ViolationSet:
             return False
         self._by_tid[tid] = _with(marks, cfd_name)
         return True
+
+    def _mark_all(self, tids: Collection[Any], cfd_name: str) -> None:
+        """``add(tid, cfd_name)`` for every tid, without a Python-level loop:
+        one ``dict.update`` whose new marks come from a per-name table of
+        the shared frozensets."""
+        by_tid = self._by_tid
+        grown = _Grown(cfd_name)
+        by_tid.update(
+            zip(tids, map(grown.__getitem__, map(by_tid.get, tids, repeat(_NO_MARKS))))
+        )
 
     def remove(self, tid: Any, cfd_name: str) -> bool:
         """Unmark ``tid`` for ``cfd_name``.  Returns True if it was marked."""

@@ -253,6 +253,22 @@ def _violating_tids(indexes: Iterable[CFDIndex]) -> set[Any]:
     return violating
 
 
+def _tid_sets(
+    indexes: Mapping[str, Iterable[CFDIndex]], constant: Iterable[ViolationSet]
+) -> Iterator[tuple[str, set[Any]]]:
+    """``(name, V(phi, D))`` for every CFD: the constant CFDs' sets from one
+    pass over ``constant``, then each variable CFD's set only when asked for."""
+    by_constant: dict[str, set[Any]] = {}
+    for part in constant:
+        for tid in part:
+            for name in part.cfds_of(tid):
+                by_constant.setdefault(name, set()).add(tid)
+    for name in list(by_constant):
+        yield name, by_constant.pop(name)
+    for name, slices in indexes.items():
+        yield name, _violating_tids(slices)
+
+
 def violations_from_index(
     indexes: Mapping[str, Iterable[CFDIndex]],
     constant: Iterable[ViolationSet] = (),
@@ -263,20 +279,18 @@ def violations_from_index(
     per-site index slices (incHor); ``constant`` holds the violations of
     the constant CFDs, which no IDX covers (in parts, e.g. one per
     horizontal fragment: a constant CFD is violated by single tuples).
-    The marks are assembled in bulk
-    (:meth:`ViolationSet._from_tid_sets`), so the result equals a
-    centralized detection over the indexed tuples.
+    The marks are assembled in bulk (:meth:`ViolationSet._mark_all`) from
+    one CFD's violating tids at a time, so the result equals a centralized
+    detection over the indexed tuples and the read-off never holds |Sigma|
+    tid sets at once.
     """
     if _prof.enabled:
         _t0 = perf_counter()
-    tids_by_cfd: dict[str, set[Any]] = {}
-    for part in constant:
-        for tid in part:
-            for name in part.cfds_of(tid):
-                tids_by_cfd.setdefault(name, set()).add(tid)
-    for name, slices in indexes.items():
-        tids_by_cfd.setdefault(name, set()).update(_violating_tids(slices))
-    violations = ViolationSet._from_tid_sets(tids_by_cfd)
+    violations = ViolationSet()
+    for name, tids in _tid_sets(indexes, constant):
+        violations._mark_all(tids, name)
+        # Do not hold this set while the next one is built.
+        del tids
     if _prof.enabled:
         _prof.note("idx.violations_from_index", perf_counter() - _t0, len(violations))
     return violations

@@ -15,7 +15,13 @@ from repro.core.relation import Relation
 from repro.core.schema import Schema
 from repro.core.tuples import Tuple
 from repro.partition.migration import BucketMove, MigrationPlan
-from repro.partition.predicates import BucketMap, HashBucket, OrPredicate, Predicate
+from repro.partition.predicates import (
+    BucketMap,
+    HashBucket,
+    OrPredicate,
+    Predicate,
+    stable_hash,
+)
 from repro.partition.vertical import PartitionError
 
 
@@ -34,7 +40,9 @@ class HorizontalPartitioner:
     The scheme does not verify disjointness symbolically (predicates are
     opaque callables); instead :meth:`fragment` and :meth:`route_tuple`
     check it operationally and raise if a tuple matches several
-    fragments or none at all.
+    fragments or none at all.  A hash-family scheme (:meth:`hash_family`)
+    owns every bucket exactly once by construction, so it routes with one
+    hash and a bucket -> site table instead.
     """
 
     def __init__(
@@ -57,6 +65,15 @@ class HorizontalPartitioner:
         if len(set(sites)) != len(sites):
             raise PartitionError("each horizontal fragment must live on a distinct site")
         self._fragments = tuple(normalized)
+        family = self.hash_family()
+        self._hash_route: tuple[str, int, list[int]] | None = None
+        if family is not None:
+            attribute, n_buckets, per_site = family
+            site_of_bucket = [0] * n_buckets
+            for site, buckets in per_site.items():
+                for bucket in buckets:
+                    site_of_bucket[bucket] = site
+            self._hash_route = (attribute, n_buckets, site_of_bucket)
 
     # -- introspection --------------------------------------------------------------
 
@@ -85,6 +102,9 @@ class HorizontalPartitioner:
 
     def route_tuple(self, t: Tuple) -> int:
         """The unique site whose predicate accepts ``t``."""
+        if self._hash_route is not None:
+            attribute, n_buckets, site_of_bucket = self._hash_route
+            return site_of_bucket[stable_hash(t[attribute]) % n_buckets]
         matches = [frag.site for frag in self._fragments if frag.predicate(t)]
         if not matches:
             raise PartitionError(

@@ -1,0 +1,78 @@
+"""Computing V(Sigma, D) from scratch holds one rule's violating tids at a time.
+
+``detect_violations`` checks and marks one fused rule group per
+``store.check`` call, and an incVer ``build()`` reads V0 off its indexes
+one CFD at a time, so the memory either needs beyond its result does not
+grow with |Sigma|.  The transient is the ``tracemalloc`` peak of the call
+minus what its result keeps; going from one rule to ten may add at most
+two tid sets of |D| entries.  Holding every rule's set at once (ten of
+them, each about |D| on this saturated data) adds several times that.
+"""
+
+import sys
+import tracemalloc
+
+import pytest
+
+import repro
+import repro.vertical.incver as incver_module
+from repro.core.detector import detect_violations
+
+N_TUPLES = 20_000
+SEED = 7
+#: The growth allowed from |Sigma| = 1 to |Sigma| = 10: two full tid sets.
+ALLOWED = 2 * sys.getsizeof(set(range(N_TUPLES)))
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    generator = repro.TPCHGenerator(seed=SEED)
+    relation = generator.relation(N_TUPLES)
+    cfds = list(repro.generate_cfds(generator.fd_specs(), 10, seed=SEED))
+    return generator, relation, cfds
+
+
+def transient(call, *args, **kwargs):
+    """``call``'s result and its tracemalloc peak minus what the result keeps."""
+    was_tracing = tracemalloc.is_tracing()
+    if was_tracing:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak - current
+
+
+def test_detect_transient_does_not_grow_with_rules(inputs):
+    _generator, relation, cfds = inputs
+    one, one_bytes = transient(detect_violations, cfds[:1], relation)
+    ten, ten_bytes = transient(detect_violations, cfds, relation)
+    assert len(one) and len(ten) == N_TUPLES
+    assert ten_bytes - one_bytes <= ALLOWED, (one_bytes, ten_bytes, ALLOWED)
+
+
+def test_incver_v0_transient_does_not_grow_with_rules(inputs, monkeypatch):
+    generator, relation, cfds = inputs
+    read_off = incver_module.violations_from_index
+    measured: list[int] = []
+
+    def measuring(*args, **kwargs):
+        violations, used = transient(read_off, *args, **kwargs)
+        measured.append(used)
+        return violations
+
+    monkeypatch.setattr(incver_module, "violations_from_index", measuring)
+    sessions = []
+    for rules in (cfds[:1], cfds):
+        builder = repro.session(relation).partition(generator.vertical_partitioner(8))
+        sessions.append(builder.rules(rules).strategy("incVer").storage("rows").build())
+    assert len(measured) == 2
+    one_bytes, ten_bytes = measured
+    assert ten_bytes - one_bytes <= ALLOWED, (one_bytes, ten_bytes, ALLOWED)
+    for rules, built in zip((cfds[:1], cfds), sessions):
+        assert built.violations == detect_violations(rules, relation)
