@@ -28,6 +28,7 @@ first (:func:`_columns_of`), so the result is always columnar.
 from __future__ import annotations
 
 import itertools
+from operator import ne
 from time import perf_counter
 from typing import Any, Iterable, Iterator, KeysView, Mapping, Sequence
 
@@ -342,40 +343,17 @@ class ColumnStore:
         if cached is not None:
             return cached
         groups: dict[Any, list[int]] = {}
-        if len(attrs) == 1:
-            col = self._cols[attrs[0]]
-            if not self._dead:
-                for row, code in enumerate(col):
-                    bucket = groups.get(code)
-                    if bucket is None:
-                        groups[code] = [row]
-                    else:
-                        bucket.append(row)
+        rows = self.iter_rows()
+        columns = [self._cols[a] for a in attrs]
+        if self._dead:  # read the live rows' codes, at C level
+            columns = [map(column.__getitem__, rows) for column in columns]
+        keys = columns[0] if len(attrs) == 1 else zip(*columns)
+        for row, key in zip(rows, keys):
+            bucket = groups.get(key)
+            if bucket is None:
+                groups[key] = [row]
             else:
-                for row in self._rows.values():
-                    code = col[row]
-                    bucket = groups.get(code)
-                    if bucket is None:
-                        groups[code] = [row]
-                    else:
-                        bucket.append(row)
-        else:
-            cols = [self._cols[a] for a in attrs]
-            if not self._dead:
-                for row, key in enumerate(zip(*cols)):
-                    bucket = groups.get(key)
-                    if bucket is None:
-                        groups[key] = [row]
-                    else:
-                        bucket.append(row)
-            else:
-                for row in self._rows.values():
-                    key = tuple(col[row] for col in cols)
-                    bucket = groups.get(key)
-                    if bucket is None:
-                        groups[key] = [row]
-                    else:
-                        bucket.append(row)
+                bucket.append(row)
         self._groups[attrs] = groups
         return groups
 
@@ -443,10 +421,10 @@ class ColumnStore:
 
         A constant member ORs the bitsets of its matching LHS groups and
         subtracts the rows already carrying its RHS constant.  A group
-        violates a variable member iff its LHS key splits under the
-        ``(*lhs, rhs)`` grouping (:meth:`_dirty_groups`, shared by every
-        member on the same RHS), so only the dirty keys — error-rate
-        bound, typically a handful — pay mask ORs.
+        violates a variable member iff its rows hold more than one RHS
+        code (:meth:`_dirty_groups`, shared by every member on the same
+        RHS), so only the dirty keys — error-rate bound, typically a
+        handful — pay bitsets and mask ORs.
         """
         out: list[int] = []
         for group in groups:
@@ -473,28 +451,24 @@ class ColumnStore:
                     dirty = dirty_by_rhs.get(cfd.rhs)
                     if dirty is None:
                         dirty = dirty_by_rhs[cfd.rhs] = self._dirty_groups(lhs, cfd.rhs)
-                    for _key, mask in _accepted(dirty, tests, False):
+                    for _key, mask in _accepted(dirty, tests, single):
                         bad |= mask
                 out.append(bad)
             if _prof.enabled:
                 _prof.note("rulefuse.columnar_sweep", perf_counter() - _t0, len(self))
         return out
 
-    def _dirty_groups(self, lhs: tuple[str, ...], rhs: str) -> dict[tuple, int]:
-        """The LHS code keys (as tuples) holding more than one ``rhs`` code,
-        each with the row bitset of its whole group: one O(#keys) pass over
-        the ``(*lhs, rhs)`` grouping, no per-group bigint verdicts."""
-        n_lhs = len(lhs)
-        extended = self.grouped_masks((*lhs, rhs))
-        counts: dict[tuple, int] = {}
-        for key in extended:
-            prefix = key[:n_lhs]
-            counts[prefix] = counts.get(prefix, 0) + 1
-        dirty: dict[tuple, int] = {}
-        for key, mask in extended.items():
-            prefix = key[:n_lhs]
-            if counts[prefix] > 1:
-                dirty[prefix] = dirty.get(prefix, 0) | mask
+    def _dirty_groups(self, lhs: tuple[str, ...], rhs: str) -> dict[Any, int]:
+        """The :meth:`grouped_rows` keys over ``lhs`` whose rows hold more
+        than one ``rhs`` code, each with the row bitset of its group: one
+        C-level comparison run per group, and no bitset for a clean one."""
+        rhs_col = self._cols[rhs]
+        dirty: dict[Any, int] = {}
+        for key, rows in self.grouped_rows(lhs).items():
+            codes = map(rhs_col.__getitem__, rows)
+            first = next(codes)
+            if any(map(ne, codes, itertools.repeat(first))):
+                dirty[key] = rows_to_mask(rows)
         return dirty
 
     def tids_of(self, result: int) -> set[Any]:
@@ -602,7 +576,7 @@ class ColumnStore:
             _t0 = perf_counter()
         lhs, rhs = cfd.lhs, cfd.rhs
         value_at = self.value_at
-        tid_at = self.tid_of_row
+        tid_at = self._tids.__getitem__
         singles, multis = groups
         for r in singles:
             slot = target.setdefault(tuple(value_at(r, a) for a in lhs), {})

@@ -29,7 +29,8 @@ Every backend likewise implements each operation a detector needs:
 
 * ``check(groups)`` — per-rule violations of compiled rule groups (one
   sweep per group), one result per member in group order, in the
-  store's wire form: row bitsets on columnar, tid sets elsewhere;
+  store's wire form: row bitsets on columnar, tid sets on sql, tid
+  lists (no tid twice) on rows;
 * ``tids_of(result)`` — one ``check`` result decoded to tids by this store;
 * ``build_indexes(indexes)`` — populate IDX indexes, one sweep per LHS list;
 * ``group_scan(cfd, want_ship, prices)`` — batHor's site scan: the
@@ -55,8 +56,9 @@ runs every operation above on the resident store.
 
 from __future__ import annotations
 
-from itertools import islice, starmap
-from operator import itemgetter
+from collections import Counter
+from itertools import compress, groupby, islice, repeat, starmap
+from operator import attrgetter, eq, itemgetter, not_
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, KeysView, Protocol, Sequence, runtime_checkable
 
@@ -157,6 +159,32 @@ def merge_decoded_groups(target: dict, groups: dict) -> None:
             slot.setdefault(rhs_value, []).extend(tids)
     if _prof.enabled:
         _prof.note("shipment.merge_groups", perf_counter() - _t0, len(groups))
+
+
+_LAYOUT = attrgetter("_layout")
+_VALS = attrgetter("_vals")
+
+
+def _where(columns: list[list[Any]], tests: Sequence[tuple[int, Any]]) -> list[list[Any]]:
+    """``columns`` cut to the rows whose column ``i`` equals ``constant``
+    (``value == constant``) for every ``(i, constant)`` of ``tests``."""
+    for i, constant in tests:
+        keep = list(map(eq, columns[i], repeat(constant)))
+        columns = [list(compress(column, keep)) for column in columns]
+    return columns
+
+
+def _keys(columns: list[list[Any]]) -> Iterable[Any]:
+    """The per-row keys over ``columns``; a one-column key is the bare
+    value (the same groups, and no tuple per row)."""
+    return columns[0] if len(columns) == 1 else zip(*columns)
+
+
+def _split_keys(keys: Iterable[Any], values: Iterable[Any]) -> set[Any]:
+    """The keys paired with more than one distinct value, counted over
+    the distinct ``(key, value)`` pairs."""
+    counts = Counter(map(itemgetter(0), set(zip(keys, values))))
+    return {key for key, n in counts.items() if n > 1}
 
 
 class TupleStore:
@@ -295,62 +323,51 @@ class RowStore(TupleStore):
 
     # -- detection operations ----------------------------------------------------------
 
-    def check(self, groups: Sequence[Any]) -> list[set[Any]]:
-        """Violating tids per member of every group, from one scan of the
-        rows: each group's LHS key is built once per tuple and every
-        member's pattern constants are tested against it."""
+    def _columns(self, attributes: Sequence[str]) -> list[list[Any]]:
+        """The tids, then per attribute its value in every tuple, as lists
+        in scan order: positions are resolved once per run of tuples
+        sharing a layout and every column is read at C level.  Raises
+        ``KeyError`` on a tuple lacking one of the attributes."""
+        columns: list[list[Any]] = [list(self._tuples), *([] for _ in attributes)]
+        for layout, run in groupby(self._tuples.values(), _LAYOUT):
+            vals = list(map(_VALS, run))
+            for column, a in zip(columns[1:], attributes):
+                column.extend(map(itemgetter(layout[a]), vals))
+        return columns
+
+    def check(self, groups: Sequence[Any]) -> list[list[Any]]:
+        """Violating tids per member of every group, each a list in scan
+        order (no tid twice), one group at a time over its columns
+        (:meth:`_columns`).  A member keeps the rows equal to its LHS
+        constants; a constant member flags those unequal to its RHS
+        constant, a variable one those whose LHS key holds more than one
+        RHS value (counted over the distinct ``(key, value)`` pairs)."""
         if not groups:
             return []
         if _prof.enabled:
             _t0 = perf_counter()
-        out: list[set[Any]] = []
-        # Per group, its LHS and per member: output slot, positional LHS
-        # constants, RHS attribute, RHS constant and — variable members
-        # only — a {key: {rhs_value: [tids]}} bucket.
-        plans = []
+        out: list[list[Any]] = []
         for group in groups:
-            plan = []
+            lhs = group.lhs
+            rhs_attributes = list(dict.fromkeys(cfd.rhs for cfd in group.members))
+            tids, *columns = self._columns((*lhs, *rhs_attributes))
+            lhs_columns = columns[: len(lhs)]
+            rhs_columns = dict(zip(rhs_attributes, columns[len(lhs) :]))
             for cfd in group.members:
-                consts = tuple(
-                    (i, cfd.pattern.entry(a))
-                    for i, a in enumerate(group.lhs)
-                    if cfd.pattern.entry(a) is not UNNAMED
-                )
-                buckets = None if cfd.is_constant() else {}
-                plan.append((len(out), consts, cfd.rhs, cfd.pattern.entry(cfd.rhs), buckets))
-                out.append(set())
-            plans.append((group.lhs, plan))
-        for t in self._tuples.values():
-            tid = t.tid
-            for lhs, plan in plans:
-                key = tuple(t[a] for a in lhs)
-                for m, consts, rhs, rhs_const, buckets in plan:
-                    ok = True
-                    for i, c in consts:
-                        if not (key[i] == c):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    if buckets is None:
-                        if not (t[rhs] == rhs_const):
-                            out[m].add(tid)
-                    else:
-                        buckets.setdefault(key, {}).setdefault(t[rhs], []).append(tid)
-        for _lhs, plan in plans:
-            for m, _consts, _rhs, _rhs_const, buckets in plan:
-                if buckets is None:
-                    continue
-                for by_rhs in buckets.values():
-                    if len(by_rhs) > 1:
-                        for tids in by_rhs.values():
-                            out[m].update(tids)
+                entry = cfd.pattern.entry
+                tests = [(2 + i, entry(a)) for i, a in enumerate(lhs) if entry(a) is not UNNAMED]
+                found, values, *keys = _where([tids, rhs_columns[cfd.rhs], *lhs_columns], tests)
+                if cfd.is_constant():
+                    flagged = map(not_, map(eq, values, repeat(entry(cfd.rhs))))
+                else:
+                    flagged = map(_split_keys(_keys(keys), values).__contains__, _keys(keys))
+                out.append(list(compress(found, flagged)))
         if _prof.enabled:
             _prof.note("rulefuse.rows_scan", perf_counter() - _t0, len(self._tuples))
         return out
 
-    def tids_of(self, result: set[Any]) -> set[Any]:
-        return result
+    def tids_of(self, result: list[Any]) -> set[Any]:
+        return set(result)
 
     def build_indexes(self, indexes: Sequence[Any]) -> None:
         """Index every row into every applicable index, in one scan.
@@ -397,17 +414,21 @@ class RowStore(TupleStore):
         and their partial groups ``{lhs_key: {rhs_value: [tids]}}``."""
         if _prof.enabled:
             _t0 = perf_counter()
-        shipped: list[tuple] = []
+        entry = cfd.pattern.entry
+        tests = [(1 + i, entry(a)) for i, a in enumerate(cfd.lhs) if entry(a) is not UNNAMED]
+        tids, *columns = _where(self._columns(cfd.attributes), tests)
         groups: dict[tuple, dict[Any, list[Any]]] = {}
-        needed = cfd.attributes
-        for t in self._tuples.values():
-            if not cfd.lhs_matches(t):
+        for key, value, tid in zip(zip(*columns[:-1]), columns[-1], tids):
+            by_rhs = groups.get(key)
+            if by_rhs is None:
+                groups[key] = {value: [tid]}
                 continue
-            values = t.values_for(needed)
-            if want_ship:
-                shipped.append(values)
-            groups.setdefault(values[:-1], {}).setdefault(values[-1], []).append(t.tid)
-        shipment = prices.shipment(len(shipped), zip(*shipped))
+            same = by_rhs.get(value)
+            if same is None:
+                by_rhs[value] = [tid]
+            else:
+                same.append(tid)
+        shipment = prices.shipment(len(tids), columns) if want_ship else (0, 0)
         if _prof.enabled:
             _prof.note("shipment.row_scan", perf_counter() - _t0, len(self._tuples))
         return shipment, groups
@@ -422,13 +443,9 @@ class RowStore(TupleStore):
         of every tuple equal to ``constants`` on the attributes it pins."""
         if _prof.enabled:
             _t0 = perf_counter()
-        tested = [(a, constants[a]) for a in attributes if a in constants]
-        shipped = [
-            t.values_for(attributes)
-            for t in self._tuples.values()
-            if all(t[a] == c for a, c in tested)
-        ]
-        shipment = prices.shipment(len(shipped), zip(*shipped))
+        tests = [(1 + i, constants[a]) for i, a in enumerate(attributes) if a in constants]
+        tids, *columns = _where(self._columns(attributes), tests)
+        shipment = prices.shipment(len(tids), columns)
         if _prof.enabled:
             _prof.note("shipment.row_ship_scan", perf_counter() - _t0, len(self._tuples))
         return shipment

@@ -254,10 +254,16 @@ def diff_violations(old: ViolationSet, new: ViolationSet) -> ViolationDelta:
     delta = ViolationDelta()
     old_map = old._by_tid
     new_map = new._by_tid
+    # Equal marks are mostly the same shared frozenset: skip those tids
+    # with one identity test.
     for tid, names in new_map.items():
-        for name in names - old_map.get(tid, _NO_MARKS):
-            delta.add(tid, name)
+        was = old_map.get(tid, _NO_MARKS)
+        if names is not was:
+            for name in names - was:
+                delta.add(tid, name)
     for tid, names in old_map.items():
-        for name in names - new_map.get(tid, _NO_MARKS):
-            delta.remove(tid, name)
+        now = new_map.get(tid, _NO_MARKS)
+        if names is not now:
+            for name in names - now:
+                delta.remove(tid, name)
     return delta

@@ -169,9 +169,10 @@ class HorizontalBatchDetector:
                 store.merge_groups(merged[cfd_name], general_by_name[cfd_name], partial)
 
         for cfd in self._general_cfds:
-            for by_rhs in merged[cfd.name].values():
+            violating: list[Any] = []
+            for by_rhs in merged.pop(cfd.name).values():
                 if len(by_rhs) > 1:
                     for tids in by_rhs.values():
-                        for tid in tids:
-                            violations.add(tid, cfd.name)
+                        violating.extend(tids)
+            violations._mark_all(violating, cfd.name)
         return violations

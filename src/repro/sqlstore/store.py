@@ -434,10 +434,22 @@ class SqlStore(TupleStore):
         groups: dict[tuple, dict[Any, list[Any]]] = {}
         if rows:
             tids, *lhs_cols, rhs_col = _decoded_columns(rows)
+            del rows
             if want_ship:
-                shipment = prices.shipment(len(rows), (*lhs_cols, rhs_col))
-            for tid, key, rhs_value in zip(tids, zip(*lhs_cols), rhs_col):
-                groups.setdefault(key, {}).setdefault(rhs_value, []).append(tid)
+                shipment = prices.shipment(len(tids), (*lhs_cols, rhs_col))
+            # A query makes fresh tid objects; the groups of every CFD hold
+            # the index's own instead, so a wave holds each tid once.
+            stored = dict(zip(self._index, self._index))
+            for tid, key, rhs_value in zip(map(stored.__getitem__, tids), zip(*lhs_cols), rhs_col):
+                by_rhs = groups.get(key)
+                if by_rhs is None:
+                    groups[key] = {rhs_value: [tid]}
+                    continue
+                same = by_rhs.get(rhs_value)
+                if same is None:
+                    by_rhs[rhs_value] = [tid]
+                else:
+                    same.append(tid)
         if _prof.enabled:
             _prof.note("shipment.sql_scan", perf_counter() - _t0, len(self))
         return shipment, groups

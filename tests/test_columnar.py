@@ -1,10 +1,13 @@
 """Unit tests for the columnar storage backend and its kernels."""
 
 import pickle
+import random
+import time
 
 import pytest
 
 from repro.columnar import ColumnStore, ValueDictionary, column_store_of
+from repro.columnar.masks import FEW_BITS, iter_mask_rows, mask_to_tids, rows_to_mask
 from repro.core.cfd import CFD
 from repro.core.detector import CentralizedDetector
 from repro.core.relation import Relation, RelationError
@@ -253,6 +256,70 @@ class TestKernels:
             CentralizedDetector(cfds).detect(cols).as_dict()
             == CentralizedDetector(cfds).detect(rows).as_dict()
         )
+
+
+def bit_by_bit(mask):
+    """The reference decode: strip the lowest set bit until none is left."""
+    rows = []
+    while mask:
+        low = mask & -mask
+        rows.append(low.bit_length() - 1)
+        mask ^= low
+    return rows
+
+
+class TestMaskDecoding:
+    """``iter_mask_rows`` scans a mask's binary form once (linear time)
+    beyond a few set bits; every density decodes like the bit loop."""
+
+    FULL = (1 << 200_000) - 1
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [0],
+            [199_999],
+            [70_000, 150_000, 199_998],
+            list(range(FEW_BITS)),
+            list(range(FEW_BITS + 1)),
+        ],
+        ids=["empty", "bit_zero", "one_high_bit", "few_high_bits", "few_bits", "one_more"],
+    )
+    def test_small_masks_match_the_bit_loop(self, rows):
+        mask = rows_to_mask(rows)
+        assert list(iter_mask_rows(mask)) == bit_by_bit(mask) == rows
+
+    @pytest.mark.parametrize("density", [0.001, 0.01, 0.1, 0.125, 0.2, 0.5, 0.9])
+    def test_random_masks_match_the_bit_loop(self, density):
+        rng = random.Random(int(density * 1000))
+        rows = [r for r in range(20_000) if rng.random() < density]
+        mask = rows_to_mask(rows)
+        assert list(iter_mask_rows(mask)) == bit_by_bit(mask) == rows
+
+    def test_full_mask_matches_the_bit_loop(self):
+        assert list(iter_mask_rows(self.FULL)) == list(range(200_000))
+        top = self.FULL >> 180_000  # the bit loop is quadratic: check a slice
+        assert list(iter_mask_rows(top)) == bit_by_bit(top)
+
+    def test_full_mask_decodes_in_linear_time(self):
+        start = time.perf_counter()
+        decoded = sum(1 for _ in iter_mask_rows(self.FULL))
+        elapsed = time.perf_counter() - start
+        assert decoded == 200_000
+        assert elapsed < 0.25, elapsed
+
+    def test_mask_to_tids_skips_tombstoned_rows(self, schema):
+        relation = make_relation(schema, n=60, storage="columnar")
+        for tid in range(0, 60, 7):
+            relation.delete(tid)
+        store = relation.store
+        assert store.dead_rows(), "the deletes must leave tombstones, not compact"
+        live = list(store.live_rows())
+        assert mask_to_tids(store, rows_to_mask(sorted(live))) == set(relation.tids())
+        some = sorted(live)[::3]
+        assert mask_to_tids(store, rows_to_mask(some)) == {store.tid_of_row(r) for r in some}
+        assert mask_to_tids(store, 0) == set()
 
 
 class TestColumnSerialization:

@@ -3,9 +3,11 @@
 ``detect_violations`` checks and marks one fused rule group per
 ``store.check`` call, and an incVer ``build()`` reads V0 off its indexes
 one CFD at a time, so the memory either needs beyond its result does not
-grow with |Sigma|.  The transient is the ``tracemalloc`` peak of the call
-minus what its result keeps; going from one rule to ten may add at most
-two tid sets of |D| entries.  Holding every rule's set at once (ten of
+grow with |Sigma|.  A batVer wave on rows holds every rule's ``check``
+result at once, but each as a tid list, and decodes them to sets one at
+a time.  The transient is the ``tracemalloc`` peak of the call minus
+what its result keeps; going from one rule to ten may add at most two
+tid sets of |D| entries.  Holding every rule's set at once (ten of
 them, each about |D| on this saturated data) adds several times that.
 """
 
@@ -76,3 +78,20 @@ def test_incver_v0_transient_does_not_grow_with_rules(inputs, monkeypatch):
     assert ten_bytes - one_bytes <= ALLOWED, (one_bytes, ten_bytes, ALLOWED)
     for rules, built in zip((cfds[:1], cfds), sessions):
         assert built.violations == detect_violations(rules, relation)
+
+
+def test_batver_wave_transient_does_not_grow_with_rules(inputs):
+    generator, relation, cfds = inputs
+    batch = repro.generate_updates(relation, generator, 10, seed=SEED)
+    after = relation.copy()
+    batch.apply_in_place(after)
+    measured = []
+    for rules in (cfds[:1], cfds):
+        builder = repro.session(relation).partition(generator.vertical_partitioner(8))
+        session = builder.rules(rules).strategy("batVer").storage("rows").build()
+        _delta, used = transient(session.apply, batch)
+        measured.append(used)
+        assert session.violations == detect_violations(rules, after)
+        session.close()
+    one_bytes, ten_bytes = measured
+    assert ten_bytes - one_bytes <= ALLOWED, (one_bytes, ten_bytes, ALLOWED)

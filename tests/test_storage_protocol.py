@@ -29,9 +29,13 @@ import repro
 from repro.core.cfd import CFD
 from repro.core.relation import Relation, RelationError
 from repro.core.schema import Schema
-from repro.core.storage import storage_backend_names
+from repro.core.storage import RowStore, storage_backend_names
 from repro.core.tuples import Tuple
-from repro.distributed.serialization import PriceTable, estimate_relation_bytes
+from repro.distributed.serialization import (
+    PriceTable,
+    estimate_relation_bytes,
+    estimate_tuple_bytes,
+)
 from repro.indexes.idx import CFDIndex
 from repro.obs import profile
 from repro.partition.horizontal import hash_horizontal_scheme
@@ -348,6 +352,68 @@ def test_distinct_counts_match_rows(backend, case):
 # -- relation algebra -----------------------------------------------------------------
 
 #: case -> (rows, tids deleted after loading).
+# -- the row kernels read by position -------------------------------------------------
+
+#: Rules over both orders' attributes: shared LHS lists, constants, an absent constant.
+MIXED_LAYOUT_RULES = [*KERNEL_RULES, *TABLEAU_RULES]
+
+
+def mixed_layout_store():
+    """A row store holding TABLEAU_ROWS in two attribute orders (odd tids
+    reversed), one of them deleted, and the live tuples it holds."""
+    names = SCHEMA.attribute_names
+    store = RowStore(SCHEMA)
+    for row in TABLEAU_ROWS:
+        values = dict(zip(names, row))
+        if row[0] % 2:
+            values = dict(reversed(values.items()))
+        store.insert(Tuple(row[0], values))
+    store.pop(9)
+    assert {tuple(t) for t in store} == {("k", "a", "b", "c"), ("c", "b", "a", "k")}
+    return store, list(store)
+
+
+def by_name_groups(cfd, tuples):
+    """batHor's partial groups of ``cfd``, read attribute by attribute name."""
+    groups = {}
+    for t in tuples:
+        if cfd.lhs_matches(t):
+            groups.setdefault(cfd.lhs_values(t), {}).setdefault(t[cfd.rhs], []).append(t.tid)
+    return groups
+
+
+def test_row_kernels_read_each_layout_by_position():
+    store, tuples = mixed_layout_store()
+    groups = compile_rule_set(MIXED_LAYOUT_RULES)
+    found = iter(store.check(groups))
+    for cfd in (cfd for group in groups for cfd in group.members):
+        tids = next(found)
+        assert isinstance(tids, list) and len(set(tids)) == len(tids)
+        assert set(tids) == store.tids_of(tids) == oracle(cfd, tuples), cfd.name
+    for cfd in MIXED_LAYOUT_RULES:
+        expected = by_name_groups(cfd, tuples)
+        matching = [t for t in tuples if cfd.lhs_matches(t)]
+        shipped = (len(matching), sum(estimate_tuple_bytes(t, cfd.attributes) for t in matching))
+        assert store.group_scan(cfd, True, PriceTable()) == (shipped, expected)
+        assert store.group_scan(cfd, False, PriceTable()) == ((0, 0), expected)
+    for attributes, constants in [*SHIP_SPECS, (("c", "a"), {"a": 2, "c": "c1"})]:
+        pinned = [(a, constants[a]) for a in attributes if a in constants]
+        kept = [t for t in tuples if all(t[a] == c for a, c in pinned)]
+        expected = (len(kept), sum(estimate_tuple_bytes(t, attributes) for t in kept))
+        assert store.ship_scan(attributes, constants, PriceTable()) == expected
+
+
+def test_row_kernels_raise_on_a_tuple_lacking_a_checked_attribute():
+    store, _tuples = mixed_layout_store()
+    store.insert(Tuple(99, {"k": 99, "a": 1, "b": "b0"}))  # no "c"
+    with pytest.raises(KeyError):
+        store.check(compile_rule_set([CFD(("a",), "c")]))
+    with pytest.raises(KeyError):
+        store.ship_scan(("a", "c"), {}, PriceTable())
+    with pytest.raises(KeyError):
+        store.group_scan(CFD(("a", "b"), "c"), False, PriceTable())
+
+
 ALGEBRA_CASES = {
     "kernel_after_deletes": (KERNEL_ROWS, (0, 7, 13, 21)),
     "nulls": (NULL_ROWS, ()),
