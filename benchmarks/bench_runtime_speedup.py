@@ -1,29 +1,30 @@
-"""Runtime scale-out: serial vs. threads vs. processes vs. shm on batHor.
+"""Runtime scale-out: serial vs. shm on batHor.
 
 Multi-site horizontal batch detection (the chunkiest per-site workload
 in the repository: every site scans, groups and checks its whole
-fragment) at 4/8/16 sites, run on every executor backend.  Each cell
+fragment) at 4/8/16 sites, run on both executor backends.  Each cell
 builds a columnar session once (untimed: partitioning, index build and
 the initial detection), then times a stream of update waves — the
-steady-state shape the warm backends are built for.  The process
-backend re-pickles every fragment into the workers on every wave; the
-shm backend ships each fragment once into shared memory and then only
-journal deltas, which is visible in the recorded per-backend
-``bytes_pickled``.
+steady-state shape the warm shm backend is built for.  The shm backend
+ships each fragment once into shared memory and then only journal
+deltas, which is visible in the recorded ``bytes_pickled``.
 
-For each configuration the script verifies that all backends produce
+For each configuration the script verifies that both backends produce
 the identical violation set and identical shipment counters, reports
 wall-clock speedup over serial and pickled IPC bytes, and records
 everything to ``BENCH_runtime_speedup.json``.  Two gates:
 
 * at the largest size, the shm backend must move at least 5x fewer
-  pickled bytes than the process backend (always enforced — it is a
-  property of the protocol, not of the machine);
-* the parallel backends must reach a 1.5x speedup at the largest size
-  — enforced only when the machine has >= 4 CPU cores.  On fewer cores
-  there is no parallelism to win (threads additionally pay the GIL,
-  processes pay pickling), so the numbers are recorded, not gated; the
-  results file makes the context visible via the stamped ``cpu_count``.
+  pickled bytes than the *fragment reference*: the pickled size of
+  every site fragment in every detection round (the build plus each
+  wave), which is what a backend that pickles its task arguments ships
+  (always enforced — it is a property of the protocol, not of the
+  machine);
+* shm must reach a 1.5x speedup at the largest size — enforced only
+  when the machine has >= 4 CPU cores.  On fewer cores there is no
+  parallelism to win (worker processes pay pickling), so the numbers
+  are recorded, not gated; the results file makes the context visible
+  via the stamped ``cpu_count``.
 
 Run directly: ``python benchmarks/bench_runtime_speedup.py``
 (``--per-site N`` scales fragment size, ``--waves K`` the stream
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import time
 
 import bench_utils as bu
@@ -42,7 +44,7 @@ from repro.runtime.executor import make_executor
 from repro.workloads.updates import generate_updates
 
 SITE_COUNTS = (4, 8, 16)
-BACKENDS = ("serial", "threads", "processes", "shm")
+BACKENDS = ("serial", "shm")
 N_CFDS = 10
 MIN_CORES_FOR_SPEEDUP_GATE = 4
 SPEEDUP_GATE = 1.5
@@ -63,6 +65,33 @@ def make_waves(relation, n_waves, n_updates):
     return waves
 
 
+def _build(relation, n_sites, cfds, executor):
+    return (
+        session(relation)
+        .partition(bu.tpch().horizontal_partitioner(n_sites))
+        .rules(list(cfds))
+        .strategy("batHor")
+        .storage("columnar")
+        .executor(executor)
+        .build()
+    )
+
+
+def fragment_reference(n_sites, relation, cfds, waves):
+    """Pickled bytes of every site fragment in every detection round:
+    the build, then each wave (batHor re-detects on whole fragments)."""
+    total = 0
+    with _build(relation, n_sites, cfds, "serial") as sess:
+        for wave in (None, *waves):
+            if wave is not None:
+                sess.apply(wave)
+            total += sum(
+                len(pickle.dumps(site.fragment, protocol=pickle.HIGHEST_PROTOCOL))
+                for site in sess.deployment.sites()
+            )
+    return total
+
+
 def measure(backend, n_sites, relation, cfds, waves, rounds):
     """Best-of-``rounds`` wall-clock of streaming all waves through one
     warm session; the session build (and initial detection) is untimed."""
@@ -72,20 +101,11 @@ def measure(backend, n_sites, relation, cfds, waves, rounds):
         if backend != "serial"
         else make_executor()
     )
-    partitioner = bu.tpch().horizontal_partitioner(n_sites)
     best = float("inf")
     outcome = None
     try:
         for _ in range(rounds):
-            sess = (
-                session(relation)
-                .partition(partitioner)
-                .rules(list(cfds))
-                .strategy("batHor")
-                .storage("columnar")
-                .executor(executor)
-                .build()
-            )
+            sess = _build(relation, n_sites, cfds, executor)
             with sess:
                 start = time.perf_counter()
                 for wave in waves:
@@ -179,14 +199,15 @@ def main(argv=None):
                 largest[backend] = (speedup, bytes_pickled)
 
     shm_speedup, shm_bytes = largest["shm"]
-    _, proc_bytes = largest["processes"]
-    assert shm_bytes * SHM_IPC_ADVANTAGE <= proc_bytes, (
+    reference = fragment_reference(max(SITE_COUNTS), relation, cfds, waves)
+    assert shm_bytes * SHM_IPC_ADVANTAGE <= reference, (
         f"shm backend moved {shm_bytes} pickled bytes at {max(SITE_COUNTS)} sites; "
-        f"expected at least {SHM_IPC_ADVANTAGE}x less than processes ({proc_bytes})"
+        f"expected at least {SHM_IPC_ADVANTAGE}x less than the pickled fragments "
+        f"of every round ({reference})"
     )
     print(
-        f"shm IPC advantage at {max(SITE_COUNTS)} sites: "
-        f"{proc_bytes / max(shm_bytes, 1):.1f}x fewer pickled bytes than processes"
+        f"shm IPC advantage at {max(SITE_COUNTS)} sites: {reference / max(shm_bytes, 1):.1f}x "
+        f"fewer pickled bytes than the fragments of every round ({reference} B)"
     )
     if gate_speedup:
         assert shm_speedup >= SPEEDUP_GATE, (
@@ -203,6 +224,7 @@ def main(argv=None):
             "waves": args.waves,
             "wave_updates": args.wave_updates,
             "speedup_gated": gate_speedup,
+            "fragment_reference_bytes": reference,
         },
     )
     print(f"benchmark results written to {path}")

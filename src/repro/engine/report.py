@@ -102,7 +102,7 @@ class DetectionReport:
     violations: ViolationSet
     network: NetworkStats
     site_costs: tuple[SiteCost, ...] = field(default_factory=tuple)
-    #: Execution backend the session ran on ("serial", "threads", "processes", "shm").
+    #: Execution backend the session ran on ("serial" or "shm").
     executor: str = "serial"
     #: Storage backend the session's data was hosted on ("rows", "columnar", "sql").
     storage: str = "rows"

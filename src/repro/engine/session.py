@@ -222,9 +222,9 @@ class SessionBuilder:
     def executor(self, backend: str | Executor, **options: Any) -> "SessionBuilder":
         """Pick the execution backend for per-site detection tasks.
 
-        ``backend`` is a registered backend name (``"serial"``,
-        ``"threads"``, ``"processes"``, ``"shm"``) with factory options — e.g.
-        ``.executor("threads", workers=8)`` — or an already-built
+        ``backend`` is a registered backend name (``"serial"`` or
+        ``"shm"``) with factory options — e.g.
+        ``.executor("shm", workers=8)`` — or an already-built
         :class:`~repro.runtime.executor.Executor` instance (which the
         caller then owns; ``session.close()`` will not shut it down).
         Every backend produces the identical violation set and identical
@@ -358,7 +358,7 @@ class SessionBuilder:
             build_cm = obs.tracer.span("session.build", parent=root)
             net_before = network.stats()
             if hasattr(executor, "attach_observability"):
-                # Process backends emit worker.lifetime spans under the
+                # The process backend emits worker.lifetime spans under the
                 # session root (spawn/respawn/exit of each warm worker).
                 executor.attach_observability(obs.tracer, root)
         setup_start = time.perf_counter()
@@ -535,7 +535,7 @@ class DetectionSession:
 
     @property
     def executor(self) -> str:
-        """The execution backend name ("serial", "threads", "processes", "shm")."""
+        """The execution backend name ("serial" or "shm")."""
         return self._scheduler.backend
 
     @property

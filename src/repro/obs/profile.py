@@ -13,7 +13,7 @@ flag, so the *disabled* path costs a single module-attribute check::
         _prof.note("columnar.variable_sweep", time.perf_counter() - _t0)
 
 The accumulator is process-local.  When a traced session runs tasks on
-the ``processes`` executor, the task wrapper in
+the ``shm`` executor, the task wrapper in
 :mod:`repro.obs.trace` enables profiling inside the worker for the
 task's duration and ships the resulting delta back with the task result
 (see :func:`snapshot` / :func:`merge`), so coordinator-side totals stay

@@ -22,7 +22,7 @@ and, through :class:`~repro.service.DetectionService`::
 Context propagation uses a :data:`contextvars.ContextVar` holding the
 *active* ``(tracer, span)`` pair.  ``Tracer.span(...)`` sets it for the
 body's duration, so nested instrumentation points pick up their parent
-without plumbing.  Crossing executors (threads or worker processes) is
+without plumbing.  Crossing into worker processes is
 handled by :func:`run_traced_task`: the scheduler rewraps each
 :class:`~repro.runtime.executor.SiteTask` so the parent span id rides
 the existing picklable task closure; the worker times the call, builds a

@@ -1,8 +1,8 @@
-"""Pluggable site executors: serial, threads, processes.
+"""Pluggable site executors: serial and shm.
 
 The detectors express their per-site local phases as *pure tasks* — a
 top-level function plus picklable arguments, no shared state — and hand
-them to an :class:`Executor`.  All backends return results **in task
+them to an :class:`Executor`.  Both backends return results **in task
 submission order**, so a coordinator that merges results in order sees
 exactly the serial outcome regardless of how the tasks were interleaved;
 this is what makes the parity guarantee (identical violations, identical
@@ -10,35 +10,21 @@ shipment counts on every backend) checkable.
 
 Backends:
 
-* :class:`SerialExecutor` — runs tasks inline, in order.  The default;
-  today's single-threaded semantics.
-* :class:`ThreadExecutor` — a shared :class:`~concurrent.futures.
-  ThreadPoolExecutor`.  Python's GIL serializes pure-Python task bodies,
-  so this backend is mostly useful for validating the task decomposition
-  and for tasks that release the GIL.
-* :class:`ProcessExecutor` — a persistent
-  :class:`~repro.runtime.pool.WorkerPool` of warm worker processes (one
-  pool for the life of the executor, explicit fork/spawn context).  True
-  CPU parallelism; tasks and their results cross an explicitly metered
-  pickle boundary, so it pays off when per-task compute dominates
-  argument size (chunky per-site work).
-* :class:`~repro.runtime.shm.SharedMemoryExecutor` (``"shm"``) — the
-  process backend plus zero-copy fragment residency: columnar relation
-  arguments are published once into shared memory and kept warm in the
-  workers, so later rounds ship only update deltas and results.
+* :class:`SerialExecutor` — runs tasks inline, in order.  The default.
+* :class:`~repro.runtime.shm.SharedMemoryExecutor` (``"shm"``) — a
+  persistent pool of warm worker processes with one task in flight per
+  worker.  Tasks and their results cross an explicitly metered pickle
+  boundary, except columnar relation arguments: those are published
+  once into shared memory and kept warm in the workers, so later rounds
+  ship only update deltas and results.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
-
-from repro.distributed.serialization import IpcLedger
-from repro.runtime.pool import WorkerCrashed, WorkerPool
 
 
 class ExecutorError(RuntimeError):
@@ -50,7 +36,7 @@ class SiteTask:
     """One independent unit of per-site work.
 
     ``fn`` must be a module-level callable and ``args`` picklable when
-    the task may run on the process backend.  ``site`` attributes the
+    the task may run on the ``shm`` backend.  ``site`` attributes the
     task's wall-clock to a site in the timing breakdown (use the
     coordinator's id, or any stable key, for work not owned by one
     site).
@@ -72,17 +58,10 @@ class TaskResult:
     label: str = ""
 
 
-def _timed_call(fn: Callable[..., Any], args: tuple) -> tuple[Any, float]:
-    """Run ``fn(*args)`` and measure it (module-level so processes can pickle it)."""
-    start = time.perf_counter()
-    value = fn(*args)
-    return value, time.perf_counter() - start
-
-
 class Executor(ABC):
     """Runs a round of independent site tasks; results keep task order."""
 
-    #: Registry name of the backend ("serial", "threads", "processes").
+    #: Registry name of the backend ("serial", "shm").
     name: str = "serial"
 
     @abstractmethod
@@ -113,209 +92,14 @@ class SerialExecutor(Executor):
     def run(self, tasks: Sequence[SiteTask]) -> list[TaskResult]:
         results = []
         for task in tasks:
-            value, seconds = _timed_call(task.fn, task.args)
+            start = time.perf_counter()
+            value = task.fn(*task.args)
+            seconds = time.perf_counter() - start
             results.append(TaskResult(task.site, value, seconds, task.label))
         return results
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialExecutor()"
-
-
-class _PooledExecutor(Executor):
-    """Shared machinery for pool-backed backends (lazy pool creation)."""
-
-    def __init__(self, workers: int | None = None):
-        if workers is not None and workers < 1:
-            raise ExecutorError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self._pool: Any = None
-
-    def _make_pool(self) -> Any:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def run(self, tasks: Sequence[SiteTask]) -> list[TaskResult]:
-        if not tasks:
-            return []
-        if self._pool is None:
-            self._pool = self._make_pool()
-        futures = [self._pool.submit(_timed_call, task.fn, task.args) for task in tasks]
-        results = []
-        try:
-            for task, future in zip(tasks, futures):
-                value, seconds = future.result()
-                results.append(TaskResult(task.site, value, seconds, task.label))
-        except BaseException:
-            # Don't leave stray tasks of a failed round mutating detector
-            # state behind the caller's back: cancel what hasn't started
-            # and wait out what has before re-raising.
-            for future in futures:
-                future.cancel()
-            concurrent.futures.wait(futures)
-            raise
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(workers={self.workers})"
-
-
-class ThreadExecutor(_PooledExecutor):
-    """Run tasks on a thread pool (concurrent, GIL-bound for pure Python)."""
-
-    name = "threads"
-
-    def _make_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-
-class ProcessExecutor(Executor):
-    """Run tasks on a persistent pool of warm worker processes.
-
-    One :class:`~repro.runtime.pool.WorkerPool` lives for the whole
-    executor (created lazily, re-created lazily after :meth:`close`), so
-    repeated ``run()`` calls — one per detection round — stop paying
-    process startup per wave.  Sites stick to workers, every message is
-    explicitly pickled and counted (:attr:`bytes_pickled`), and the
-    fork/spawn start method is an explicit choice (``context=``) instead
-    of an interpreter default.
-
-    A worker that dies mid-round fails that round with
-    :class:`ExecutorError` (remaining workers are drained so the
-    protocol stays in lockstep) and is respawned on the next round.
-    """
-
-    name = "processes"
-
-    def __init__(self, workers: int | None = None, context: str | None = None):
-        if workers is not None and workers < 1:
-            raise ExecutorError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.context = context
-        self._ledger = IpcLedger()
-        self._pool: WorkerPool | None = None
-        self._tracer: Any = None
-        self._trace_parent: Any = None
-        self._spans: dict[tuple[int, int], Any] = {}
-
-    # -- pool lifecycle ---------------------------------------------------------------
-
-    def _ensure_pool(self) -> WorkerPool:
-        if self._pool is None:
-            self._pool = WorkerPool(
-                self.workers,
-                context=self.context,
-                ledger=self._ledger,
-                on_spawn=self._worker_started,
-                on_exit=self._worker_stopped,
-            )
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        self._after_close()
-
-    # -- metering / observability -------------------------------------------------------
-
-    @property
-    def bytes_pickled(self) -> int:
-        """Total bytes pickled across the pipe, cumulative over pools."""
-        return self._ledger.bytes_pickled
-
-    def ipc_stats(self) -> dict:
-        """The IPC ledger snapshot (messages and bytes per message kind)."""
-        return self._ledger.snapshot()
-
-    def attach_observability(self, tracer: Any, parent: Any = None) -> None:
-        """Emit ``worker.lifetime`` spans under ``parent`` on ``tracer``."""
-        self._tracer = tracer
-        self._trace_parent = parent
-
-    def _worker_started(self, slot: int, generation: int, pid: int) -> None:
-        if self._tracer is None:
-            return
-        span = self._tracer.start_span(
-            "worker.lifetime",
-            parent=self._trace_parent,
-            backend=self.name,
-            worker=slot,
-            generation=generation,
-            pid=pid,
-        )
-        if span is not None:
-            self._spans[(slot, generation)] = span
-
-    def _worker_stopped(self, slot: int, generation: int) -> None:
-        span = self._spans.pop((slot, generation), None)
-        if span is not None and self._tracer is not None:
-            self._tracer.end_span(span)
-
-    # -- warm-state hooks (overridden by the shm backend) -------------------------------
-
-    def _before_round(self, pool: WorkerPool) -> None:
-        """Called once per round before any dispatch."""
-
-    def _prepare_args(self, pool: WorkerPool, slot: int, args: tuple) -> tuple:
-        """Rewrite task args for worker ``slot`` (publish residents, ...)."""
-        return args
-
-    def _worker_lost(self, pool: WorkerPool, slot: int) -> None:
-        """Called when worker ``slot`` died mid-round."""
-
-    def _after_close(self) -> None:
-        """Called after the pool is torn down."""
-
-    # -- the round protocol -------------------------------------------------------------
-
-    def run(self, tasks: Sequence[SiteTask]) -> list[TaskResult]:
-        if not tasks:
-            return []
-        pool = self._ensure_pool()
-        self._before_round(pool)
-        sent: dict[int, int] = {}
-        crashes: list[WorkerCrashed] = []
-        for index, task in enumerate(tasks):
-            slot = pool.worker_for(task.site)
-            try:
-                args = self._prepare_args(pool, slot, task.args)
-                pool.send(slot, ("task", index, task.fn, args), kind="task")
-            except WorkerCrashed as crash:
-                self._worker_lost(pool, slot)
-                crashes.append(crash)
-                break  # abort dispatch; drain what was already sent
-            sent[slot] = sent.get(slot, 0) + 1
-        replies: dict[int, tuple] = {}
-        for slot, expected in sent.items():
-            try:
-                for _ in range(expected):
-                    reply = pool.recv(slot)
-                    replies[reply[1]] = reply
-            except WorkerCrashed as crash:
-                self._worker_lost(pool, slot)
-                crashes.append(crash)
-        if crashes:
-            raise ExecutorError(
-                "; ".join(str(crash) for crash in crashes)
-            ) from crashes[0]
-        for index in sorted(replies):
-            reply = replies[index]
-            if reply[0] == "err":
-                exc = reply[2]
-                if hasattr(exc, "add_note"):
-                    exc.add_note(f"(raised in worker process)\n{reply[3]}")
-                raise exc
-        return [
-            TaskResult(task.site, replies[index][3], replies[index][2], task.label)
-            for index, task in enumerate(tasks)
-        ]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(workers={self.workers})"
 
 
 def _make_serial() -> SerialExecutor:
@@ -333,8 +117,6 @@ def _make_shm(**options: Any) -> Executor:
 #: Built-in backend factories, addressable by name from sessions and benchmarks.
 EXECUTOR_BACKENDS: dict[str, Callable[..., Executor]] = {
     "serial": _make_serial,
-    "threads": ThreadExecutor,
-    "processes": ProcessExecutor,
     "shm": _make_shm,
 }
 
@@ -342,7 +124,7 @@ EXECUTOR_BACKENDS: dict[str, Callable[..., Executor]] = {
 def make_executor(backend: "str | Executor" = "serial", **options: Any) -> Executor:
     """Build an executor from a backend name, or pass an instance through.
 
-    ``make_executor("threads", workers=8)`` builds a fresh pool;
+    ``make_executor("shm", workers=8)`` builds a fresh pool;
     ``make_executor(my_executor)`` returns ``my_executor`` unchanged
     (options are rejected in that case — configure the instance
     directly).

@@ -1,4 +1,4 @@
-"""The worker half of the warm process backends (spawn-safe module).
+"""The worker half of the shm process backend (spawn-safe module).
 
 A worker is a long-lived child process running :func:`worker_main` over
 one duplex pipe.  The protocol is deliberately tiny — five message
@@ -22,8 +22,8 @@ meter exactly what crosses the boundary:
     Release everything and exit.
 
 Publish/delta failures are *deferred*: the error is parked on the
-resident entry and raised by the first task that dereferences it, so the
-strict send-N/receive-N accounting of the round protocol never skews.
+resident entry and raised by the first task that dereferences it, so
+every task gets exactly one reply and only tasks are ever replied to.
 
 Attached segments are never registered with ``multiprocessing``'s
 resource tracker — the coordinator owns every segment and unlinks it.

@@ -1,16 +1,14 @@
 """A persistent pool of warm worker processes with metered pipes.
 
-Unlike ``concurrent.futures.ProcessPoolExecutor`` — which this repo's
-process backend previously re-created per ``run()`` call, paying pool
-setup per detection wave — the :class:`WorkerPool` keeps its daemon
-workers alive for the life of the executor and speaks a self-pickled
-protocol over plain pipes.  Pickling explicitly (``pickle.dumps`` +
-``send_bytes``) is what makes the IPC cost *measurable*: every message
-in either direction is counted in an
+Unlike ``concurrent.futures.ProcessPoolExecutor``, the
+:class:`WorkerPool` keeps its daemon workers alive for the life of the
+executor and speaks a self-pickled protocol over plain pipes.  Pickling
+explicitly (``pickle.dumps`` + ``send_bytes``) is what makes the IPC
+cost *measurable*: every message in either direction is counted in an
 :class:`~repro.distributed.serialization.IpcLedger`.
 
 Sites stick to workers (round-robin on first sight), which is what lets
-a warm backend keep per-site fragments resident across rounds.  A dead
+the shm backend keep per-site fragments resident across rounds.  A dead
 worker is detected on the next send/recv, reported as
 :class:`WorkerCrashed`, and replaced lazily with a bumped *generation*
 so callers can invalidate whatever state the lost worker held.
@@ -75,10 +73,6 @@ class WorkerPool:
         self._affinity: dict[Any, int] = {}
         self._next_slot = 0
 
-    @property
-    def size(self) -> int:
-        return self._size
-
     # -- placement ------------------------------------------------------------------
 
     def worker_for(self, site: Any) -> int:
@@ -101,6 +95,10 @@ class WorkerPool:
     def ensure_worker(self, slot: int) -> int:
         """Spawn slot ``slot`` if needed and return its live generation."""
         return self._ensure(slot).generation
+
+    def connection(self, slot: int) -> Any:
+        """The coordinator end of live worker ``slot``'s pipe (to ``wait`` on)."""
+        return self._workers[slot].connection
 
     # -- lifecycle ------------------------------------------------------------------
 

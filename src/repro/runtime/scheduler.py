@@ -18,7 +18,7 @@ backend would need).  Sessions surface this breakdown through
 When a round runs inside an active trace span (see
 :mod:`repro.obs.trace`), the scheduler rewraps each task so its span
 context — trace id and parent span id — rides the existing picklable
-task closure across the serial/threads/processes executors.  Each task
+task closure across the serial and shm executors.  Each task
 comes back with a ``site.task[i]`` span record (and, on worker
 processes, a profiling delta) that the coordinator folds back into the
 tracer; results are unwrapped before the timing ledger sees them, so the
@@ -81,7 +81,7 @@ class SiteScheduler:
 
     @property
     def backend(self) -> str:
-        """The executor backend name ("serial", "threads", "processes")."""
+        """The executor backend name ("serial", "shm")."""
         return self._executor.name
 
     # -- execution ----------------------------------------------------------------------

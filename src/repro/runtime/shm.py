@@ -1,9 +1,17 @@
-"""The shared-memory backend: zero-copy fragment fan-out, warm workers.
+"""The process backend: warm workers, zero-copy fragment fan-out.
 
-:class:`SharedMemoryExecutor` extends the warm
-:class:`~repro.runtime.executor.ProcessExecutor` with *fragment
-residency*.  Columnar relations found in task arguments are not pickled
-into the task message; instead the executor
+:class:`SharedMemoryExecutor` runs each round of site tasks on a
+persistent :class:`~repro.runtime.pool.WorkerPool` of warm worker
+processes.  Sites stick to workers, and every message is explicitly
+pickled and counted.  A round keeps **one task in flight per worker**:
+a worker is sent its next task (with any publish or delta that task
+needs) only after its previous reply has been read.  A worker is thus
+always either reading or idle when the coordinator writes to it, so a
+round completes whatever the sizes of tasks and replies.
+
+On top of the pool the executor keeps *fragment residency*.  Columnar
+relations found in task arguments are not pickled into the task
+message; instead the executor
 
 1. **publishes** the fragment once — packed code buffers into one
    ``multiprocessing.shared_memory`` segment (attached zero-copy in the
@@ -36,19 +44,22 @@ pipe as a reference plus its attribute list.
 
 Anything that is not a columnar relation — plain row lists, CFDs,
 indexes — falls back to ordinary pickling, so the backend accepts every
-workload the process backend does.
+picklable task.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import deque
+from multiprocessing.connection import wait
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any
+from typing import Any, Sequence
 
 from repro.columnar.shmcol import export_payload
 from repro.columnar.store import column_store_of
 from repro.core.storage import ProjectionView
-from repro.runtime.executor import ProcessExecutor
+from repro.distributed.serialization import IpcLedger
+from repro.runtime.executor import Executor, ExecutorError, SiteTask, TaskResult
 from repro.runtime.ipc import ResidentRef
 from repro.runtime.pool import WorkerCrashed, WorkerPool
 
@@ -71,13 +82,30 @@ class _Resident:
         self.generation = generation
 
 
-class SharedMemoryExecutor(ProcessExecutor):
-    """Warm worker processes with shared-memory-resident columnar fragments."""
+class SharedMemoryExecutor(Executor):
+    """Warm worker processes with shared-memory-resident columnar fragments.
+
+    The pool is created lazily and re-created lazily after :meth:`close`,
+    so repeated ``run()`` calls stop paying process startup per wave.
+    The fork/spawn start method is an explicit choice (``context=``).  A
+    worker that dies mid-round fails that round with
+    :class:`~repro.runtime.executor.ExecutorError` once the tasks still
+    in flight on the other workers are drained, and is respawned on the
+    next round.
+    """
 
     name = "shm"
 
     def __init__(self, workers: int | None = None, context: str | None = None):
-        super().__init__(workers=workers, context=context)
+        if workers is not None and workers < 1:
+            raise ExecutorError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
+        self.context = context
+        self._ledger = IpcLedger()
+        self._pool: WorkerPool | None = None
+        self._tracer: Any = None
+        self._trace_parent: Any = None
+        self._spans: dict[tuple[int, int], Any] = {}
         #: (worker slot, store uid) -> residency record.
         self._resident: dict[tuple[int, int], _Resident] = {}
         #: (store uid, store version) -> refcounted parent-owned segment.
@@ -88,40 +116,143 @@ class SharedMemoryExecutor(ProcessExecutor):
         self._segments_created = 0
         self._shm_bytes = 0
 
-    # -- introspection (tests, benchmarks) ----------------------------------------------
+    # -- pool lifecycle -----------------------------------------------------------------
 
-    def active_segments(self) -> list[str]:
-        """Names of the currently linked shared-memory segments."""
-        return [segment.shm.name for segment in self._segments.values()]
+    def _ensure_pool(self) -> WorkerPool:
+        if self._pool is None:
+            self._pool = WorkerPool(
+                self.workers,
+                context=self.context,
+                ledger=self._ledger,
+                on_spawn=self._worker_started,
+                on_exit=self._worker_stopped,
+            )
+        return self._pool
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+        self._resident.clear()
+        self._dead_keys.clear()
+        for segment in self._segments.values():
+            self._unlink(segment)
+        self._segments.clear()
+
+    # -- metering / observability -------------------------------------------------------
+
+    @property
+    def bytes_pickled(self) -> int:
+        """Total bytes pickled across the pipe, cumulative over pools."""
+        return self._ledger.bytes_pickled
 
     def ipc_stats(self) -> dict:
-        stats = super().ipc_stats()
+        """The IPC ledger snapshot (messages and bytes per message kind)
+        plus the shared-memory segment counters."""
+        stats = self._ledger.snapshot()
         stats["shm_segments_created"] = self._segments_created
         stats["shm_segments_active"] = len(self._segments)
         stats["shm_bytes"] = self._shm_bytes
         return stats
 
-    # -- round hooks --------------------------------------------------------------------
+    def active_segments(self) -> list[str]:
+        """Names of the currently linked shared-memory segments."""
+        return [segment.shm.name for segment in self._segments.values()]
 
-    def _before_round(self, pool: WorkerPool) -> None:
+    def attach_observability(self, tracer: Any, parent: Any = None) -> None:
+        """Emit ``worker.lifetime`` spans under ``parent`` on ``tracer``."""
+        self._tracer = tracer
+        self._trace_parent = parent
+
+    def _worker_started(self, slot: int, generation: int, pid: int) -> None:
+        if self._tracer is None:
+            return
+        span = self._tracer.start_span(
+            "worker.lifetime",
+            parent=self._trace_parent,
+            backend=self.name,
+            worker=slot,
+            generation=generation,
+            pid=pid,
+        )
+        if span is not None:
+            self._spans[(slot, generation)] = span
+
+    def _worker_stopped(self, slot: int, generation: int) -> None:
+        span = self._spans.pop((slot, generation), None)
+        if span is not None and self._tracer is not None:
+            self._tracer.end_span(span)
+
+    # -- the round protocol -------------------------------------------------------------
+
+    def run(self, tasks: Sequence[SiteTask]) -> list[TaskResult]:
+        if not tasks:
+            return []
+        pool = self._ensure_pool()
         self._flush_dead(pool)
+        queued: dict[int, deque[int]] = {}
+        for index, task in enumerate(tasks):
+            queued.setdefault(pool.worker_for(task.site), deque()).append(index)
+        in_flight: dict[Any, int] = {}  # connection -> slot
+        replies: dict[int, tuple] = {}
+        crashes: list[WorkerCrashed] = []
 
-    def _prepare_args(self, pool: WorkerPool, slot: int, args: tuple) -> tuple:
-        return self._rewrite(pool, slot, args)
+        def dispatch(slot: int) -> None:
+            index = queued[slot].popleft()
+            task = tasks[index]
+            try:
+                args = self._rewrite(pool, slot, task.args)
+                pool.send(slot, ("task", index, task.fn, args), kind="task")
+            except WorkerCrashed as crash:
+                self._worker_lost(slot)
+                crashes.append(crash)
+            except Exception as exc:
+                # Arguments that cannot be rewritten or pickled fail their
+                # task, not the round: what is in flight is still drained.
+                replies[index] = ("err", index, exc, None)
+            else:
+                in_flight[pool.connection(slot)] = slot
 
-    def _worker_lost(self, pool: WorkerPool, slot: int) -> None:
+        for slot in queued:
+            if not crashes:
+                dispatch(slot)
+        while in_flight:
+            for connection in wait(list(in_flight)):
+                slot = in_flight.pop(connection)
+                try:
+                    reply = pool.recv(slot)
+                except WorkerCrashed as crash:
+                    self._worker_lost(slot)
+                    crashes.append(crash)
+                    continue
+                replies[reply[1]] = reply
+                if queued[slot] and not crashes:
+                    dispatch(slot)
+        if crashes:
+            raise ExecutorError(
+                "; ".join(str(crash) for crash in crashes)
+            ) from crashes[0]
+        for index in sorted(replies):
+            reply = replies[index]
+            if reply[0] == "err":
+                exc = reply[2]
+                if reply[3] is not None and hasattr(exc, "add_note"):
+                    exc.add_note(f"(raised in worker process)\n{reply[3]}")
+                raise exc
+        return [
+            TaskResult(task.site, replies[index][3], replies[index][2], task.label)
+            for index, task in enumerate(tasks)
+        ]
+
+    def _worker_lost(self, slot: int) -> None:
         """Forget everything resident in a dead worker (segments survive
         parent-side and are unlinked once no worker references them)."""
         for key in [k for k in self._resident if k[0] == slot]:
             record = self._resident.pop(key)
             self._unref_segment(record.seg_key)
 
-    def _after_close(self) -> None:
-        self._resident.clear()
-        self._dead_keys.clear()
-        for segment in self._segments.values():
-            self._unlink(segment)
-        self._segments.clear()
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"SharedMemoryExecutor(workers={self.workers})"
 
     # -- argument rewriting -------------------------------------------------------------
 
@@ -228,7 +359,7 @@ class SharedMemoryExecutor(ProcessExecutor):
                 try:
                     pool.send(slot, ("drop", uid), kind="drop")
                 except WorkerCrashed:
-                    self._worker_lost(pool, slot)
+                    self._worker_lost(slot)
             self._unref_segment(record.seg_key)
 
     def _trim_journal(self, uid: int, store: Any) -> None:

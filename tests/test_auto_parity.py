@@ -13,7 +13,8 @@ test.
 import pytest
 
 from repro.engine.session import session
-from repro.runtime.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.runtime.executor import SerialExecutor
+from repro.runtime.shm import SharedMemoryExecutor
 from repro.similarity.md import MatchingDependency
 from repro.similarity.predicates import NormalizedStringMatch, NumericTolerance
 from repro.workloads.rules import generate_cfds
@@ -89,11 +90,7 @@ def waves(generator, relation):
 
 @pytest.fixture(scope="module")
 def executors():
-    pools = {
-        "serial": SerialExecutor(),
-        "threads": ThreadExecutor(workers=4),
-        "processes": ProcessExecutor(workers=2),
-    }
+    pools = {"serial": SerialExecutor(), "shm": SharedMemoryExecutor(workers=2)}
     yield pools
     for pool in pools.values():
         pool.close()
@@ -163,14 +160,13 @@ class TestAutoParity:
         reference = "incVer" if partitioning == "vertical" else "incHor"
         assert auto == fixed_outcomes[(reference, partitioning, "cfd")]
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
     @pytest.mark.parametrize("partitioning", ["vertical", "horizontal"])
     def test_auto_parity_across_executors(
-        self, partitioning, backend,
+        self, partitioning,
         executors, fixed_outcomes, generator, relation, cfds, mds, waves,
     ):
         auto, _ = run_stream(
-            "auto", partitioning, "cfd", "rows", executors[backend],
+            "auto", partitioning, "cfd", "rows", executors["shm"],
             generator, relation, cfds, mds, waves,
         )
         reference = "incVer" if partitioning == "vertical" else "incHor"

@@ -41,8 +41,8 @@ RECORDED = {
     ),
 }
 
-#: ``bytes_pickled`` of the one-wave probe below under ``executor("processes")``
-#: when site results carried one ``(tid, bytes)`` pair per shipped tuple.
+#: ``bytes_pickled`` of the one-wave probe below on worker processes when
+#: site results carried one ``(tid, bytes)`` pair per shipped tuple.
 RECORDED_BYTES_PICKLED = {"batHor": 295705, "batVer": 445300}
 
 
@@ -93,7 +93,7 @@ def test_site_results_pickle_no_more_than_the_per_tuple_lists_did(strategy):
     generator, relation, cfds = _inputs()
     session = (
         _builder(strategy, generator, relation, cfds)
-        .executor("processes", workers=2)
+        .executor("shm", workers=2)
         .build()
     )
     try:

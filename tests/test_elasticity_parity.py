@@ -1,7 +1,7 @@
 """Elasticity parity: scale/rebalance events are invisible in the results.
 
 Every distributed strategy (plus ``auto``), on both storage backends
-and the serial/threads executors, streams three update waves with live
+and the serial/shm executors, streams three update waves with live
 topology changes in between — scale-out after wave 1, a skew-aware
 rebalance plus scale-in before wave 3.  The per-wave ``delta-V`` and the
 maintained violations must be identical across the whole matrix, and —
@@ -30,7 +30,7 @@ HORIZONTAL_STRATEGIES = ["incHor", "batHor", "ibatHor", "auto"]
 SINGLE_STRATEGIES = ["centralized", "md", "incMD"]
 
 STORAGES = ["rows", "columnar"]
-EXECUTORS = ["serial", "threads"]
+EXECUTORS = ["serial", "shm"]
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def run_script(
         builder = builder.partition(generator.vertical_partitioner(N_SITES))
     else:
         builder = builder.partition(generator.horizontal_partitioner(N_SITES))
-    executor_options = {} if executor == "serial" else {"workers": 4}
+    executor_options = {} if executor == "serial" else {"workers": 2}
     sess = (
         builder.rules(cfds)
         .strategy(strategy)

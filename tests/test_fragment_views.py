@@ -33,7 +33,6 @@ from repro.distributed.serialization import PriceTable
 from repro.indexes.idx import CFDIndex
 from repro.partition.vertical import VerticalPartitioner
 from repro.rulefuse import compile_rule_set
-from repro.runtime.executor import ProcessExecutor
 from repro.runtime.shm import SharedMemoryExecutor
 
 STORAGES = ["rows", "columnar", "sql"]
@@ -191,14 +190,15 @@ def _batver_session(generator, relation, cfds, executor, storage="rows"):
     )
 
 
-def test_a_processes_batver_wave_pickles_what_the_fragment_copies_did():
-    """The ``test_runtime_parity.py`` fixture: the view relations pickle
-    byte for byte as the per-site copies they replace."""
+def test_an_shm_batver_wave_on_rows_pickles_what_the_fragment_copies_did():
+    """The ``test_shm_parity.py`` fixture on rows, where shm falls back to
+    plain pickling: the view relations pickle byte for byte as the
+    per-site copies they replace."""
     generator = repro.TPCHGenerator(seed=11)
     relation = generator.relation(100)
     cfds = list(repro.generate_cfds(generator.fd_specs(), 5, seed=11))
     updates = repro.generate_updates(relation, generator, 50, seed=11)
-    executor = ProcessExecutor(workers=2)
+    executor = SharedMemoryExecutor(workers=2)
     try:
         sess = _batver_session(generator, relation, cfds, executor)
         built = executor.bytes_pickled

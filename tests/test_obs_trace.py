@@ -7,7 +7,7 @@ The tracer's contract with the engine:
   ``wave.apply`` per batch nested under it;
 * per-site tasks appear as ``site.task[i]`` children of their wave on
   *every* executor backend — span ids ride the picklable task closures,
-  so the processes backend parents worker spans correctly;
+  so the shm backend parents worker spans correctly;
 * spans round-trip through the JSONL exporter byte-identically;
 * still-open spans export as ``status="open"`` snapshots;
 * a disabled tracer (or no observability at all) leaves behavior and
@@ -21,7 +21,8 @@ import pytest
 from repro.engine.session import session
 from repro.obs import Observability, Span, Tracer
 from repro.obs.trace import maybe_span, span_if
-from repro.runtime.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.runtime.executor import SerialExecutor
+from repro.runtime.shm import SharedMemoryExecutor
 from repro.workloads.rules import generate_cfds
 from repro.workloads.tpch import TPCHGenerator
 from repro.workloads.updates import generate_updates
@@ -55,11 +56,7 @@ def updates(generator, relation):
 
 @pytest.fixture(scope="module")
 def executors():
-    pools = {
-        "serial": SerialExecutor(),
-        "threads": ThreadExecutor(workers=3),
-        "processes": ProcessExecutor(workers=2),
-    }
+    pools = {"serial": SerialExecutor(), "shm": SharedMemoryExecutor(workers=2)}
     yield pools
     for pool in pools.values():
         pool.close()
@@ -167,7 +164,7 @@ class TestTracerUnit:
 
 
 class TestSessionTracing:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "shm"])
     def test_site_tasks_nest_under_their_wave(
         self, backend, executors, generator, relation, cfds, updates
     ):
@@ -186,13 +183,13 @@ class TestSessionTracing:
             assert child.trace_id == wave.trace_id
             assert child.status == "ok"
 
-    def test_processes_backend_spans_come_from_workers(
+    def test_shm_backend_spans_come_from_workers(
         self, executors, generator, relation, cfds, updates
     ):
         import os
 
         obs, _report = run_traced(
-            relation, cfds, updates, generator, executors["processes"]
+            relation, cfds, updates, generator, executors["shm"]
         )
         pids = {
             s.attrs["pid"]

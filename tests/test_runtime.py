@@ -9,13 +9,12 @@ from repro.distributed.network import Network
 from repro.runtime.executor import (
     EXECUTOR_BACKENDS,
     ExecutorError,
-    ProcessExecutor,
     SerialExecutor,
     SiteTask,
-    ThreadExecutor,
     make_executor,
 )
 from repro.runtime.scheduler import SiteScheduler
+from repro.runtime.shm import SharedMemoryExecutor
 
 
 def square(x):
@@ -42,12 +41,12 @@ class TestExecutors:
             assert executor.run([]) == []
 
     def test_task_exception_propagates(self):
-        with make_executor("threads", workers=2) as executor:
+        with make_executor("shm", workers=2) as executor:
             with pytest.raises(ValueError, match="task exploded"):
                 executor.run([SiteTask(0, boom)])
 
     def test_pool_reusable_after_close(self):
-        executor = ThreadExecutor(workers=2)
+        executor = SharedMemoryExecutor(workers=2)
         assert executor.run([SiteTask(0, square, (3,))])[0].value == 9
         executor.close()
         # A closed executor lazily re-creates its pool on the next round.
@@ -64,14 +63,17 @@ class TestExecutors:
         with pytest.raises(ExecutorError):
             make_executor("serial", workers=2)
         with pytest.raises(ExecutorError):
-            make_executor("threads", wrong_option=1)
+            make_executor("shm", wrong_option=1)
         with pytest.raises(ExecutorError):
-            ProcessExecutor(workers=0)
+            SharedMemoryExecutor(workers=0)
+        for removed in ("threads", "processes"):
+            with pytest.raises(ExecutorError, match="unknown executor backend"):
+                make_executor(removed)
 
     def test_backend_names(self):
+        assert sorted(EXECUTOR_BACKENDS) == ["serial", "shm"]
         assert SerialExecutor().name == "serial"
-        assert ThreadExecutor().name == "threads"
-        assert ProcessExecutor().name == "processes"
+        assert SharedMemoryExecutor().name == "shm"
 
 
 class TestScheduler:
@@ -232,10 +234,10 @@ class TestSessionRuntimeSurface:
         updates = generate_updates(relation, generator, 10, seed=4)
         with session(relation).partition(
             generator.horizontal_partitioner(2)
-        ).rules(cfds).strategy("batHor").executor("threads", workers=2).build() as sess:
+        ).rules(cfds).strategy("batHor").executor("shm", workers=2).build() as sess:
             sess.apply(updates)
         # A closed session must not silently resurrect its worker pool.
         with _pytest.raises(SessionError, match="closed"):
             sess.apply(updates)
         # Reads stay available after close.
-        assert sess.report().executor == "threads"
+        assert sess.report().executor == "shm"

@@ -36,7 +36,7 @@ def workload(tpch):
 class TestSessionCloseThreadSafety:
     def test_concurrent_double_close_never_raises(self, tpch, workload):
         base, cfds = workload
-        sess = session(base).rules(cfds).executor("threads", workers=2).build()
+        sess = session(base).rules(cfds).executor("shm", workers=2).build()
         errors = []
         barrier = threading.Barrier(8)
 

@@ -1,9 +1,9 @@
 """Units for the shared-memory backend stack.
 
 Covers the integer-bitset mask helpers, the column store's mutation
-journal, the shm export/attach/delta codec, the warm
-:class:`ProcessExecutor` worker pool, the
-:class:`SharedMemoryExecutor`'s residency protocol (publish once, delta
+journal, the shm export/attach/delta codec, the
+:class:`SharedMemoryExecutor`'s warm worker pool and round protocol, its
+residency protocol (publish once, delta
 thereafter, republish on overflow/crash, unlink everything at close)
 and the in-place update delivery that keeps fragment stores alive
 across batches.
@@ -14,7 +14,12 @@ test body after the pool forked is not resolvable in the workers.
 
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import threading
 from array import array
+from pathlib import Path
 from multiprocessing.shared_memory import SharedMemory
 
 import pytest
@@ -42,10 +47,8 @@ from repro.partition.horizontal import hash_horizontal_scheme
 from repro.partition.vertical import even_vertical_scheme
 from repro.runtime.executor import (
     ExecutorError,
-    ProcessExecutor,
     SerialExecutor,
     SiteTask,
-    make_executor,
 )
 from repro.runtime.shm import SharedMemoryExecutor
 
@@ -276,8 +279,10 @@ class TestShmCodec:
 
 
 class TestProcessExecutorPool:
+    """The one process executor's warm pool and its round protocol."""
+
     def test_workers_survive_across_runs(self):
-        executor = ProcessExecutor(workers=1)
+        executor = SharedMemoryExecutor(workers=1)
         try:
             first = executor.run([SiteTask(0, _worker_pid)])
             second = executor.run([SiteTask(0, _worker_pid)])
@@ -287,7 +292,7 @@ class TestProcessExecutorPool:
             executor.close()
 
     def test_explicit_spawn_context(self):
-        executor = ProcessExecutor(workers=1, context="spawn")
+        executor = SharedMemoryExecutor(workers=1, context="spawn")
         try:
             results = executor.run([SiteTask(0, _double, (21,))])
             assert results[0].value == 42
@@ -295,7 +300,7 @@ class TestProcessExecutorPool:
             executor.close()
 
     def test_results_keep_submission_order(self):
-        executor = ProcessExecutor(workers=2)
+        executor = SharedMemoryExecutor(workers=2)
         try:
             results = executor.run([SiteTask(i, _double, (i,)) for i in range(6)])
             assert [r.value for r in results] == [0, 2, 4, 6, 8, 10]
@@ -303,8 +308,78 @@ class TestProcessExecutorPool:
         finally:
             executor.close()
 
+    def test_large_replies_with_fewer_workers_than_tasks_complete(self):
+        """Four 4 MiB echoes on two workers: every reply outgrows the pipe
+        buffer, so a round that sent a worker its next task before reading
+        its reply would block both ends forever.  The round runs in a child
+        process group; the timeout is the hang guard and kills the group."""
+        code = (
+            "from repro.runtime.shm import SharedMemoryExecutor\n"
+            "from repro.runtime.executor import SiteTask\n"
+            "payloads = [bytes([i]) * (4 << 20) for i in range(4)]\n"
+            "tasks = [SiteTask(i, bytes, (p,)) for i, p in enumerate(payloads)]\n"
+            "with SharedMemoryExecutor(workers=2) as executor:\n"
+            "    results = executor.run(tasks)\n"
+            "assert [r.value for r in results] == payloads\n"
+            "print(len(results))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", code],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the round hung: 4 large replies on 2 workers")
+        assert child.returncode == 0, err
+        assert out.strip() == "4"
+
+    def test_the_lowest_index_task_error_wins(self):
+        executor = SharedMemoryExecutor(workers=2)
+        try:
+            tasks = [SiteTask(i, _double, (i,)) for i in range(4)]
+            tasks[3] = SiteTask(3, _boom, ("late",))
+            tasks[2] = SiteTask(2, _boom, ("early",))
+            with pytest.raises(ValueError, match="task exploded: early"):
+                executor.run(tasks)
+        finally:
+            executor.close()
+
+    def test_a_crash_drains_the_round_and_the_next_round_is_in_step(self):
+        executor = SharedMemoryExecutor(workers=2)
+        try:
+            tasks = [SiteTask(i, _double, (i,)) for i in range(4)]
+            tasks[0] = SiteTask(0, _die)
+            with pytest.raises(ExecutorError, match="worker 0"):
+                executor.run(tasks)
+            results = executor.run([SiteTask(i, _double, (10 + i,)) for i in range(4)])
+            assert [r.value for r in results] == [20, 22, 24, 26]
+        finally:
+            executor.close()
+
+    def test_an_unpicklable_argument_fails_its_task_not_the_next_round(self):
+        executor = SharedMemoryExecutor(workers=2)
+        try:
+            with pytest.raises(TypeError):
+                executor.run(
+                    [SiteTask(0, _double, (1,)), SiteTask(1, _double, (threading.Lock(),))]
+                )
+            results = executor.run([SiteTask(0, _double, (5,)), SiteTask(1, _double, (7,))])
+            assert [r.value for r in results] == [10, 14]
+        finally:
+            executor.close()
+
     def test_bytes_pickled_meters_real_traffic(self):
-        executor = ProcessExecutor(workers=1)
+        executor = SharedMemoryExecutor(workers=1)
         try:
             assert executor.bytes_pickled == 0
             executor.run([SiteTask(0, _double, (4,))])
@@ -320,10 +395,9 @@ class TestProcessExecutorPool:
 
     def test_in_process_backends_report_zero(self):
         assert SerialExecutor().bytes_pickled == 0
-        assert make_executor("threads", workers=2).bytes_pickled == 0
 
     def test_task_errors_keep_their_type(self):
-        executor = ProcessExecutor(workers=1)
+        executor = SharedMemoryExecutor(workers=1)
         try:
             with pytest.raises(ValueError, match="task exploded: bad"):
                 executor.run([SiteTask(0, _boom, ("bad",))])
@@ -333,7 +407,7 @@ class TestProcessExecutorPool:
             executor.close()
 
     def test_worker_crash_fails_the_round_then_respawns(self):
-        executor = ProcessExecutor(workers=1)
+        executor = SharedMemoryExecutor(workers=1)
         try:
             with pytest.raises(ExecutorError, match="worker"):
                 executor.run([SiteTask(0, _die)])
@@ -342,7 +416,7 @@ class TestProcessExecutorPool:
             executor.close()
 
     def test_pool_is_recreated_after_close(self):
-        executor = ProcessExecutor(workers=1)
+        executor = SharedMemoryExecutor(workers=1)
         try:
             before = executor.run([SiteTask(0, _worker_pid)])[0].value
             executor.close()
@@ -355,7 +429,7 @@ class TestProcessExecutorPool:
 
     def test_worker_lifetime_spans(self):
         tracer = Tracer()
-        executor = ProcessExecutor(workers=1)
+        executor = SharedMemoryExecutor(workers=1)
         executor.attach_observability(tracer)
         try:
             executor.run([SiteTask(0, _double, (1,))])
@@ -363,13 +437,12 @@ class TestProcessExecutorPool:
             executor.close()
         lifetimes = [s for s in tracer.spans() if s.name == "worker.lifetime"]
         assert len(lifetimes) == 1
-        assert lifetimes[0].attrs["backend"] == "processes"
+        assert lifetimes[0].attrs["backend"] == "shm"
 
     def test_invalid_worker_counts_raise(self):
-        with pytest.raises(ExecutorError):
-            ProcessExecutor(workers=0)
-        with pytest.raises(ExecutorError):
-            SharedMemoryExecutor(workers=-1)
+        for workers in (0, -1):
+            with pytest.raises(ExecutorError):
+                SharedMemoryExecutor(workers=workers)
 
     def test_ledger_counts_every_kind(self):
         ledger = IpcLedger()

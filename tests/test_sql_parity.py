@@ -5,16 +5,17 @@ backend: for each registered strategy (plus the adaptive ``auto``
 planner) the pushed-down SQL backend must produce the identical
 violation set, identical ΔV and identical network shipment counters as
 the row backend — per message kind, per (sender, receiver) pair, byte
-for byte — on the serial executor, on threads for the fragment-carrying
-batch strategies, and across mid-stream ``scale()``/``rebalance()``
-topology events.
+for byte — on the serial executor, on the shm process executor for the
+fragment-carrying batch strategies, and across mid-stream
+``scale()``/``rebalance()`` topology events.
 """
 
 import pytest
 
 from repro.core.updates import UpdateBatch
 from repro.engine.session import session
-from repro.runtime.executor import SerialExecutor, ThreadExecutor
+from repro.runtime.executor import SerialExecutor
+from repro.runtime.shm import SharedMemoryExecutor
 from repro.similarity.md import MatchingDependency
 from repro.similarity.predicates import NormalizedStringMatch, NumericTolerance
 from repro.workloads.rules import generate_cfds
@@ -42,8 +43,8 @@ STRATEGIES = [
 ]
 
 #: Batch strategies whose site tasks carry whole fragments across the
-#: executor boundary: they additionally run on threads.
-THREAD_MATRIX_STRATEGIES = [
+#: executor boundary: they additionally run on worker processes.
+SHM_MATRIX_STRATEGIES = [
     ("batHor", "horizontal"),
     ("batVer", "vertical"),
 ]
@@ -83,7 +84,7 @@ def mds():
 
 @pytest.fixture(scope="module")
 def executors():
-    pools = {"serial": SerialExecutor(), "threads": ThreadExecutor(workers=4)}
+    pools = {"serial": SerialExecutor(), "shm": SharedMemoryExecutor(workers=2)}
     yield pools
     for pool in pools.values():
         pool.close()
@@ -179,8 +180,8 @@ class TestSqlParity:
         )
         assert_identical(actual, row_outcomes[(strategy, partitioning)])
 
-    @pytest.mark.parametrize("strategy,partitioning", THREAD_MATRIX_STRATEGIES)
-    def test_sql_matches_rows_on_threads(
+    @pytest.mark.parametrize("strategy,partitioning", SHM_MATRIX_STRATEGIES)
+    def test_sql_matches_rows_on_shm(
         self,
         strategy,
         partitioning,
@@ -196,7 +197,7 @@ class TestSqlParity:
             strategy,
             partitioning,
             "sql",
-            executors["threads"],
+            executors["shm"],
             generator,
             relation,
             cfds,

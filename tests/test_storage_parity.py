@@ -5,16 +5,13 @@ invisible in everything except wall-clock.  For each registered strategy
 the columnar backend must produce the identical violation set, identical
 ΔV and identical network shipment counters as the row backend — per
 message kind, per (sender, receiver) pair, byte for byte.  The matrix
-runs every strategy on the serial executor and the chunkiest batch
-strategies (``batHor``/``batVer``) additionally on threads/processes,
-extending the PR 2 executor-parity pattern into strategies × executors ×
-storage.
+runs every strategy on the serial executor; ``test_shm_parity.py`` runs
+the same cells on the process executor.
 """
 
 import pytest
 
 from repro.engine.session import session
-from repro.runtime.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.similarity.md import MatchingDependency
 from repro.similarity.predicates import NormalizedStringMatch, NumericTolerance
 from repro.workloads.rules import generate_cfds
@@ -39,15 +36,6 @@ STRATEGIES = [
     ("md", "single"),
     ("incMD", "single"),
 ]
-
-#: The batch strategies whose site tasks carry whole fragments: they get
-#: the full executor × storage cross product.
-EXECUTOR_MATRIX_STRATEGIES = [
-    ("batHor", "horizontal"),
-    ("batVer", "vertical"),
-]
-
-BACKENDS = ["threads", "processes"]
 
 
 @pytest.fixture(scope="module")
@@ -80,19 +68,6 @@ def mds():
             [("quantity", NumericTolerance(1))], ["shipmode"], name="md_qty"
         ),
     ]
-
-
-@pytest.fixture(scope="module")
-def executors():
-    """One shared pool per backend so the matrix does not churn workers."""
-    pools = {
-        "serial": SerialExecutor(),
-        "threads": ThreadExecutor(workers=4),
-        "processes": ProcessExecutor(workers=2),
-    }
-    yield pools
-    for pool in pools.values():
-        pool.close()
 
 
 def run_strategy(
@@ -129,13 +104,13 @@ def run_strategy(
 
 
 @pytest.fixture(scope="module")
-def row_outcomes(executors, generator, relation, cfds, updates, mds):
+def row_outcomes(generator, relation, cfds, updates, mds):
     return {
         (strategy, partitioning): run_strategy(
             strategy,
             partitioning,
             "rows",
-            executors["serial"],
+            "serial",
             generator,
             relation,
             cfds,
@@ -164,7 +139,6 @@ class TestStorageParity:
         self,
         strategy,
         partitioning,
-        executors,
         row_outcomes,
         generator,
         relation,
@@ -176,35 +150,7 @@ class TestStorageParity:
             strategy,
             partitioning,
             "columnar",
-            executors["serial"],
-            generator,
-            relation,
-            cfds,
-            updates,
-            mds,
-        )
-        assert_identical(actual, row_outcomes[(strategy, partitioning)])
-
-    @pytest.mark.parametrize("strategy,partitioning", EXECUTOR_MATRIX_STRATEGIES)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_columnar_matches_rows_on_parallel_executors(
-        self,
-        strategy,
-        partitioning,
-        backend,
-        executors,
-        row_outcomes,
-        generator,
-        relation,
-        cfds,
-        updates,
-        mds,
-    ):
-        actual = run_strategy(
-            strategy,
-            partitioning,
-            "columnar",
-            executors[backend],
+            "serial",
             generator,
             relation,
             cfds,
@@ -222,13 +168,13 @@ class TestStorageParity:
 
 class TestStorageSemantics:
     def test_report_names_the_storage_backend(
-        self, executors, generator, relation, cfds, updates, mds
+        self, generator, relation, cfds, updates, mds
     ):
         outcome = run_strategy(
             "batHor",
             "horizontal",
             "columnar",
-            executors["serial"],
+            "serial",
             generator,
             relation,
             cfds,
@@ -276,7 +222,7 @@ class TestStorageSemantics:
             build(None, "auto", backends=["rows3"])
 
     def test_columnar_relation_is_used_without_explicit_storage(
-        self, executors, generator, relation, cfds
+        self, generator, relation, cfds
     ):
         # Passing an already-columnar relation engages the backend even
         # without .storage(...), and the report records it.
@@ -286,7 +232,7 @@ class TestStorageSemantics:
             .partition(generator.horizontal_partitioner(N_SITES))
             .rules(cfds)
             .strategy("batHor")
-            .executor(executors["serial"])
+            .executor("serial")
             .build()
         )
         report = sess.report()
