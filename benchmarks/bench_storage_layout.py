@@ -16,10 +16,9 @@ under the row encoding vs the dictionary-encoded column blocks of
 ``repro.distributed.serialization``, and writes everything to
 ``BENCH_storage_layout.json``.
 
-The kernel win is a constant-factor (single-core) win, so unlike the
-executor speedup benchmark it does not need multiple CPU cores; the
-target is ≥1.5x on the batch-horizontal local-check+scan phase at the
-largest size.
+The kernel win is a constant-factor (single-core) win, so it does not
+need multiple CPU cores; the target is ≥1.5x on the batch-horizontal
+local-check+scan phase at the largest size.
 
 Run directly: ``python benchmarks/bench_storage_layout.py``
 (``--sizes N N ...`` overrides the sweep, ``--rounds K`` the repetitions).

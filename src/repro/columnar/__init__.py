@@ -11,7 +11,7 @@ on the same attributes.
 
 Importing the package registers the backend with
 :mod:`repro.core.storage`; results are bit-identical to the row backend
-for every detector, executor and partitioning (see
+for every detector and partitioning (see
 ``tests/test_storage_parity.py``).
 """
 

@@ -44,12 +44,6 @@ from repro.rulefuse import compile_rule_set
 #: Compact when more than this many rows — and over half of them — are dead.
 _COMPACT_MIN_DEAD = 32
 
-#: Stop journalling (forcing a full republish) past this many pending ops.
-_JOURNAL_CAP = 4096
-
-#: Process-local store identities, used as residency keys by warm executors.
-_STORE_UIDS = itertools.count(1)
-
 #: Pattern tests of a CFD one of whose constants never occurs in the store.
 _UNSATISFIABLE = object()
 
@@ -135,10 +129,6 @@ class ColumnStore:
         "_dead",
         "_groups",
         "_masks",
-        "_uid",
-        "_version",
-        "_journal",
-        "_journal_base",
         "_tests",
     )
 
@@ -157,71 +147,19 @@ class ColumnStore:
         self._init_derived()
 
     def _init_derived(self) -> None:
-        """Fresh derived state: caches, identity, version, journal.
+        """Fresh derived state: the group, mask and pattern-test caches.
 
         Every construction path — ``__init__``, the column-sliced algebra
-        clones, unpickling — goes through here, so a new store object is
-        always a new identity with version 0 and no journal.
+        clones, unpickling — goes through here.
         """
         self._groups: dict[tuple[str, ...], dict[Any, list[int]]] = {}
         self._masks: dict[tuple[str, ...], dict[Any, int]] = {}
-        self._uid: int = next(_STORE_UIDS)
-        self._version: int = 0
-        self._journal: list[tuple] | None = None
-        self._journal_base: int = 0
         #: Compiled pattern tests per CFD (:meth:`_pattern_tests`): codes
         #: never change for the store's lifetime, so mutations keep them.
         self._tests: dict[CFD, tuple[Any, tuple]] = {}
 
-    # -- identity / change feed (for warm executors) -----------------------------------
-
-    @property
-    def uid(self) -> int:
-        """A process-local identity: distinct per store object, stable for life."""
-        return self._uid
-
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter; bumps once per inserted/removed row."""
-        return self._version
-
-    def enable_journal(self) -> None:
-        """Start recording mutations so remote replicas can catch up by delta.
-
-        Journal entries carry decoded *values*, never codes: a replica
-        interns them into its own dictionaries, so dictionary state never
-        has to stay synchronized across the process boundary.  A no-op if
-        a journal is already recording.
-        """
-        if self._journal is None:
-            self._journal = []
-            self._journal_base = self._version
-
-    def journal_since(self, version: int) -> list[tuple] | None:
-        """The ops replaying ``version`` → current, or None if unavailable.
-
-        None means the caller must fall back to a full republish: either
-        journalling was never enabled, the requested version predates the
-        journal, or the journal overflowed :data:`_JOURNAL_CAP`.
-        """
-        if self._journal is None or version < self._journal_base:
-            return None
-        return self._journal[version - self._journal_base :]
-
-    def trim_journal(self, version: int) -> None:
-        """Drop journal entries no replica needs anymore (up to ``version``)."""
-        if self._journal is None or version <= self._journal_base:
-            return
-        self._journal = self._journal[version - self._journal_base :]
-        self._journal_base = version
-
-    def _note_mutation(self, op: tuple) -> None:
-        self._version += 1
-        journal = self._journal
-        if journal is not None:
-            journal.append(op)
-            if len(journal) > _JOURNAL_CAP:
-                self._journal = None
+    def _invalidate(self) -> None:
+        """Drop the row-indexed caches after a mutation."""
         if self._groups:
             self._groups = {}
         if self._masks:
@@ -259,7 +197,7 @@ class ColumnStore:
         for a in self._attrs:
             self._cols[a].append(self._dicts[a].intern(t[a]))
         self._rows[t.tid] = row
-        self._note_mutation(("i", t.tid, tuple(t[a] for a in self._attrs)))
+        self._invalidate()
 
     def pop(self, tid: Any) -> Tuple | None:
         row = self._rows.pop(tid, None)
@@ -269,7 +207,7 @@ class ColumnStore:
             tid, {a: self._dicts[a].value(self._cols[a][row]) for a in self._attrs}
         )
         self._dead.add(row)
-        self._note_mutation(("d", tid))
+        self._invalidate()
         if len(self._dead) > _COMPACT_MIN_DEAD and len(self._dead) * 2 > len(self._tids):
             self._compact()
         return t
@@ -535,10 +473,7 @@ class ColumnStore:
         ``(singles, multis)``: a bare row index for the common singleton
         bucket, a row bitset otherwise.
 
-        Nothing is decoded: a replica built from the coordinator's full
-        physical export plus its journal deltas assigns identical row
-        indices (codes may drift, so no code crosses the pipe), and
-        :meth:`merge_groups` on the coordinator's copy of the fragment
+        Nothing is decoded: :meth:`merge_groups` on the same store
         recovers each bucket's key and RHS value from any member row.
         """
         if _prof.enabled:
@@ -778,23 +713,7 @@ class ColumnStore:
             tid = other._tids[r]
             self._rows[tid] = len(self._tids)
             self._tids.append(tid)
-            if self._journal is not None:
-                self._note_mutation(
-                    (
-                        "i",
-                        tid,
-                        tuple(
-                            other._dicts[a].value(other._cols[a][r])
-                            for a in self._attrs
-                        ),
-                    )
-                )
-            else:
-                self._version += 1
-        if self._groups:
-            self._groups = {}
-        if self._masks:
-            self._masks = {}
+        self._invalidate()
 
     def statement_cache_info(self) -> None:
         """Columns prepare no statements."""
@@ -812,14 +731,7 @@ class ColumnStore:
             tids.append(t.tid)
             for a in attrs:
                 cols[a].append(dicts[a].intern(t[a]))
-            if self._journal is not None:
-                self._note_mutation(("i", t.tid, tuple(t[a] for a in attrs)))
-            else:
-                self._version += 1
-        if self._groups:
-            self._groups = {}
-        if self._masks:
-            self._masks = {}
+        self._invalidate()
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -829,8 +741,7 @@ class ColumnStore:
         self._tids = [self._tids[r] for r in rows]
         self._rows = {tid: i for i, tid in enumerate(self._tids)}
         self._dead = set()
-        # Physical rows were renumbered, so row-indexed caches are stale;
-        # the logical contents are unchanged, so the version is not.
+        # Physical rows were renumbered, so row-indexed caches are stale.
         self._groups = {}
         self._masks = {}
 

@@ -94,7 +94,7 @@ class CentralizedDetector:
             for group in self._groups:
                 mark_violations(violations, store, (group,), store.check((group,)))
             return violations
-        from repro.runtime.executor import SiteTask
+        from repro.runtime.scheduler import SiteTask
 
         tasks = [
             SiteTask(i, check_task, (relation, (group,)), label=",".join(group.lhs))

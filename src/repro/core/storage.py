@@ -400,9 +400,9 @@ class RowStore(TupleStore):
                     value = vals[rhs]
                     tids = group.get(value)
                     if tids is None:
-                        group[value] = {tid}
+                        group[value] = {tid: None}
                     else:
-                        tids.add(tid)
+                        tids[tid] = None
         if _prof.enabled:
             _prof.note("idx.build_rows", perf_counter() - _t0, len(self._tuples))
 
@@ -490,8 +490,7 @@ class ProjectionView:
     attribute outside ``X`` raises :class:`StorageError`, and so does
     every write: writes go through the deployment
     (``Cluster.deliver_updates``) or the resident relation.  A relation
-    over a view pickles as the projection, so a process executor ships
-    only the fragment's columns.
+    over a view pickles as the projection: only the fragment's columns.
     """
 
     __slots__ = ("_resident", "_attrs")

@@ -200,9 +200,7 @@ class UpdateBatch:
 
         Same outcome as :meth:`apply_to`, but mutating: duplicate-tid
         insertions are rejected up front (see :meth:`validate_against`),
-        so a bad batch leaves the relation untouched.  Keeping the
-        relation object (and its store) alive across batches is what
-        lets warm executors ship deltas instead of fragments.
+        so a bad batch leaves the relation untouched.
         """
         self.validate_against(relation)
         for update in self._updates:

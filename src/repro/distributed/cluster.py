@@ -191,10 +191,8 @@ class Cluster:
         fragments view — with the same
         up-front validation (a duplicate insertion raises before
         anything mutates) and the same end state as re-fragmenting the
-        updated relation.  Crucially the fragment *objects* survive, so
-        warm per-site executor state (shm-resident worker replicas)
-        stays valid and later rounds ship only the deltas journalled by
-        these mutations.
+        updated relation.  The fragment *objects* survive, so a
+        store's caches and anything holding a fragment stay valid.
         """
         if self.is_horizontal():
             self._deliver_horizontal(batch)

@@ -21,7 +21,7 @@ never changes a detector's shipment counters.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 #: Size, in bytes, of an equivalence-class identifier on the wire.
@@ -239,40 +239,3 @@ def ship_fragment(
         tag=tag,
     )
     return nbytes
-
-
-# -- IPC accounting ---------------------------------------------------------------------
-
-
-@dataclass
-class IpcLedger:
-    """Counts the bytes that actually cross a process boundary.
-
-    The network model above charges *simulated* shipments between sites;
-    this ledger charges the *real* inter-process traffic of a process
-    backend — every pickled task, fragment publish, update delta and
-    result.  The executors count through it explicitly (they pickle
-    messages themselves rather than letting a pool hide the cost), so
-    ``bytes_pickled`` is a measurement, not an estimate.
-    """
-
-    bytes_pickled: int = 0
-    messages: int = 0
-    by_kind: dict = field(default_factory=dict)
-
-    def count(self, kind: str, nbytes: int) -> None:
-        self.bytes_pickled += nbytes
-        self.messages += 1
-        entry = self.by_kind.get(kind)
-        if entry is None:
-            self.by_kind[kind] = [1, nbytes]
-        else:
-            entry[0] += 1
-            entry[1] += nbytes
-
-    def snapshot(self) -> dict:
-        return {
-            "bytes_pickled": self.bytes_pickled,
-            "messages": self.messages,
-            "by_kind": {k: {"messages": m, "bytes": b} for k, (m, b) in self.by_kind.items()},
-        }

@@ -203,7 +203,7 @@ class TableStrategy:
         if self.row.holds == FRAGMENTS:
             # Deliver into the live fragments (free, per the paper's
             # delta-delivery convention), so the fragment objects — and
-            # any warm executor state against their stores — survive.
+            # their stores' caches — survive.
             self.deployment.deliver_updates(batch)
         elif self._owns_base:
             batch.apply_in_place(base)
@@ -214,8 +214,7 @@ class TableStrategy:
             self._base = base
             if isinstance(self.deployment, SingleSite):
                 # The site's relation is copied once; later batches land
-                # in place so the store (and warm executor residency
-                # against it) survives from batch to batch.
+                # in place so the store survives from batch to batch.
                 self.deployment.relation = base
                 self._owns_base = True
         delta = diff_violations(self._violations, new)

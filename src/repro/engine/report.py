@@ -102,8 +102,6 @@ class DetectionReport:
     violations: ViolationSet
     network: NetworkStats
     site_costs: tuple[SiteCost, ...] = field(default_factory=tuple)
-    #: Execution backend the session ran on ("serial" or "shm").
-    executor: str = "serial"
     #: Storage backend the session's data was hosted on ("rows", "columnar", "sql").
     storage: str = "rows"
     #: Wall-clock spent in detector setup plus every apply (seconds).
@@ -144,7 +142,6 @@ class DetectionReport:
         updates_applied: int,
         violations: ViolationSet,
         network: NetworkStats,
-        executor: str = "serial",
         storage: str = "rows",
         wall_seconds: float = 0.0,
         setup_seconds: float = 0.0,
@@ -165,7 +162,6 @@ class DetectionReport:
             violations=violations.copy(),
             network=network,
             site_costs=site_costs_from_stats(network),
-            executor=executor,
             storage=storage,
             wall_seconds=wall_seconds,
             setup_seconds=setup_seconds,
@@ -202,11 +198,6 @@ class DetectionReport:
     def n_violating_tuples(self) -> int:
         return len(self.violations)
 
-    @property
-    def bytes_pickled(self) -> int:
-        """Real IPC bytes the executor moved (0 for in-process backends)."""
-        return self.timings.bytes_pickled
-
     # -- serialization ---------------------------------------------------------------
 
     def as_dict(self) -> dict[str, Any]:
@@ -235,7 +226,6 @@ class DetectionReport:
                 }
                 for cost in self.site_costs
             ],
-            "executor": self.executor,
             "storage": self.storage,
             "wall_seconds": self.wall_seconds,
             "setup_seconds": self.setup_seconds,
@@ -245,7 +235,6 @@ class DetectionReport:
                 "tasks": self.timings.tasks,
                 "busy_seconds": self.timings.busy_seconds,
                 "critical_seconds": self.timings.critical_seconds,
-                "bytes_pickled": self.timings.bytes_pickled,
                 "site_timings": [
                     {"site": timing.site, "seconds": timing.seconds}
                     for timing in self.site_timings
@@ -268,9 +257,8 @@ class DetectionReport:
             f"  messages shipped   : {self.messages}",
             f"  bytes shipped      : {self.bytes_shipped}",
             f"  eqids shipped      : {self.eqids_shipped}",
-            f"  executor           : {self.executor} "
-            f"({self.timings.tasks} task(s), {self.timings.rounds} round(s))",
-            f"  bytes pickled      : {self.timings.bytes_pickled} (IPC; 0 in-process)",
+            f"  site tasks         : {self.timings.tasks} "
+            f"in {self.timings.rounds} round(s)",
             f"  storage            : {self.storage}",
             f"  wall clock         : {self.wall_seconds:.6f}s "
             f"(setup {self.setup_seconds:.6f}s + apply {self.apply_seconds:.6f}s)",

@@ -39,7 +39,6 @@ from repro.engine.protocol import Detector, SingleSite
 from repro.obs import Observability
 from repro.obs import profile as _prof
 from repro.obs.trace import Span
-from repro.runtime.executor import Executor, ExecutorError, make_executor
 from repro.runtime.scheduler import SchedulerTimings, SiteScheduler
 from repro.engine.registry import (
     DEFAULT_REGISTRY,
@@ -85,8 +84,6 @@ class SessionBuilder:
         self._strategy_name: str | None = None
         self._strategy_options: dict[str, Any] = {}
         self._network: Network | None = None
-        self._executor_spec: str | Executor = "serial"
-        self._executor_options: dict[str, Any] = {}
         self._storage_name: str | None = None
         self._rebalance_policy: RebalancePolicy | None = None
         self._observability: Observability | None = None
@@ -203,8 +200,8 @@ class SessionBuilder:
 
         With a bundle attached the session records a hierarchical trace
         (root ``session`` span, ``session.build``, per-batch
-        ``wave.apply`` with ``site.task[i]`` children across every
-        executor backend, ``plan.decide`` for ``auto``, ``migration.*``)
+        ``wave.apply`` with ``site.task[i]`` children, ``plan.decide``
+        for ``auto``, ``migration.*``)
         and publishes its live counters into the bundle's metrics
         registry.  ``name`` labels the session's metric series; a stable
         default is generated when omitted.  One bundle can be shared by
@@ -217,26 +214,6 @@ class SessionBuilder:
             )
         self._observability = obs
         self._session_name = name
-        return self
-
-    def executor(self, backend: str | Executor, **options: Any) -> "SessionBuilder":
-        """Pick the execution backend for per-site detection tasks.
-
-        ``backend`` is a registered backend name (``"serial"`` or
-        ``"shm"``) with factory options — e.g.
-        ``.executor("shm", workers=8)`` — or an already-built
-        :class:`~repro.runtime.executor.Executor` instance (which the
-        caller then owns; ``session.close()`` will not shut it down).
-        Every backend produces the identical violation set and identical
-        shipment counts; only wall-clock changes.
-        """
-        if not isinstance(backend, (str, Executor)):
-            raise SessionError(
-                "executor(...) takes a backend name or an Executor instance, "
-                f"not {type(backend).__name__}"
-            )
-        self._executor_spec = backend
-        self._executor_options = dict(options)
         return self
 
     # -- resolution --------------------------------------------------------------------
@@ -305,12 +282,7 @@ class SessionBuilder:
             relation = relation.with_storage(self._storage_name)
         storage_name = getattr(relation, "storage", "rows")
 
-        try:
-            executor = make_executor(self._executor_spec, **self._executor_options)
-        except ExecutorError as exc:
-            raise SessionError(str(exc)) from None
-        owns_executor = not isinstance(self._executor_spec, Executor)
-        scheduler = SiteScheduler(executor)
+        scheduler = SiteScheduler()
 
         network = self._network or Network()
         deployment: Cluster | SingleSite
@@ -333,8 +305,6 @@ class SessionBuilder:
         try:
             detector = entry.create(**options)
         except TypeError as exc:
-            if owns_executor:
-                executor.close()
             raise SessionError(
                 f"strategy {entry.name!r} rejected options "
                 f"{sorted(self._strategy_options)}: {exc}"
@@ -353,21 +323,14 @@ class SessionBuilder:
                 strategy=entry.name,
                 partitioning=partitioning,
                 storage=storage_name,
-                executor=scheduler.backend,
             )
             build_cm = obs.tracer.span("session.build", parent=root)
             net_before = network.stats()
-            if hasattr(executor, "attach_observability"):
-                # The process backend emits worker.lifetime spans under the
-                # session root (spawn/respawn/exit of each warm worker).
-                executor.attach_observability(obs.tracer, root)
         setup_start = time.perf_counter()
         try:
             with build_cm as build_span:
                 initial = detector.setup(deployment, self._rules)
         except BaseException:
-            if owns_executor:
-                executor.close()
             if tracing:
                 assert obs is not None
                 obs.tracer.end_span(root)
@@ -381,7 +344,6 @@ class SessionBuilder:
             partitioning=partitioning,
             initial_violations=initial,
             scheduler=scheduler,
-            owns_executor=owns_executor,
             setup_seconds=setup_seconds,
             storage=storage_name,
             rebalance_policy=self._rebalance_policy,
@@ -413,7 +375,6 @@ class DetectionSession:
         partitioning: str,
         initial_violations: ViolationSet,
         scheduler: SiteScheduler | None = None,
-        owns_executor: bool = True,
         setup_seconds: float = 0.0,
         storage: str = "rows",
         rebalance_policy: RebalancePolicy | None = None,
@@ -430,7 +391,6 @@ class DetectionSession:
         self._batches_applied = 0
         self._updates_applied = 0
         self._scheduler = scheduler or SiteScheduler()
-        self._owns_executor = owns_executor
         self._setup_seconds = setup_seconds
         self._storage = storage
         self._apply_seconds = 0.0
@@ -532,11 +492,6 @@ class DetectionSession:
     def scheduler(self) -> SiteScheduler:
         """The scheduler running this session's per-site task rounds."""
         return self._scheduler
-
-    @property
-    def executor(self) -> str:
-        """The execution backend name ("serial" or "shm")."""
-        return self._scheduler.backend
 
     @property
     def storage(self) -> str:
@@ -841,13 +796,11 @@ class DetectionSession:
     # -- lifecycle ----------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the session's executor workers (idempotent, thread-safe).
+        """End the session's trace and freeze its metrics (idempotent, thread-safe).
 
-        Caller-supplied executor instances are left running — whoever
-        built them owns their lifetime.  Concurrent closers (e.g. a
-        service drain path racing the session's owner) are serialized on
-        a lock, so the executor is released exactly once and a
-        double-close never raises.
+        Concurrent closers (e.g. a service drain path racing the
+        session's owner) are serialized on a lock, so the root span ends
+        exactly once and a double-close never raises.
         """
         with self._close_lock:
             if self._closed:
@@ -861,8 +814,6 @@ class DetectionSession:
                 self._publish_metrics(self._obs.metrics)
             finally:
                 self._obs.metrics.unregister_collector(f"session:{self._name}")
-        if self._owns_executor:
-            self._scheduler.executor.close()
 
     def __enter__(self) -> "DetectionSession":
         return self
@@ -875,8 +826,8 @@ class DetectionSession:
     def apply(self, updates: UpdateBatch | Iterable[Update]) -> ViolationDelta:
         """Process one update batch and return the net ``delta-V``."""
         if self._closed:
-            # A pooled executor would lazily resurrect its workers here and
-            # the one-shot close() could never release them again.
+            # Its root span has ended and its gauges are frozen: a later
+            # batch would go unrecorded.
             raise SessionError("session is closed; build a new session to continue")
         batch = updates if isinstance(updates, UpdateBatch) else UpdateBatch(updates)
         obs = self._obs
@@ -1012,7 +963,6 @@ class DetectionSession:
             "n_sites": len(deployment) if deployment is not None else 1,
             "n_rules": len(self._rules),
             "storage": self._storage_info(),
-            "executor": self.executor,
             "batches_applied": self._batches_applied,
             "updates_applied": self._updates_applied,
             "violations": len(self._detector.violations),
@@ -1098,7 +1048,6 @@ class DetectionSession:
             updates_applied=self._updates_applied,
             violations=self._detector.violations,
             network=self._detector.cost_stats(),
-            executor=self.executor,
             storage=self._storage,
             wall_seconds=self.wall_seconds,
             setup_seconds=self._setup_seconds,
@@ -1168,11 +1117,6 @@ class DetectionSession:
             "repro_scheduler_critical_seconds",
             "Ideal parallel wall seconds (sum of slowest task per round)",
             timings.critical_seconds,
-        )
-        set_gauge(
-            "repro_scheduler_bytes_pickled",
-            "Real IPC bytes the executor pickled (0 for in-process backends)",
-            timings.bytes_pickled,
         )
         cache = self._stmt_cache_info()
         if cache is not None:

@@ -16,8 +16,7 @@ would make and pre-groups its pattern-matching tuples by LHS key.  The
 coordinator then merges the partial groups (grouping is associative, so
 the merged verdicts equal a centralized pass over the reconstructed
 database) and charges the planned shipments to the network — identical
-results and identical shipment counts on every executor and storage
-backend.
+results and identical shipment counts on every storage backend.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.distributed.cluster import Cluster
 from repro.distributed.message import MessageKind
 from repro.distributed.serialization import PriceTable
 from repro.rulefuse import compile_rule_set
-from repro.runtime.executor import SiteTask
+from repro.runtime.scheduler import SiteTask
 
 
 def _site_batch_task(
@@ -40,7 +39,7 @@ def _site_batch_task(
     ship_names: frozenset[str],
     fragment: Any,
 ) -> tuple[list, dict[str, tuple[int, int]], dict[str, Any]]:
-    """One site's whole batch-detection contribution (pure, picklable).
+    """One site's whole batch-detection contribution (pure).
 
     Returns ``(local, shipments, groups)``:
 
@@ -53,14 +52,10 @@ def _site_batch_task(
       coordinator to merge (fragments are disjoint, so a tid is listed
       once).
 
-    Violations and groups travel in the store's wire form and are
-    decoded by the coordinator's copy of the fragment (``tids_of``,
-    ``merge_groups``).  On columnar fragments that form is row space —
-    bitsets and bare row indices, a few ints per group — which a warm
-    worker's replica shares with the coordinator's copy by construction
-    (it is built from the coordinator's own full physical export plus
-    its journal deltas), so a shared-memory round's pickled bytes stay
-    proportional to the changes, not the database.
+    Violations and groups come back in the store's wire form and are
+    decoded by the fragment itself (``tids_of``, ``merge_groups``); on
+    columnar fragments that form is row space — bitsets and bare row
+    indices, a few ints per group.
     """
     store = fragment.store
     local = store.check(local_groups)

@@ -30,7 +30,7 @@ from repro.core.violations import ViolationDelta, ViolationSet
 from repro.distributed.cluster import Cluster
 from repro.horizontal.single import GeneralCFDProtocol
 from repro.indexes.idx import CFDIndex, violations_from_index
-from repro.runtime.executor import SiteTask
+from repro.runtime.scheduler import SiteTask
 from repro.vertical.single import incremental_delete, incremental_insert
 
 
@@ -208,10 +208,9 @@ class HorizontalIncrementalDetector:
 
         The batch is routed to the owning sites; constant checks and
         local equivalence-class maintenance run as one pure task per
-        touched site (the sites are disjoint, so any executor backend
-        yields the serial outcome), and the cross-site protocol of the
-        general variable CFDs then runs at the coordinator in update
-        order.
+        touched site (the sites are disjoint, so no task reads another's
+        results), and the cross-site protocol of the general variable
+        CFDs then runs at the coordinator in update order.
         """
         delta = self._wave_delta = ViolationDelta()
         routed: list[tuple[Update, int]] = []

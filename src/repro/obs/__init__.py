@@ -28,13 +28,12 @@ from repro.obs.metrics import (
     MetricFamily,
     MetricsRegistry,
 )
-from repro.obs.trace import Span, TracedResult, Tracer, maybe_span, span_if
+from repro.obs.trace import Span, Tracer, maybe_span, span_if
 
 __all__ = [
     "Observability",
     "Tracer",
     "Span",
-    "TracedResult",
     "MetricsRegistry",
     "MetricFamily",
     "Counter",

@@ -12,12 +12,8 @@ flag, so the *disabled* path costs a single module-attribute check::
     if _prof.enabled:
         _prof.note("columnar.variable_sweep", time.perf_counter() - _t0)
 
-The accumulator is process-local.  When a traced session runs tasks on
-the ``shm`` executor, the task wrapper in
-:mod:`repro.obs.trace` enables profiling inside the worker for the
-task's duration and ships the resulting delta back with the task result
-(see :func:`snapshot` / :func:`merge`), so coordinator-side totals stay
-complete across pickle boundaries.
+The accumulator is process-local; :func:`snapshot` and :func:`diff`
+measure what a stretch of work noted.
 
 While profiling is on, a ``gc.callbacks`` hook also times every cyclic
 garbage collection and reports it as hook ``gc.gen<N>`` (calls = pauses,
@@ -121,18 +117,6 @@ def reset() -> Dict[str, Dict[str, float]]:
         for generation in _gc_acc:
             _gc_acc[generation] = _NO_PAUSES
     return snap
-
-
-def merge(delta: Mapping[str, Mapping[str, float]]) -> None:
-    """Fold a remote :func:`snapshot` delta (e.g. from a worker process) in."""
-    with _lock:
-        for hook, entry in delta.items():
-            calls, items, seconds = _acc.get(hook, (0, 0, 0.0))
-            _acc[hook] = (
-                calls + int(entry.get("calls", 0)),
-                items + int(entry.get("items", 0)),
-                seconds + float(entry.get("seconds", 0.0)),
-            )
 
 
 def diff(

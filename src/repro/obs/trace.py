@@ -22,12 +22,8 @@ and, through :class:`~repro.service.DetectionService`::
 Context propagation uses a :data:`contextvars.ContextVar` holding the
 *active* ``(tracer, span)`` pair.  ``Tracer.span(...)`` sets it for the
 body's duration, so nested instrumentation points pick up their parent
-without plumbing.  Crossing into worker processes is
-handled by :func:`run_traced_task`: the scheduler rewraps each
-:class:`~repro.runtime.executor.SiteTask` so the parent span id rides
-the existing picklable task closure; the worker times the call, builds a
-plain span record (plus a profiling delta when profiling is on), and the
-coordinator ingests it back into the tracer.
+without plumbing.  The site scheduler opens one ``site.task[i]`` span
+per task, parented at the span that submitted the round.
 
 Spans that carry exact network accounting set ``attrs["ledger"] = True``
 together with ``net_bytes`` / ``net_messages``; summing those over a
@@ -48,14 +44,13 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.obs import profile as _prof
 
 _counter = itertools.count(1)
 _counter_lock = threading.Lock()
 
 
 def new_id() -> str:
-    """A process-unique span/trace id (pid-prefixed so worker ids never clash)."""
+    """A unique span/trace id (pid-prefixed, so ids from two processes never clash)."""
     with _counter_lock:
         n = next(_counter)
     return f"{os.getpid():x}-{n:x}"
@@ -216,17 +211,6 @@ class Tracer:
             return ctx[1]
         return None
 
-    # -- remote records ------------------------------------------------------------
-
-    def ingest(self, record: Mapping[str, Any]) -> Optional[Span]:
-        """Adopt a finished span record produced elsewhere (worker/task)."""
-        if not self.enabled:
-            return None
-        span = Span.from_dict(record)
-        with self._lock:
-            self._store_locked(span)
-        return span
-
     # -- introspection ---------------------------------------------------------------
 
     def spans(self, include_open: bool = True) -> List[Span]:
@@ -379,82 +363,3 @@ def maybe_span(name: str, **attrs: Any) -> Iterator[Optional[Span]]:
     tracer, parent = ctx
     with tracer.span(name, parent=parent, **attrs) as span:
         yield span
-
-
-# -- cross-executor task propagation ----------------------------------------------
-
-
-class TracedResult:
-    """Wrapper a traced task returns: payload value + span/profile records.
-
-    Deliberately a plain picklable class (not a namedtuple) so the
-    scheduler can recognise it unambiguously when unwrapping.
-    """
-
-    __slots__ = ("value", "span", "profile")
-
-    def __init__(
-        self,
-        value: Any,
-        span: Dict[str, Any],
-        profile: Optional[Dict[str, Dict[str, float]]],
-    ):
-        self.value = value
-        self.span = span
-        self.profile = profile
-
-
-def run_traced_task(
-    trace_id: str,
-    parent_id: str,
-    name: str,
-    site: int,
-    label: str,
-    profile_on: bool,
-    fn: Any,
-    args: Tuple[Any, ...],
-) -> TracedResult:
-    """Execute a site task under a remote span (module-level, picklable).
-
-    Runs ``fn(*args)`` and returns a :class:`TracedResult` carrying the
-    original value, a finished span record parented at ``parent_id`` and
-    the profiling delta the task accumulated (when profiling was
-    requested).  The delta is computed unconditionally — forked workers
-    inherit ``profile.enabled`` from the coordinator, so "was it already
-    on" cannot distinguish worker from coordinator; the scheduler keeps
-    the delta only for results arriving from another pid (same-process
-    tasks note straight into the shared accumulator).
-    """
-    toggled = False
-    before = None
-    if profile_on:
-        if not _prof.enabled:
-            _prof.enable()
-            toggled = True
-        before = _prof.snapshot()
-    start_wall = time.time()
-    t0 = time.perf_counter()
-    status = "ok"
-    try:
-        value = fn(*args)
-    except BaseException:
-        status = "error"
-        raise
-    finally:
-        duration = time.perf_counter() - t0
-        delta = None
-        if profile_on:
-            delta = _prof.diff(_prof.snapshot(), before or {})
-            if toggled:
-                _prof.disable()
-        record = {
-            "name": name,
-            "trace_id": trace_id,
-            "span_id": new_id(),
-            "parent_id": parent_id,
-            "start": start_wall,
-            "duration": duration,
-            "status": status,
-            "attrs": {"site": site, "label": label, "pid": os.getpid()},
-        }
-    return TracedResult(value, record, delta)

@@ -1,39 +1,58 @@
 """The site scheduler: rounds of independent per-site tasks between sync points.
 
-Detectors partition each phase of their work into :class:`~repro.runtime.
-executor.SiteTask` units (local violation checks, equivalence-class
-maintenance, MD candidate matching, ...) and submit one *round* at a
-time.  A round is a synchronisation barrier: the scheduler returns when
-every task of the round has finished, the coordinator merges the results
-in task order, and only then does the next phase start.  Network
-shipments are charged by the coordinator during the merge, never from
-inside a task — tasks stay pure and the shipment counters stay identical
-across backends.
+Detectors partition each phase of their work into :class:`SiteTask`
+units (local violation checks, equivalence-class maintenance, MD
+candidate matching, ...) and submit one *round* at a time.  A round is a
+synchronisation barrier: the scheduler runs every task of the round
+inline, in order, the coordinator merges the results in task order, and
+only then does the next phase start.  Network shipments are charged by
+the coordinator during the merge, never from inside a task, so the
+shipment counters depend only on the tasks' results.
 
 The scheduler also keeps the timing ledger: per-site busy seconds, and
-per-round critical-path seconds (the wall-clock a perfectly parallel
-backend would need).  Sessions surface this breakdown through
+per-round critical-path seconds (the wall-clock a round would need if
+its sites worked in parallel).  Sessions surface this breakdown through
 ``DetectionReport``.
 
 When a round runs inside an active trace span (see
-:mod:`repro.obs.trace`), the scheduler rewraps each task so its span
-context — trace id and parent span id — rides the existing picklable
-task closure across the serial and shm executors.  Each task
-comes back with a ``site.task[i]`` span record (and, on worker
-processes, a profiling delta) that the coordinator folds back into the
-tracer; results are unwrapped before the timing ledger sees them, so the
-ledger is identical traced or not.
+:mod:`repro.obs.trace`), each task runs under its own ``site.task[i]``
+span, parented at that span and tagged with the task's ``site`` and
+``label``.
 """
 
 from __future__ import annotations
 
-import os
+import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
-from repro.obs import profile as _prof
 from repro.obs import trace as _trace
-from repro.runtime.executor import Executor, SerialExecutor, SiteTask, TaskResult
+
+
+@dataclass(frozen=True)
+class SiteTask:
+    """One independent unit of per-site work: ``fn(*args)``.
+
+    ``site`` attributes the task's wall-clock to a site in the timing
+    breakdown (use the coordinator's id, or any stable key, for work not
+    owned by one site).
+    """
+
+    site: int
+    fn: Callable[..., Any]
+    args: tuple = ()
+    label: str = ""
+
+
+@dataclass(frozen=True)
+class TaskResult:
+    """The outcome of one :class:`SiteTask` (in submission order)."""
+
+    site: int
+    value: Any
+    seconds: float
+    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -48,8 +67,7 @@ class SchedulerTimings:
     critical_seconds: float = 0.0
     #: Busy seconds attributed to each site id.
     seconds_by_site: dict[int, float] = field(default_factory=dict)
-    #: Bytes that actually crossed a process boundary (0 for in-process
-    #: backends) — tasks, fragment publishes, deltas and results alike.
+    #: Bytes that crossed a process boundary: always 0, tasks run in-process.
     bytes_pickled: int = 0
 
     @property
@@ -61,98 +79,43 @@ class SchedulerTimings:
 
 
 class SiteScheduler:
-    """Runs rounds of site tasks on an executor and keeps the timing ledger."""
+    """Runs rounds of site tasks inline and keeps the timing ledger."""
 
-    def __init__(self, executor: Executor | None = None):
-        self._executor = executor or SerialExecutor()
-        self._rounds = 0
-        self._tasks = 0
-        self._busy = 0.0
-        self._critical = 0.0
-        self._by_site: dict[int, float] = {}
-        self._bytes_pickled = 0
-        # The executor's IPC counter is cumulative (and may be shared
-        # across sessions): the ledger charges only the delta seen here.
-        self._pickled_seen = self._executor.bytes_pickled
-
-    @property
-    def executor(self) -> Executor:
-        return self._executor
-
-    @property
-    def backend(self) -> str:
-        """The executor backend name ("serial", "shm")."""
-        return self._executor.name
-
-    # -- execution ----------------------------------------------------------------------
+    def __init__(self) -> None:
+        self.reset_timings()
 
     def run(self, tasks: Sequence[SiteTask]) -> list[TaskResult]:
         """Run one round of tasks; results come back in submission order."""
         if not tasks:
             return []
         context = _trace.active()
-        if context is not None and context[0].enabled:
-            results = self._run_traced(tasks, context)
-        else:
-            results = self._executor.run(tasks)
-        self._rounds += 1
-        self._tasks += len(results)
-        pickled = self._executor.bytes_pickled
-        if pickled >= self._pickled_seen:
-            self._bytes_pickled += pickled - self._pickled_seen
-        self._pickled_seen = pickled
+        traced = context is not None and context[0].enabled
+        clock = time.perf_counter
+        results = []
+        for index, task in enumerate(tasks):
+            span = (
+                context[0].span(
+                    f"site.task[{index}]", parent=context[1], site=task.site, label=task.label
+                )
+                if traced
+                else nullcontext()
+            )
+            with span:
+                start = clock()
+                value = task.fn(*task.args)
+                seconds = clock() - start
+            results.append(TaskResult(task.site, value, seconds, task.label))
+        # The ledger counts only rounds that finished.
+        by_site = self._by_site
         slowest = 0.0
         for result in results:
             self._busy += result.seconds
             slowest = max(slowest, result.seconds)
-            self._by_site[result.site] = self._by_site.get(result.site, 0.0) + result.seconds
+            by_site[result.site] = by_site.get(result.site, 0.0) + result.seconds
+        self._rounds += 1
+        self._tasks += len(results)
         self._critical += slowest
         return results
-
-    def _run_traced(
-        self,
-        tasks: Sequence[SiteTask],
-        context: tuple["_trace.Tracer", "_trace.Span"],
-    ) -> list[TaskResult]:
-        """Run a round with span ids riding the picklable task closures."""
-        tracer, parent = context
-        profile_on = _prof.enabled
-        wrapped = [
-            SiteTask(
-                site=task.site,
-                fn=_trace.run_traced_task,
-                args=(
-                    parent.trace_id,
-                    parent.span_id,
-                    f"site.task[{index}]",
-                    task.site,
-                    task.label,
-                    profile_on,
-                    task.fn,
-                    task.args,
-                ),
-                label=task.label,
-            )
-            for index, task in enumerate(tasks)
-        ]
-        results = self._executor.run(wrapped)
-        unwrapped: list[TaskResult] = []
-        for result in results:
-            payload = result.value
-            if isinstance(payload, _trace.TracedResult):
-                tracer.ingest(payload.span)
-                # Same-process tasks note straight into the shared
-                # accumulator; merging their delta would double-count.
-                if payload.profile and payload.span["attrs"]["pid"] != os.getpid():
-                    _prof.merge(payload.profile)
-                result = TaskResult(
-                    site=result.site,
-                    value=payload.value,
-                    seconds=result.seconds,
-                    label=result.label,
-                )
-            unwrapped.append(result)
-        return unwrapped
 
     # -- timing ledger --------------------------------------------------------------------
 
@@ -164,7 +127,6 @@ class SiteScheduler:
             busy_seconds=self._busy,
             critical_seconds=self._critical,
             seconds_by_site=dict(self._by_site),
-            bytes_pickled=self._bytes_pickled,
         )
 
     def reset_timings(self) -> None:
@@ -173,9 +135,7 @@ class SiteScheduler:
         self._tasks = 0
         self._busy = 0.0
         self._critical = 0.0
-        self._by_site.clear()
-        self._bytes_pickled = 0
-        self._pickled_seen = self._executor.bytes_pickled
+        self._by_site: dict[int, float] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SiteScheduler({self._executor!r}, {self._rounds} rounds)"
+        return f"SiteScheduler({self._rounds} rounds)"

@@ -86,7 +86,7 @@ class MDDetector:
         tuples = list(relation)
         violations = ViolationSet()
         if self._scheduler is not None:
-            from repro.runtime.executor import SiteTask
+            from repro.runtime.scheduler import SiteTask
 
             tasks = [
                 SiteTask(

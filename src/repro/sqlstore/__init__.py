@@ -12,7 +12,7 @@ scales past RAM.
 
 Importing the package registers the backend with
 :mod:`repro.core.storage`; results and shipment counters are identical
-to the row backend for every detector, executor and partitioning (see
+to the row backend for every detector and partitioning (see
 ``tests/test_sql_parity.py``).
 """
 

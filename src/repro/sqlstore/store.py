@@ -532,7 +532,7 @@ class SqlStore(TupleStore):
             "size": len(self._sql_cache),
         }
 
-    # -- pickling (process executors ship fragments by value) ----------------------------
+    # -- pickling (a pickled store carries its rows by value) -----------------------------
 
     def __getstate__(self) -> dict[str, Any]:
         with self._lock:
@@ -550,7 +550,7 @@ class SqlStore(TupleStore):
     def __setstate__(self, state: dict[str, Any]) -> None:
         self._attrs = tuple(state["attrs"])
         self._key = state["key"]
-        # Replicas rebuild in :memory: — a worker's copy is scratch.
+        # An unpickled copy rebuilds in :memory: — it is scratch.
         self._init_connection(None)
         rows = state["rows"]
         if rows:

@@ -16,8 +16,7 @@ one task per checking site runs its CFDs' rule groups against the
 logical relation (:func:`~repro.core.detector.check_task`) — the
 resident relation the fragments view, so reading it ships nothing.  The
 coordinator charges the planned shipments to the network between the
-rounds, so every executor backend yields the identical violation set and
-identical shipment counts.
+rounds, so the tasks themselves ship nothing.
 """
 
 from __future__ import annotations
@@ -31,13 +30,13 @@ from repro.distributed.cluster import Cluster
 from repro.distributed.message import MessageKind
 from repro.distributed.serialization import PriceTable
 from repro.rulefuse import compile_rule_set
-from repro.runtime.executor import SiteTask
+from repro.runtime.scheduler import SiteTask
 
 
 def _site_ship_task(
     specs: list[tuple[str, list[str], dict[str, Any]]], fragment: Any
 ) -> dict[str, tuple[int, int]]:
-    """Plan one site's shipments for every CFD (pure, picklable).
+    """Plan one site's shipments for every CFD (pure).
 
     ``specs`` carries ``(cfd_name, attributes, constants)`` per CFD the
     site ships for; the site ships the ``attributes`` projection of every

@@ -35,7 +35,7 @@ from repro.distributed.serialization import estimate_tuple_bytes
 from repro.indexes.hev import HEVPlan, ShipmentCache
 from repro.indexes.idx import CFDIndex, violations_from_index
 from repro.indexes.planner import hev_plan
-from repro.runtime.executor import SiteTask
+from repro.runtime.scheduler import SiteTask
 
 
 #: What one site ships for a constant CFD's check: (site, the LHS attributes
@@ -46,7 +46,7 @@ _Shipper = tuple[int, list[str], list[tuple[str, Any]]]
 def _variable_cfd_task(
     index: CFDIndex, updates: list[Update]
 ) -> tuple[CFDIndex, list[tuple[str, Any]]]:
-    """Maintain one variable CFD's IDX over a whole batch (pure, picklable).
+    """Maintain one variable CFD's IDX over a whole batch (pure).
 
     Runs ``incVIns`` / ``incVDel`` per update in batch order and returns
     the (possibly copied, on the process backend) index together with
@@ -252,8 +252,7 @@ class VerticalIncrementalDetector:
         shipments run at the coordinator in update order; the per-CFD
         IDX maintenance then runs as one independent task per variable
         CFD on the cluster's scheduler (every CFD owns its index and its
-        violation marks, so any executor backend yields the serial
-        outcome).
+        violation marks, so no task reads another's).
         """
         delta = ViolationDelta()
         batch = updates.normalized()

@@ -2,9 +2,8 @@
 
 Whatever side the planner picks per batch, the violations and every
 per-wave ``delta-V`` must be identical to every fixed strategy on the
-same deployment — across storage backends and executor backends,
-extending the PR 2 (executor) / PR 3 (storage) parity pattern to the
-planning axis.  The update stream is shaped to force at least one
+same deployment — across storage backends, extending the storage
+parity pattern to the planning axis.  The update stream is shaped to force at least one
 switch in each distributed deployment (small wave, huge wave past the
 crossover, small wave again), so the warm-state handoff itself is under
 test.
@@ -13,8 +12,6 @@ test.
 import pytest
 
 from repro.engine.session import session
-from repro.runtime.executor import SerialExecutor
-from repro.runtime.shm import SharedMemoryExecutor
 from repro.similarity.md import MatchingDependency
 from repro.similarity.predicates import NormalizedStringMatch, NumericTolerance
 from repro.workloads.rules import generate_cfds
@@ -88,17 +85,8 @@ def waves(generator, relation):
     return batches
 
 
-@pytest.fixture(scope="module")
-def executors():
-    pools = {"serial": SerialExecutor(), "shm": SharedMemoryExecutor(workers=2)}
-    yield pools
-    for pool in pools.values():
-        pool.close()
-
-
 def run_stream(
-    strategy, partitioning, rule_kind, storage, executor,
-    generator, relation, cfds, mds, waves,
+    strategy, partitioning, rule_kind, storage, generator, relation, cfds, mds, waves,
 ):
     builder = session(relation)
     if partitioning == "vertical":
@@ -106,13 +94,7 @@ def run_stream(
     elif partitioning == "horizontal":
         builder = builder.partition(generator.horizontal_partitioner(N_SITES))
     rules = mds if rule_kind == "md" else cfds
-    sess = (
-        builder.rules(rules)
-        .strategy(strategy)
-        .storage(storage)
-        .executor(executor)
-        .build()
-    )
+    sess = builder.rules(rules).strategy(strategy).storage(storage).build()
     deltas = [sess.apply(batch) for batch in waves]
     outcome = {
         "initial": sess.initial_violations.as_dict(),
@@ -125,10 +107,10 @@ def run_stream(
 
 
 @pytest.fixture(scope="module")
-def fixed_outcomes(executors, generator, relation, cfds, mds, waves):
+def fixed_outcomes(generator, relation, cfds, mds, waves):
     return {
         (strategy, partitioning, rule_kind): run_stream(
-            strategy, partitioning, rule_kind, "rows", executors["serial"],
+            strategy, partitioning, rule_kind, "rows",
             generator, relation, cfds, mds, waves,
         )[0]
         for strategy, partitioning, rule_kind in FIXED_STRATEGIES
@@ -139,10 +121,10 @@ class TestAutoParity:
     @pytest.mark.parametrize("strategy,partitioning,rule_kind", FIXED_STRATEGIES)
     def test_auto_matches_every_fixed_strategy(
         self, strategy, partitioning, rule_kind,
-        executors, fixed_outcomes, generator, relation, cfds, mds, waves,
+        fixed_outcomes, generator, relation, cfds, mds, waves,
     ):
         auto, _ = run_stream(
-            "auto", partitioning, rule_kind, "rows", executors["serial"],
+            "auto", partitioning, rule_kind, "rows",
             generator, relation, cfds, mds, waves,
         )
         assert auto == fixed_outcomes[(strategy, partitioning, rule_kind)]
@@ -151,22 +133,10 @@ class TestAutoParity:
     @pytest.mark.parametrize("partitioning", ["vertical", "horizontal"])
     def test_auto_parity_across_storage_backends(
         self, partitioning, storage,
-        executors, fixed_outcomes, generator, relation, cfds, mds, waves,
+        fixed_outcomes, generator, relation, cfds, mds, waves,
     ):
         auto, _ = run_stream(
-            "auto", partitioning, "cfd", storage, executors["serial"],
-            generator, relation, cfds, mds, waves,
-        )
-        reference = "incVer" if partitioning == "vertical" else "incHor"
-        assert auto == fixed_outcomes[(reference, partitioning, "cfd")]
-
-    @pytest.mark.parametrize("partitioning", ["vertical", "horizontal"])
-    def test_auto_parity_across_executors(
-        self, partitioning,
-        executors, fixed_outcomes, generator, relation, cfds, mds, waves,
-    ):
-        auto, _ = run_stream(
-            "auto", partitioning, "cfd", "rows", executors["shm"],
+            "auto", partitioning, "cfd", storage,
             generator, relation, cfds, mds, waves,
         )
         reference = "incVer" if partitioning == "vertical" else "incHor"
@@ -184,10 +154,10 @@ class TestAutoParity:
 class TestAutoSwitches:
     @pytest.mark.parametrize("partitioning", ["vertical", "horizontal"])
     def test_the_stream_forces_a_switch_and_records_the_trace(
-        self, partitioning, executors, generator, relation, cfds, mds, waves,
+        self, partitioning, generator, relation, cfds, mds, waves,
     ):
         _, report = run_stream(
-            "auto", partitioning, "cfd", "rows", executors["serial"],
+            "auto", partitioning, "cfd", "rows",
             generator, relation, cfds, mds, waves,
         )
         assert len(report.plan_trace) == len(WAVES)

@@ -41,11 +41,6 @@ RECORDED = {
     ),
 }
 
-#: ``bytes_pickled`` of the one-wave probe below on worker processes when
-#: site results carried one ``(tid, bytes)`` pair per shipped tuple.
-RECORDED_BYTES_PICKLED = {"batHor": 295705, "batVer": 445300}
-
-
 def _inputs():
     """240 TPC-H rows and 20 rules: plain FDs, conditioned variable CFDs, a constant CFD."""
     generator = repro.TPCHGenerator(seed=5, error_rate=0.1)
@@ -84,23 +79,3 @@ def test_three_wave_ledger_equals_the_per_tuple_recording(strategy, storage):
     finally:
         session.close()
     assert vars(stats) == RECORDED[strategy]
-
-
-@pytest.mark.parametrize("strategy", ["batHor", "batVer"])
-def test_site_results_pickle_no_more_than_the_per_tuple_lists_did(strategy):
-    """On rows a site's result is two ints per CFD (plus, for batHor, the
-    partial groups the coordinator merges), not a list as long as the fragment."""
-    generator, relation, cfds = _inputs()
-    session = (
-        _builder(strategy, generator, relation, cfds)
-        .executor("shm", workers=2)
-        .build()
-    )
-    try:
-        session.apply(
-            repro.generate_updates(relation, generator, 60, 0.8, rng=random.Random(11))
-        )
-        pickled = session.timings().bytes_pickled
-    finally:
-        session.close()
-    assert 0 < pickled <= RECORDED_BYTES_PICKLED[strategy]

@@ -321,6 +321,21 @@ class TestMaskDecoding:
         assert mask_to_tids(store, rows_to_mask(some)) == {store.tid_of_row(r) for r in some}
         assert mask_to_tids(store, 0) == set()
 
+    def test_set_algebra_matches_row_sets(self):
+        a, b = {1, 5, 9, 70}, {5, 9, 200}
+        ma, mb = rows_to_mask(sorted(a)), rows_to_mask(sorted(b))
+        assert set(iter_mask_rows(ma & mb)) == a & b
+        assert set(iter_mask_rows(ma | mb)) == a | b
+        assert set(iter_mask_rows(ma & ~mb)) == a - b
+
+    def test_grouped_masks_match_grouped_rows(self, schema):
+        store = make_relation(schema, n=12, storage="columnar").store
+        masks = store.grouped_masks(("a", "b"))
+        rows = store.grouped_rows(("a", "b"))
+        assert set(masks) == set(rows)
+        for key, mask in masks.items():
+            assert list(iter_mask_rows(mask)) == sorted(rows[key])
+
 
 class TestColumnSerialization:
     def test_encode_decode_roundtrip(self, schema):

@@ -1,7 +1,6 @@
 """Elastic deployment units: replanning, migration, policy, skew, validation.
 
-The parity matrix (every strategy x storage x executor across scale
-events) lives in ``test_elasticity_parity.py``; this module covers the
+The parity matrix (every strategy x storage across scale events) lives in ``test_elasticity_parity.py``; this module covers the
 mechanics — minimal migration plans, ledger-charged application, warm
 re-homing without re-detection, cluster site-id validation, the skewed
 update generator and the rebalance policy.

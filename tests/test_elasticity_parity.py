@@ -1,7 +1,7 @@
 """Elasticity parity: scale/rebalance events are invisible in the results.
 
-Every distributed strategy (plus ``auto``), on both storage backends
-and the serial/shm executors, streams three update waves with live
+Every distributed strategy (plus ``auto``), on both storage backends,
+streams three update waves with live
 topology changes in between — scale-out after wave 1, a skew-aware
 rebalance plus scale-in before wave 3.  The per-wave ``delta-V`` and the
 maintained violations must be identical across the whole matrix, and —
@@ -30,7 +30,6 @@ HORIZONTAL_STRATEGIES = ["incHor", "batHor", "ibatHor", "auto"]
 SINGLE_STRATEGIES = ["centralized", "md", "incMD"]
 
 STORAGES = ["rows", "columnar"]
-EXECUTORS = ["serial", "shm"]
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +78,7 @@ def _partitioner_of(sess):
     return deployment.horizontal_partitioner
 
 
-def run_script(
-    strategy, partitioning, storage, executor, generator, relation, cfds, waves
-):
+def run_script(strategy, partitioning, storage, generator, relation, cfds, waves):
     """Stream the waves with topology events between them.
 
     Returns one record per wave: the wave's delta, the violations after
@@ -93,14 +90,7 @@ def run_script(
         builder = builder.partition(generator.vertical_partitioner(N_SITES))
     else:
         builder = builder.partition(generator.horizontal_partitioner(N_SITES))
-    executor_options = {} if executor == "serial" else {"workers": 2}
-    sess = (
-        builder.rules(cfds)
-        .strategy(strategy)
-        .storage(storage)
-        .executor(executor, **executor_options)
-        .build()
-    )
+    sess = builder.rules(cfds).strategy(strategy).storage(storage).build()
     records = []
     with sess:
         for i, wave in enumerate(waves):
@@ -124,7 +114,7 @@ def run_script(
 
 @pytest.fixture(scope="module")
 def expected(generator, relation, cfds, waves):
-    """Reference results per partitioning, from a plain serial/rows run.
+    """Reference results per partitioning, from a plain rows run.
 
     The reference is additionally validated stage by stage against
     freshly built sessions on the same target layouts — the cold-build
@@ -133,7 +123,7 @@ def expected(generator, relation, cfds, waves):
     results = {}
     for partitioning, strategy in [("vertical", "incVer"), ("horizontal", "incHor")]:
         records = run_script(
-            strategy, partitioning, "rows", "serial", generator, relation, cfds, waves
+            strategy, partitioning, "rows", generator, relation, cfds, waves
         )
         current = relation
         for (delta_key, viol_key, partitioner), wave in zip(records, waves):
@@ -152,7 +142,6 @@ def expected(generator, relation, cfds, waves):
     return results
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize(
     "strategy,partitioning",
@@ -160,12 +149,9 @@ def expected(generator, relation, cfds, waves):
     + [(s, "horizontal") for s in HORIZONTAL_STRATEGIES],
 )
 def test_scale_events_preserve_results(
-    strategy, partitioning, storage, executor, expected,
-    generator, relation, cfds, waves,
+    strategy, partitioning, storage, expected, generator, relation, cfds, waves
 ):
-    records = run_script(
-        strategy, partitioning, storage, executor, generator, relation, cfds, waves
-    )
+    records = run_script(strategy, partitioning, storage, generator, relation, cfds, waves)
     for i, ((delta_key, viol_key, _), (exp_delta, exp_viol)) in enumerate(
         zip(records, expected[partitioning])
     ):

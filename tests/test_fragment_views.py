@@ -10,9 +10,7 @@ fragment's attributes.  Pinned here, on rows, columnar and sql:
 * the views price, scan and pickle exactly as the per-site copies they
   replace, and ``reconstruct()`` is the resident relation itself;
 * the memory win: an incVer session adds under 900 B per tuple (each
-  fragment used to hold its own projected copy of every tuple);
-* the process executors ship only a fragment's columns, and the shm
-  executor attaches the resident columns once.
+  fragment used to hold its own projected copy of every tuple).
 """
 
 import gc
@@ -33,7 +31,6 @@ from repro.distributed.serialization import PriceTable
 from repro.indexes.idx import CFDIndex
 from repro.partition.vertical import VerticalPartitioner
 from repro.rulefuse import compile_rule_set
-from repro.runtime.shm import SharedMemoryExecutor
 
 STORAGES = ["rows", "columnar", "sql"]
 
@@ -181,50 +178,3 @@ def test_an_incver_session_adds_under_900_bytes_per_tuple():
         tracemalloc.stop()
     sess.close()
     assert added / n <= 900
-
-
-def _batver_session(generator, relation, cfds, executor, storage="rows"):
-    return (
-        repro.session(relation).partition(generator.vertical_partitioner(3)).rules(cfds)
-        .strategy("batVer").storage(storage).executor(executor).build()
-    )
-
-
-def test_an_shm_batver_wave_on_rows_pickles_what_the_fragment_copies_did():
-    """The ``test_shm_parity.py`` fixture on rows, where shm falls back to
-    plain pickling: the view relations pickle byte for byte as the
-    per-site copies they replace."""
-    generator = repro.TPCHGenerator(seed=11)
-    relation = generator.relation(100)
-    cfds = list(repro.generate_cfds(generator.fd_specs(), 5, seed=11))
-    updates = repro.generate_updates(relation, generator, 50, seed=11)
-    executor = SharedMemoryExecutor(workers=2)
-    try:
-        sess = _batver_session(generator, relation, cfds, executor)
-        built = executor.bytes_pickled
-        sess.apply(updates)
-        wave = executor.bytes_pickled - built
-        sess.close()
-    finally:
-        executor.close()
-    assert (built, wave) == (41_986, 51_662)
-
-
-def test_the_shm_executor_attaches_the_resident_columns_once():
-    generator = repro.TPCHGenerator(seed=11)
-    relation = generator.relation(100)
-    cfds = list(repro.generate_cfds(generator.fd_specs(), 5, seed=11))
-    executor = SharedMemoryExecutor(workers=2)
-    try:
-        sess = _batver_session(generator, relation, cfds, executor, "columnar")
-        sess.apply(repro.generate_updates(relation, generator, 20, seed=11))
-        stats = executor.ipc_stats()
-        sess.close()
-    finally:
-        executor.close()
-    # One segment for the resident columns, attached once per worker;
-    # the wave caught both replicas up by delta.
-    assert stats["shm_segments_created"] == 1
-    assert stats["by_kind"]["publish"]["messages"] == 2
-    assert stats["by_kind"]["delta"]["messages"] == 2
-    assert executor.active_segments() == []

@@ -1,6 +1,7 @@
 """Tests for the IDX group index."""
 
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -142,3 +143,46 @@ class TestReadOnlyViews:
         assert loaded.cfd == index.cfd
         loaded.add_tuple(t(4))
         assert index.total_tuples() == 3 and loaded.total_tuples() == 4
+
+
+class TestFootprint:
+    """Classes keep their tids densely, with no 4x jumps as they grow.
+
+    Twenty classes of 1 300 tids each sit just past the size (1 229) at
+    which a set table grows from 2 048 to 8 192 slots, about 100 bytes
+    per tid; the index must stay well under half of that.
+    """
+
+    CLASSES = 20
+    MEMBERS = 1_300
+
+    def tuples(self):
+        return [
+            Tuple(tid, {"CC": 44, "zip": tid % self.CLASSES, "street": "Mayfield"})
+            for tid in range(self.CLASSES * self.MEMBERS)
+        ]
+
+    def footprint(self, fill):
+        """Bytes per indexed tid that ``fill(index)`` leaves allocated."""
+        index = CFDIndex(CFD(["CC", "zip"], "street", {"CC": 44}))
+        tracemalloc.start()
+        try:
+            fill(index)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.total_tuples() == self.CLASSES * self.MEMBERS
+        return held / index.total_tuples()
+
+    def test_bulk_build_stays_dense(self):
+        tuples = self.tuples()
+        assert self.footprint(lambda index: index.build_from(tuples)) < 45
+
+    def test_one_by_one_inserts_stay_dense(self):
+        tuples = self.tuples()
+
+        def insert_all(index):
+            for tup in tuples:
+                index.add_tuple(tup)
+
+        assert self.footprint(insert_all) < 45

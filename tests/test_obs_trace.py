@@ -5,9 +5,7 @@ The tracer's contract with the engine:
 * a traced session produces one ``session`` root covering ≥95% of the
   session's measured wall-clock, with ``session.build`` and one
   ``wave.apply`` per batch nested under it;
-* per-site tasks appear as ``site.task[i]`` children of their wave on
-  *every* executor backend — span ids ride the picklable task closures,
-  so the shm backend parents worker spans correctly;
+* per-site tasks appear as ``site.task[i]`` children of their wave;
 * spans round-trip through the JSONL exporter byte-identically;
 * still-open spans export as ``status="open"`` snapshots;
 * a disabled tracer (or no observability at all) leaves behavior and
@@ -21,8 +19,6 @@ import pytest
 from repro.engine.session import session
 from repro.obs import Observability, Span, Tracer
 from repro.obs.trace import maybe_span, span_if
-from repro.runtime.executor import SerialExecutor
-from repro.runtime.shm import SharedMemoryExecutor
 from repro.workloads.rules import generate_cfds
 from repro.workloads.tpch import TPCHGenerator
 from repro.workloads.updates import generate_updates
@@ -54,22 +50,13 @@ def updates(generator, relation):
     return generate_updates(relation, generator, N_UPDATES, seed=SEED)
 
 
-@pytest.fixture(scope="module")
-def executors():
-    pools = {"serial": SerialExecutor(), "shm": SharedMemoryExecutor(workers=2)}
-    yield pools
-    for pool in pools.values():
-        pool.close()
-
-
-def run_traced(relation, cfds, updates, generator, executor, strategy="batHor"):
+def run_traced(relation, cfds, updates, generator, strategy="batHor"):
     obs = Observability()
     sess = (
         session(relation)
         .partition(generator.horizontal_partitioner(N_SITES))
         .rules(cfds)
         .strategy(strategy)
-        .executor(executor)
         .observability(obs, name="traced")
         .build()
     )
@@ -164,13 +151,10 @@ class TestTracerUnit:
 
 
 class TestSessionTracing:
-    @pytest.mark.parametrize("backend", ["serial", "shm"])
     def test_site_tasks_nest_under_their_wave(
-        self, backend, executors, generator, relation, cfds, updates
+        self, generator, relation, cfds, updates
     ):
-        obs, _report = run_traced(
-            relation, cfds, updates, generator, executors[backend]
-        )
+        obs, _report = run_traced(relation, cfds, updates, generator)
         (wave,) = obs.tracer.find("wave.apply")
         task_children = [
             s
@@ -183,38 +167,19 @@ class TestSessionTracing:
             assert child.trace_id == wave.trace_id
             assert child.status == "ok"
 
-    def test_shm_backend_spans_come_from_workers(
-        self, executors, generator, relation, cfds, updates
-    ):
-        import os
-
-        obs, _report = run_traced(
-            relation, cfds, updates, generator, executors["shm"]
-        )
-        pids = {
-            s.attrs["pid"]
-            for s in obs.tracer.spans()
-            if s.name.startswith("site.task[")
-        }
-        assert pids and os.getpid() not in pids
-
     def test_root_span_covers_the_sessions_wall_time(
-        self, executors, generator, relation, cfds, updates
+        self, generator, relation, cfds, updates
     ):
-        obs, report = run_traced(
-            relation, cfds, updates, generator, executors["serial"]
-        )
+        obs, report = run_traced(relation, cfds, updates, generator)
         (root,) = obs.tracer.find("session")
         assert root.status == "ok"  # closed at session.close()
         assert report.wall_seconds > 0.0
         assert root.duration >= 0.95 * report.wall_seconds
 
     def test_session_tree_has_build_and_wave_and_shipment(
-        self, executors, generator, relation, cfds, updates
+        self, generator, relation, cfds, updates
     ):
-        obs, report = run_traced(
-            relation, cfds, updates, generator, executors["serial"]
-        )
+        obs, report = run_traced(relation, cfds, updates, generator)
         (root,) = obs.tracer.find("session")
         child_names = {s.name for s in obs.tracer.children_of(root)}
         assert {"session.build", "wave.apply"} <= child_names
@@ -227,11 +192,9 @@ class TestSessionTracing:
         assert root.attrs["strategy"] == "batHor"
 
     def test_report_carries_the_trace(
-        self, executors, generator, relation, cfds, updates
+        self, generator, relation, cfds, updates
     ):
-        obs, report = run_traced(
-            relation, cfds, updates, generator, executors["serial"]
-        )
+        obs, report = run_traced(relation, cfds, updates, generator)
         assert len(report.trace) == len(obs.tracer.spans())
         names = {record["name"] for record in report.trace}
         assert {"session", "session.build", "wave.apply"} <= names
@@ -240,11 +203,9 @@ class TestSessionTracing:
         assert "trace" in report.as_dict()
 
     def test_plan_decide_span_appears_for_auto(
-        self, executors, generator, relation, cfds, updates
+        self, generator, relation, cfds, updates
     ):
-        obs, _report = run_traced(
-            relation, cfds, updates, generator, executors["serial"], strategy="auto"
-        )
+        obs, _report = run_traced(relation, cfds, updates, generator, strategy="auto")
         decides = obs.tracer.find("plan.decide")
         assert decides
         (wave,) = obs.tracer.find("wave.apply")
@@ -252,17 +213,14 @@ class TestSessionTracing:
         assert "chosen" in decides[0].attrs
 
     def test_untraced_session_matches_traced_results(
-        self, executors, generator, relation, cfds, updates
+        self, generator, relation, cfds, updates
     ):
-        obs, traced = run_traced(
-            relation, cfds, updates, generator, executors["serial"]
-        )
+        obs, traced = run_traced(relation, cfds, updates, generator)
         plain = (
             session(relation)
             .partition(generator.horizontal_partitioner(N_SITES))
             .rules(cfds)
             .strategy("batHor")
-            .executor(executors["serial"])
             .build()
         )
         plain.apply(updates)
@@ -274,7 +232,7 @@ class TestSessionTracing:
         assert traced.violations == untraced.violations
 
     def test_explain_reports_observability_state(
-        self, executors, generator, relation, cfds, updates
+        self, generator, relation, cfds, updates
     ):
         obs = Observability()
         sess = (
@@ -282,7 +240,6 @@ class TestSessionTracing:
             .partition(generator.horizontal_partitioner(N_SITES))
             .rules(cfds)
             .strategy("batHor")
-            .executor(executors["serial"])
             .observability(obs, name="explained")
             .build()
         )

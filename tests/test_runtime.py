@@ -1,4 +1,4 @@
-"""Unit tests for the execution runtime: executors, scheduler, network ledger."""
+"""Unit tests for the site runtime: scheduler, network ledger, session surface."""
 
 import threading
 
@@ -6,15 +6,7 @@ import pytest
 
 from repro.distributed.message import MessageKind
 from repro.distributed.network import Network
-from repro.runtime.executor import (
-    EXECUTOR_BACKENDS,
-    ExecutorError,
-    SerialExecutor,
-    SiteTask,
-    make_executor,
-)
-from repro.runtime.scheduler import SiteScheduler
-from repro.runtime.shm import SharedMemoryExecutor
+from repro.runtime.scheduler import SiteScheduler, SiteTask
 
 
 def square(x):
@@ -25,58 +17,22 @@ def boom():
     raise ValueError("task exploded")
 
 
-class TestExecutors:
-    @pytest.mark.parametrize("backend", sorted(EXECUTOR_BACKENDS))
-    def test_results_keep_task_order(self, backend):
-        with make_executor(backend) as executor:
-            tasks = [SiteTask(i, square, (i,)) for i in range(8)]
-            results = executor.run(tasks)
-            assert [r.value for r in results] == [i * i for i in range(8)]
-            assert [r.site for r in results] == list(range(8))
-            assert all(r.seconds >= 0.0 for r in results)
-
-    @pytest.mark.parametrize("backend", sorted(EXECUTOR_BACKENDS))
-    def test_empty_round(self, backend):
-        with make_executor(backend) as executor:
-            assert executor.run([]) == []
-
-    def test_task_exception_propagates(self):
-        with make_executor("shm", workers=2) as executor:
-            with pytest.raises(ValueError, match="task exploded"):
-                executor.run([SiteTask(0, boom)])
-
-    def test_pool_reusable_after_close(self):
-        executor = SharedMemoryExecutor(workers=2)
-        assert executor.run([SiteTask(0, square, (3,))])[0].value == 9
-        executor.close()
-        # A closed executor lazily re-creates its pool on the next round.
-        assert executor.run([SiteTask(0, square, (4,))])[0].value == 16
-        executor.close()
-
-    def test_make_executor_passthrough_and_errors(self):
-        pool = SerialExecutor()
-        assert make_executor(pool) is pool
-        with pytest.raises(ExecutorError):
-            make_executor(pool, workers=2)
-        with pytest.raises(ExecutorError):
-            make_executor("warp-drive")
-        with pytest.raises(ExecutorError):
-            make_executor("serial", workers=2)
-        with pytest.raises(ExecutorError):
-            make_executor("shm", wrong_option=1)
-        with pytest.raises(ExecutorError):
-            SharedMemoryExecutor(workers=0)
-        for removed in ("threads", "processes"):
-            with pytest.raises(ExecutorError, match="unknown executor backend"):
-                make_executor(removed)
-
-    def test_backend_names(self):
-        assert sorted(EXECUTOR_BACKENDS) == ["serial", "shm"]
-        assert SerialExecutor().name == "serial"
-        assert SharedMemoryExecutor().name == "shm"
-
-
 class TestScheduler:
+    def test_results_keep_task_order(self):
+        scheduler = SiteScheduler()
+        results = scheduler.run([SiteTask(i, square, (i,)) for i in range(8)])
+        assert [r.value for r in results] == [i * i for i in range(8)]
+        assert [r.site for r in results] == list(range(8))
+        assert all(r.seconds >= 0.0 for r in results)
+
+    def test_task_exception_propagates_and_the_round_is_not_counted(self):
+        scheduler = SiteScheduler()
+        with pytest.raises(ValueError, match="task exploded"):
+            scheduler.run([SiteTask(0, square, (2,)), SiteTask(1, boom)])
+        timings = scheduler.timings()
+        assert timings.rounds == 0 and timings.tasks == 0
+        assert timings.busy_seconds == 0.0
+
     def test_timing_ledger_accumulates(self):
         scheduler = SiteScheduler()
         scheduler.run([SiteTask(0, square, (2,)), SiteTask(1, square, (3,))])
@@ -100,9 +56,6 @@ class TestScheduler:
         timings = scheduler.timings()
         assert timings.rounds == 0 and timings.tasks == 0
         assert timings.seconds_by_site == {}
-
-    def test_default_backend_is_serial(self):
-        assert SiteScheduler().backend == "serial"
 
 
 class TestNetworkLedger:
@@ -234,10 +187,40 @@ class TestSessionRuntimeSurface:
         updates = generate_updates(relation, generator, 10, seed=4)
         with session(relation).partition(
             generator.horizontal_partitioner(2)
-        ).rules(cfds).strategy("batHor").executor("shm", workers=2).build() as sess:
+        ).rules(cfds).strategy("batHor").build() as sess:
             sess.apply(updates)
-        # A closed session must not silently resurrect its worker pool.
         with _pytest.raises(SessionError, match="closed"):
             sess.apply(updates)
         # Reads stay available after close.
-        assert sess.report().executor == "shm"
+        assert sess.report().batches_applied == 1
+
+    def test_default_session_serves_the_benchmark_harness_surface(self):
+        """``benchmarks/harness`` reads these fields of every session it runs."""
+        from repro.engine.session import session
+        from repro.workloads.tpch import TPCHGenerator
+        from repro.workloads.rules import generate_cfds
+        from repro.workloads.updates import generate_updates
+
+        generator = TPCHGenerator(seed=5)
+        relation = generator.relation(60)
+        cfds = list(generate_cfds(generator.fd_specs(), 4, seed=5))
+        updates = generate_updates(relation, generator, 20, seed=5)
+        with (
+            session(relation)
+            .partition(generator.horizontal_partitioner(3))
+            .rules(cfds)
+            .strategy("batHor")
+            .build()
+        ) as sess:
+            sess.apply(updates)
+            assert sess.timings().bytes_pickled == 0
+            info = sess.explain()
+            assert info["runtime"]["rounds"] > 0
+            assert info["runtime"]["tasks"] >= info["runtime"]["rounds"]
+            assert "executor" not in info
+            assert not hasattr(sess, "executor")
+
+        scheduler = SiteScheduler()
+        results = scheduler.run([SiteTask(i, square, (i,)) for i in (3, 1, 2)])
+        assert [r.value for r in results] == [9, 1, 4]
+        assert scheduler.timings().rounds == 1

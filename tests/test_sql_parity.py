@@ -5,17 +5,14 @@ backend: for each registered strategy (plus the adaptive ``auto``
 planner) the pushed-down SQL backend must produce the identical
 violation set, identical ΔV and identical network shipment counters as
 the row backend — per message kind, per (sender, receiver) pair, byte
-for byte — on the serial executor, on the shm process executor for the
-fragment-carrying batch strategies, and across mid-stream
-``scale()``/``rebalance()`` topology events.
+for byte — and across mid-stream ``scale()``/``rebalance()`` topology
+events.
 """
 
 import pytest
 
 from repro.core.updates import UpdateBatch
 from repro.engine.session import session
-from repro.runtime.executor import SerialExecutor
-from repro.runtime.shm import SharedMemoryExecutor
 from repro.similarity.md import MatchingDependency
 from repro.similarity.predicates import NormalizedStringMatch, NumericTolerance
 from repro.workloads.rules import generate_cfds
@@ -40,13 +37,6 @@ STRATEGIES = [
     ("incMD", "single"),
     ("auto", "vertical"),
     ("auto", "horizontal"),
-]
-
-#: Batch strategies whose site tasks carry whole fragments across the
-#: executor boundary: they additionally run on worker processes.
-SHM_MATRIX_STRATEGIES = [
-    ("batHor", "horizontal"),
-    ("batVer", "vertical"),
 ]
 
 
@@ -82,30 +72,14 @@ def mds():
     ]
 
 
-@pytest.fixture(scope="module")
-def executors():
-    pools = {"serial": SerialExecutor(), "shm": SharedMemoryExecutor(workers=2)}
-    yield pools
-    for pool in pools.values():
-        pool.close()
-
-
-def run_strategy(
-    strategy, partitioning, storage, executor, generator, relation, cfds, updates, mds
-):
+def run_strategy(strategy, partitioning, storage, generator, relation, cfds, updates, mds):
     builder = session(relation)
     if partitioning == "vertical":
         builder = builder.partition(generator.vertical_partitioner(N_SITES))
     elif partitioning == "horizontal":
         builder = builder.partition(generator.horizontal_partitioner(N_SITES))
     rules = mds if strategy in ("md", "incMD") else cfds
-    sess = (
-        builder.rules(rules)
-        .strategy(strategy)
-        .storage(storage)
-        .executor(executor)
-        .build()
-    )
+    sess = builder.rules(rules).strategy(strategy).storage(storage).build()
     delta = sess.apply(updates)
     report = sess.report()
     sess.close()
@@ -124,13 +98,12 @@ def run_strategy(
 
 
 @pytest.fixture(scope="module")
-def row_outcomes(executors, generator, relation, cfds, updates, mds):
+def row_outcomes(generator, relation, cfds, updates, mds):
     return {
         (strategy, partitioning): run_strategy(
             strategy,
             partitioning,
             "rows",
-            executors["serial"],
             generator,
             relation,
             cfds,
@@ -159,7 +132,6 @@ class TestSqlParity:
         self,
         strategy,
         partitioning,
-        executors,
         row_outcomes,
         generator,
         relation,
@@ -171,33 +143,6 @@ class TestSqlParity:
             strategy,
             partitioning,
             "sql",
-            executors["serial"],
-            generator,
-            relation,
-            cfds,
-            updates,
-            mds,
-        )
-        assert_identical(actual, row_outcomes[(strategy, partitioning)])
-
-    @pytest.mark.parametrize("strategy,partitioning", SHM_MATRIX_STRATEGIES)
-    def test_sql_matches_rows_on_shm(
-        self,
-        strategy,
-        partitioning,
-        executors,
-        row_outcomes,
-        generator,
-        relation,
-        cfds,
-        updates,
-        mds,
-    ):
-        actual = run_strategy(
-            strategy,
-            partitioning,
-            "sql",
-            executors["shm"],
             generator,
             relation,
             cfds,
@@ -277,20 +222,14 @@ class TestSqlElasticity:
 class TestSqlEmptyBatch:
     @pytest.mark.parametrize("strategy,partitioning", STRATEGIES[:7])
     def test_empty_batch_is_a_no_op(
-        self, strategy, partitioning, executors, generator, relation, cfds, mds
+        self, strategy, partitioning, generator, relation, cfds, mds
     ):
         builder = session(relation)
         if partitioning == "vertical":
             builder = builder.partition(generator.vertical_partitioner(N_SITES))
         elif partitioning == "horizontal":
             builder = builder.partition(generator.horizontal_partitioner(N_SITES))
-        sess = (
-            builder.rules(cfds)
-            .strategy(strategy)
-            .storage("sql")
-            .executor(executors["serial"])
-            .build()
-        )
+        sess = builder.rules(cfds).strategy(strategy).storage("sql").build()
         before_viol = sess.violations.as_dict()
         before_stats = sess.network.stats()
         delta = sess.apply(UpdateBatch())

@@ -1,12 +1,10 @@
 """Storage parity: every strategy, both backends, identical results.
 
-The storage layer's contract mirrors the runtime's: the backend is
-invisible in everything except wall-clock.  For each registered strategy
-the columnar backend must produce the identical violation set, identical
-ΔV and identical network shipment counters as the row backend — per
-message kind, per (sender, receiver) pair, byte for byte.  The matrix
-runs every strategy on the serial executor; ``test_shm_parity.py`` runs
-the same cells on the process executor.
+The storage backend is invisible in everything except wall-clock.  For
+each registered strategy the columnar backend must produce the identical
+violation set, identical ΔV and identical network shipment counters as
+the row backend — per message kind, per (sender, receiver) pair, byte
+for byte.
 """
 
 import pytest
@@ -70,22 +68,14 @@ def mds():
     ]
 
 
-def run_strategy(
-    strategy, partitioning, storage, executor, generator, relation, cfds, updates, mds
-):
+def run_strategy(strategy, partitioning, storage, generator, relation, cfds, updates, mds):
     builder = session(relation)
     if partitioning == "vertical":
         builder = builder.partition(generator.vertical_partitioner(N_SITES))
     elif partitioning == "horizontal":
         builder = builder.partition(generator.horizontal_partitioner(N_SITES))
     rules = mds if strategy in ("md", "incMD") else cfds
-    sess = (
-        builder.rules(rules)
-        .strategy(strategy)
-        .storage(storage)
-        .executor(executor)
-        .build()
-    )
+    sess = builder.rules(rules).strategy(strategy).storage(storage).build()
     delta = sess.apply(updates)
     report = sess.report()
     sess.close()
@@ -110,7 +100,6 @@ def row_outcomes(generator, relation, cfds, updates, mds):
             strategy,
             partitioning,
             "rows",
-            "serial",
             generator,
             relation,
             cfds,
@@ -150,7 +139,6 @@ class TestStorageParity:
             strategy,
             partitioning,
             "columnar",
-            "serial",
             generator,
             relation,
             cfds,
@@ -174,7 +162,6 @@ class TestStorageSemantics:
             "batHor",
             "horizontal",
             "columnar",
-            "serial",
             generator,
             relation,
             cfds,
@@ -232,7 +219,6 @@ class TestStorageSemantics:
             .partition(generator.horizontal_partitioner(N_SITES))
             .rules(cfds)
             .strategy("batHor")
-            .executor("serial")
             .build()
         )
         report = sess.report()
