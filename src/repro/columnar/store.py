@@ -14,8 +14,9 @@ partitions them exactly like grouping tuples by value keys, and the
 cached per-code wire sizes reproduce ``estimate_tuple_bytes`` byte for
 byte.  The shared primitive is :meth:`ColumnStore.grouped_rows`: the LHS
 equivalence classes are computed once per attribute list and reused by
-every CFD over those attributes (checks, IDX builds and shipment scans
-alike) until the next mutation.
+every CFD over those attributes (checks and IDX builds) until the next
+mutation.  batHor's key summaries and dirty-tid fetches read the code
+columns directly instead and add nothing to that cache.
 
 The relation algebra of the protocol (projection, selection, split,
 key join, extend) slices columns and shares the (append-only) value
@@ -27,16 +28,17 @@ first (:func:`_columns_of`), so the result is always columnar.
 
 from __future__ import annotations
 
-import itertools
-from operator import ne
+from itertools import compress, repeat
+from operator import eq, itemgetter, ne
 from time import perf_counter
 from typing import Any, Iterable, Iterator, KeysView, Mapping, Sequence
 
 from repro.core.cfd import CFD, UNNAMED
 from repro.core.schema import Schema
+from repro.core.storage import summarize
 from repro.core.tuples import Tuple
 from repro.columnar.dictionary import ValueDictionary
-from repro.columnar.masks import iter_mask_rows, mask_to_tids, rows_to_mask
+from repro.columnar.masks import mask_to_tids, rows_to_mask
 from repro.distributed.serialization import TID_BYTES, code_width
 from repro.obs import profile as _prof
 from repro.rulefuse import compile_rule_set
@@ -313,13 +315,6 @@ class ColumnStore:
             self._masks[attrs] = cached
         return cached
 
-    def decode_key(self, attributes: Sequence[str], key: Any) -> tuple[Any, ...]:
-        """Decode a :meth:`grouped_rows` key back into a value tuple."""
-        attrs = tuple(attributes)
-        if len(attrs) == 1:
-            return (self._dicts[attrs[0]].value(key),)
-        return tuple(self._dicts[a].value(c) for a, c in zip(attrs, key))
-
     # -- detection operations (the protocol of repro.core.storage) ---------------------
 
     def _pattern_tests(self, cfd: CFD) -> Any:
@@ -405,7 +400,7 @@ class ColumnStore:
         for key, rows in self.grouped_rows(lhs).items():
             codes = map(rhs_col.__getitem__, rows)
             first = next(codes)
-            if any(map(ne, codes, itertools.repeat(first))):
+            if any(map(ne, codes, repeat(first))):
                 dirty[key] = rows_to_mask(rows)
         return dirty
 
@@ -455,75 +450,73 @@ class ColumnStore:
                             value(code): tids for code, tids in by_code.items()
                         }
                     if decoded_key is None:
-                        decoded_key = self.decode_key(lhs, key)
+                        (decoded_key,) = self._decode_keys(lhs, (key,))
                     index.load_group(decoded_key, decoded)
             if _prof.enabled:
                 _prof.note("idx.build_columnar", perf_counter() - _t0, len(self))
 
-    def group_scan(
-        self, cfd: CFD, want_ship: bool, prices: Any
-    ) -> tuple[tuple[int, int], tuple[list[int], list[int]]]:
-        """batHor's site scan, in row space.
+    def _rows_where(self, tests: Iterable[tuple[str, int | None]]) -> Sequence[int]:
+        """The live rows holding ``code`` in ``attribute`` for every ``(attribute,
+        code)`` of ``tests`` (none for a None code): a C-level run per test."""
+        rows: Sequence[int] = self.iter_rows()
+        for attribute, code in tests:
+            column = self._cols[attribute]
+            rows = list(compress(rows, map(eq, map(column.__getitem__, rows), repeat(code))))
+        return rows
 
-        Returns ``(shipment, groups)``: the ``(count, bytes)`` total of the
-        pattern-matching tuples' ``cfd.attributes`` projections (``(0, 0)``
-        unless ``want_ship``; priced from this store's per-code sizes, so
-        ``prices`` is unused) and the fragment's partial LHS groups,
-        flattened to one ``(LHS key, RHS value)`` bucket each, as
-        ``(singles, multis)``: a bare row index for the common singleton
-        bucket, a row bitset otherwise.
+    def _code_keys(self, attributes: Sequence[str], rows: Sequence[int]) -> Iterable[Any]:
+        """The code keys of ``rows`` over ``attributes``: bare codes for one
+        attribute, code tuples otherwise (as :meth:`grouped_rows` keys)."""
+        columns = [self._cols[a] for a in attributes]
+        if type(rows) is not range:  # read the rows' codes, at C level
+            columns = [map(column.__getitem__, rows) for column in columns]
+        return columns[0] if len(columns) == 1 else zip(*columns)
 
-        Nothing is decoded: :meth:`merge_groups` on the same store
-        recovers each bucket's key and RHS value from any member row.
-        """
-        if _prof.enabled:
-            _t0 = perf_counter()
-        rhs_col = self._cols[cfd.rhs]
-        ship_rows: list[int] = []
-        singles: list[int] = []
-        multis: list[int] = []
-        matching = _accepted(
-            self.grouped_rows(cfd.lhs), self._pattern_tests(cfd), len(cfd.lhs) == 1
+    def _decode_keys(self, attributes: Sequence[str], keys: Sequence[Any]) -> Iterator[tuple]:
+        """The value tuples of :meth:`_code_keys` keys, decoded at C level."""
+        tables = [self._dicts[a].values_list() for a in attributes]
+        if len(tables) == 1:
+            return zip(map(tables[0].__getitem__, keys))
+        return zip(
+            *(map(table.__getitem__, map(itemgetter(i), keys)) for i, table in enumerate(tables))
         )
-        for _key, rows in matching:
-            if want_ship:
-                ship_rows.extend(rows)
-            by_code: dict[int, int] = {}
-            for r in rows:
-                code = rhs_col[r]
-                by_code[code] = by_code.get(code, 0) | (1 << r)
-            for mask in by_code.values():
-                if mask & (mask - 1):
-                    multis.append(mask)
-                else:
-                    singles.append(mask.bit_length() - 1)
-        shipment = self._shipment(cfd.attributes, ship_rows)
-        if _prof.enabled:
-            _prof.note("shipment.batch_scan", perf_counter() - _t0, len(self))
-        return shipment, (singles, multis)
 
-    def merge_groups(
-        self, target: dict, cfd: CFD, groups: tuple[list[int], list[int]]
-    ) -> None:
-        """Fold a :meth:`group_scan` result into ``target``: every bucket is
-        ``(LHS key, RHS value)``-uniform, so any member row names both."""
+    def key_summary(
+        self, cfd: CFD, want_ship: bool, prices: Any
+    ) -> tuple[tuple[int, int], dict[tuple, Any]]:
+        """batHor's first site round: one C-level ``set`` of the pattern-matching
+        rows' ``(LHS codes, RHS code)`` pairs, and only those decoded; the
+        shipment is priced from the cached per-code sizes (``prices`` is unused)."""
         if _prof.enabled:
             _t0 = perf_counter()
-        lhs, rhs = cfd.lhs, cfd.rhs
-        value_at = self.value_at
-        tid_at = self._tids.__getitem__
-        singles, multis = groups
-        for r in singles:
-            slot = target.setdefault(tuple(value_at(r, a) for a in lhs), {})
-            slot.setdefault(value_at(r, rhs), []).append(tid_at(r))
-        for mask in multis:
-            first = (mask & -mask).bit_length() - 1
-            slot = target.setdefault(tuple(value_at(first, a) for a in lhs), {})
-            slot.setdefault(value_at(first, rhs), []).extend(
-                map(tid_at, iter_mask_rows(mask))
-            )
+        tests = self._pattern_tests(cfd)
+        if tests is _UNSATISFIABLE:
+            tests = [(0, None)]  # a constant this store never interned: no row matches
+        rows = self._rows_where((cfd.lhs[i], code) for i, code in tests)
+        pairs = set(zip(self._code_keys(cfd.lhs, rows), self._code_keys((cfd.rhs,), rows)))
+        keys, codes = list(zip(*pairs)) or ((), ())
+        values = map(self._dicts[cfd.rhs].values_list().__getitem__, codes)
+        summary = summarize(zip(self._decode_keys(cfd.lhs, keys), values))
+        shipment = self._shipment(cfd.attributes, rows) if want_ship else (0, 0)
         if _prof.enabled:
-            _prof.note("shipment.merge_groups", perf_counter() - _t0, len(singles) + len(multis))
+            _prof.note("shipment.column_summary", perf_counter() - _t0, len(self))
+        return shipment, summary
+
+    def dirty_tids(self, cfd: CFD, dirty_keys: set[tuple]) -> list[Any]:
+        """batHor's second site round: the dirty keys are encoded once (a value
+        never interned here matches no row; a key pins the pattern's constants
+        itself), then ``compress`` picks the rows by code key."""
+        if _prof.enabled:
+            _t0 = perf_counter()
+        code_of = [self._dicts[a].code_of for a in cfd.lhs]
+        encoded = (tuple(encode(v) for encode, v in zip(code_of, key)) for key in dirty_keys)
+        wanted = {codes if len(codes) > 1 else codes[0] for codes in encoded if None not in codes}
+        rows = self.iter_rows()
+        keys = self._code_keys(cfd.lhs, rows)
+        found = list(map(self._tids.__getitem__, compress(rows, map(wanted.__contains__, keys))))
+        if _prof.enabled:
+            _prof.note("shipment.column_dirty", perf_counter() - _t0, len(self))
+        return found
 
     def ship_scan(
         self, attributes: Sequence[str], constants: Mapping[str, Any], prices: Any
@@ -534,13 +527,8 @@ class ColumnStore:
         priced from the cached per-code sizes (``prices`` is unused)."""
         if _prof.enabled:
             _t0 = perf_counter()
-        rows: Any = self.iter_rows()
-        for a in attributes:
-            if a in constants:
-                code = self._dicts[a].code_of(constants[a])
-                col = self._cols[a]
-                rows = [r for r in rows if col[r] == code] if code is not None else ()
-        shipment = self._shipment(attributes, rows)
+        tests = ((a, self._dicts[a].code_of(constants[a])) for a in attributes if a in constants)
+        shipment = self._shipment(attributes, self._rows_where(tests))
         if _prof.enabled:
             _prof.note("shipment.column_scan", perf_counter() - _t0, len(self))
         return shipment

@@ -51,11 +51,9 @@ class CentralizedDetector:
     """Batch detector for a set of CFDs over an in-memory relation.
 
     The rules compile into same-LHS groups and the relation's store
-    checks each group in one sweep.  With a :class:`~repro.runtime.scheduler.SiteScheduler`,
-    ``detect`` fans the groups out as independent tasks; without one it
-    checks and marks one group per ``store.check`` call (the default,
-    used by the many setup paths that just need the reference violation
-    set), so only one group's violating tids are held besides the marks.
+    checks and marks one group per ``store.check`` call — with a
+    :class:`~repro.runtime.scheduler.SiteScheduler`, one round per group —
+    so only one group's violating tids are held besides the marks.
     Fusion changes how many passes the data sees, never the verdicts.
     """
 
@@ -96,12 +94,10 @@ class CentralizedDetector:
             return violations
         from repro.runtime.scheduler import SiteTask
 
-        tasks = [
-            SiteTask(i, check_task, (relation, (group,)), label=",".join(group.lhs))
-            for i, group in enumerate(self._groups)
-        ]
-        for group, result in zip(self._groups, self._scheduler.run(tasks)):
-            mark_violations(violations, store, (group,), result.value)
+        for i, group in enumerate(self._groups):
+            task = SiteTask(i, check_task, (relation, (group,)), label=",".join(group.lhs))
+            # No name keeps the round's result alive into the next round.
+            mark_violations(violations, store, (group,), self._scheduler.run([task])[0].value)
         return violations
 
 

@@ -33,11 +33,11 @@ Every backend likewise implements each operation a detector needs:
   lists (no tid twice) on rows;
 * ``tids_of(result)`` — one ``check`` result decoded to tids by this store;
 * ``build_indexes(indexes)`` — populate IDX indexes, one sweep per LHS list;
-* ``group_scan(cfd, want_ship, prices)`` — batHor's site scan: the
+* ``key_summary(cfd, want_ship, prices)`` — batHor's site summary: the
   ``(count, bytes)`` of the pattern-matching tuples' projections and
-  their partial LHS groups;
-* ``merge_groups(target, cfd, groups)`` — fold one ``group_scan`` result
-  into the coordinator's groups, decoding it with this store;
+  their decoded ``{lhs_key: its one RHS value, or MULTI}``;
+* ``dirty_tids(cfd, dirty_keys)`` — the tids, as a list, of the tuples
+  whose LHS key equals (Python ``==``) one of the decoded ``dirty_keys``;
 * ``ship_scan(attributes, constants, prices)`` — batVer's site scan: the
   ``(count, bytes)`` of the ``attributes`` projection of the tuples equal
   to ``constants`` (a plain projection when ``constants`` is empty);
@@ -136,9 +136,9 @@ class StorageBackend(Protocol):
 
     def build_indexes(self, indexes: Sequence[Any]) -> None: ...
 
-    def group_scan(self, cfd: CFD, want_ship: bool, prices: Any) -> tuple[tuple[int, int], Any]: ...
+    def key_summary(self, cfd: CFD, want_ship: bool, prices: Any) -> tuple[tuple[int, int], Any]: ...
 
-    def merge_groups(self, target: dict, cfd: CFD, groups: Any) -> None: ...
+    def dirty_tids(self, cfd: CFD, dirty_keys: set[tuple]) -> list[Any]: ...
 
     def ship_scan(self, attributes: Sequence[str], constants: dict, prices: Any) -> tuple[int, int]: ...
 
@@ -149,16 +149,20 @@ class StorageBackend(Protocol):
     def statement_cache_info(self) -> dict[str, int] | None: ...
 
 
-def merge_decoded_groups(target: dict, groups: dict) -> None:
-    """Fold decoded ``{lhs_key: {rhs_value: [tids]}}`` groups into ``target``."""
-    if _prof.enabled:
-        _t0 = perf_counter()
-    for key, by_rhs in groups.items():
-        slot = target.setdefault(key, {})
-        for rhs_value, tids in by_rhs.items():
-            slot.setdefault(rhs_value, []).extend(tids)
-    if _prof.enabled:
-        _prof.note("shipment.merge_groups", perf_counter() - _t0, len(groups))
+#: The summary entry of an LHS key holding more than one RHS value.
+MULTI = object()
+
+
+def summarize(pairs: Iterable[tuple[Any, Any]]) -> dict:
+    """``{key: its one value, or MULTI}`` over ``(key, value)`` pairs,
+    built at C level: a key paired with two unequal values (Python ``==``,
+    as ``{value: ...}`` dict keys would count them) is :data:`MULTI`."""
+    pairs = set(pairs)
+    summary = dict(pairs)
+    if len(summary) < len(pairs):
+        counts = Counter(map(itemgetter(0), pairs))
+        summary.update((key, MULTI) for key, n in counts.items() if n > 1)
+    return summary
 
 
 _LAYOUT = attrgetter("_layout")
@@ -406,35 +410,35 @@ class RowStore(TupleStore):
         if _prof.enabled:
             _prof.note("idx.build_rows", perf_counter() - _t0, len(self._tuples))
 
-    def group_scan(
+    def key_summary(
         self, cfd: CFD, want_ship: bool, prices: Any
-    ) -> tuple[tuple[int, int], dict[tuple, dict[Any, list[Any]]]]:
+    ) -> tuple[tuple[int, int], dict[tuple, Any]]:
         """The ``(count, bytes)`` of the pattern-matching tuples'
-        ``cfd.attributes`` projections (``(0, 0)`` unless ``want_ship``),
-        and their partial groups ``{lhs_key: {rhs_value: [tids]}}``."""
+        ``cfd.attributes`` projections (``(0, 0)`` unless ``want_ship``)
+        and the summary of their distinct ``(key, value)`` pairs."""
         if _prof.enabled:
             _t0 = perf_counter()
         entry = cfd.pattern.entry
         tests = [(1 + i, entry(a)) for i, a in enumerate(cfd.lhs) if entry(a) is not UNNAMED]
         tids, *columns = _where(self._columns(cfd.attributes), tests)
-        groups: dict[tuple, dict[Any, list[Any]]] = {}
-        for key, value, tid in zip(zip(*columns[:-1]), columns[-1], tids):
-            by_rhs = groups.get(key)
-            if by_rhs is None:
-                groups[key] = {value: [tid]}
-                continue
-            same = by_rhs.get(value)
-            if same is None:
-                by_rhs[value] = [tid]
-            else:
-                same.append(tid)
+        summary = summarize(zip(zip(*columns[:-1]), columns[-1]))
         shipment = prices.shipment(len(tids), columns) if want_ship else (0, 0)
         if _prof.enabled:
-            _prof.note("shipment.row_scan", perf_counter() - _t0, len(self._tuples))
-        return shipment, groups
+            _prof.note("shipment.row_summary", perf_counter() - _t0, len(self._tuples))
+        return shipment, summary
 
-    def merge_groups(self, target: dict, cfd: CFD, groups: dict) -> None:
-        merge_decoded_groups(target, groups)
+    def dirty_tids(self, cfd: CFD, dirty_keys: set[tuple]) -> list[Any]:
+        """The tids whose LHS key is in ``dirty_keys``, in scan order (a
+        dirty key pins the pattern's constants itself)."""
+        if _prof.enabled:
+            _t0 = perf_counter()
+        tids, *columns = self._columns(cfd.lhs)
+        if len(columns) == 1:
+            dirty_keys = {key for (key,) in dirty_keys}
+        found = list(compress(tids, map(dirty_keys.__contains__, _keys(columns))))
+        if _prof.enabled:
+            _prof.note("shipment.row_dirty", perf_counter() - _t0, len(self._tuples))
+        return found
 
     def ship_scan(
         self, attributes: Sequence[str], constants: dict, prices: Any

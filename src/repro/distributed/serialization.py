@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import mul
 from typing import Any, Iterable, Mapping, Sequence
 
 #: Size, in bytes, of an equivalence-class identifier on the wire.
@@ -78,15 +79,19 @@ class PriceTable:
     def __init__(self) -> None:
         self._sizes: dict[tuple[type, Any], int] = {}
 
-    def total(self, values: Sequence[Any]) -> int:
-        """``sum(estimate_value_bytes(v) for v in values)``."""
+    def sizes(self, values: Sequence[Any]) -> Iterable[int]:
+        """``estimate_value_bytes`` of each value, in order."""
         sizes = self._sizes
         try:
             for key in set(zip(map(type, values), values)).difference(sizes):
                 sizes[key] = estimate_value_bytes(key[1])
         except TypeError:  # an unhashable value: nothing to key it by
-            return sum(map(estimate_value_bytes, values))
-        return sum(map(sizes.__getitem__, zip(map(type, values), values)))
+            return map(estimate_value_bytes, values)
+        return map(sizes.__getitem__, zip(map(type, values), values))
+
+    def total(self, values: Sequence[Any]) -> int:
+        """``sum(estimate_value_bytes(v) for v in values)``."""
+        return sum(self.sizes(values))
 
     def shipment(self, count: int, columns: Iterable[Sequence[Any]]) -> tuple[int, int]:
         """``(count, bytes)`` of shipping ``count`` partial tuples.
@@ -96,6 +101,11 @@ class PriceTable:
         :func:`estimate_tuple_bytes` does.
         """
         return count, TID_BYTES * count + sum(map(self.total, columns))
+
+    def grouped_shipment(self, counts: Sequence[int], columns: Iterable[Sequence[Any]]):
+        """:meth:`shipment` of ``counts[i]`` copies of row ``i`` of ``columns``."""
+        count = sum(counts)
+        return count, TID_BYTES * count + sum(sum(map(mul, self.sizes(c), counts)) for c in columns)
 
 
 def estimate_tuple_bytes(values: Mapping[str, Any], attributes: Iterable[str] | None = None) -> int:

@@ -8,23 +8,27 @@ its locally pattern-matching tuples to a coordinator site, which then
 groups and checks them.  Work and shipment are proportional to |D| per
 CFD.
 
-The per-site phase is expressed as one pure task per site
-(:func:`_site_batch_task`) submitted to the cluster's
-:class:`~repro.runtime.scheduler.SiteScheduler`: through its fragment's
-store, each task runs the local checks, plans the shipments its site
-would make and pre-groups its pattern-matching tuples by LHS key.  The
-coordinator then merges the partial groups (grouping is associative, so
-the merged verdicts equal a centralized pass over the reconstructed
-database) and charges the planned shipments to the network — identical
-results and identical shipment counts on every storage backend.
+The sites work in rounds of pure tasks on the cluster's
+:class:`~repro.runtime.scheduler.SiteScheduler`, through their stores.  In
+round 1 each site runs its local checks, prices the shipments it would
+make (the coordinator charges them) and summarizes each general CFD as
+``{lhs_key: its one RHS value, or MULTI}`` (``key_summary``).  An LHS
+group violates iff it holds two distinct RHS values, so a key is dirty
+when a site says MULTI or two sites disagree (Python ``==``).  Then one
+round per general CFD with a dirty key fetches the tids of its dirty
+keys only (``dirty_tids``) and marks them before the next, so the
+coordinator holds one CFD's tids at a time.  Results and shipment counts
+are identical on every storage backend.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Iterable
 
 from repro.core.cfd import CFD, UNNAMED, is_locally_checkable, split_local_general
 from repro.core.detector import mark_violations
+from repro.core.storage import MULTI, summarize
 from repro.core.violations import ViolationSet
 from repro.distributed.cluster import Cluster
 from repro.distributed.message import MessageKind
@@ -33,41 +37,27 @@ from repro.rulefuse import compile_rule_set
 from repro.runtime.scheduler import SiteTask
 
 
-def _site_batch_task(
+def _site_summary_task(
     local_groups: tuple,
     general_cfds: list[CFD],
     ship_names: frozenset[str],
-    fragment: Any,
-) -> tuple[list, dict[str, tuple[int, int]], dict[str, Any]]:
-    """One site's whole batch-detection contribution (pure).
-
-    Returns ``(local, shipments, groups)``:
-
-    * per member of ``local_groups`` (the constant and locally checkable
-      CFDs), its violations inside this fragment;
-    * per general CFD this site must ship for, the ``(count, bytes)``
-      total of its locally pattern-matching tuples' (tid + X + B)
-      projections — two ints, priced here where the values live;
-    * per general CFD, the fragment's partial LHS groups for the
-      coordinator to merge (fragments are disjoint, so a tid is listed
-      once).
-
-    Violations and groups come back in the store's wire form and are
-    decoded by the fragment itself (``tids_of``, ``merge_groups``); on
-    columnar fragments that form is row space — bitsets and bare row
-    indices, a few ints per group.
-    """
-    store = fragment.store
+    store: Any,
+) -> tuple[list, dict[str, tuple[int, int]], dict[str, dict]]:
+    """One site's round 1 (pure): per member of ``local_groups`` (the
+    constant and locally checkable CFDs) its violations in this fragment;
+    per general CFD this site ships for, the ``(count, bytes)`` of its
+    pattern-matching tuples' (tid + X + B) projections, priced where the
+    values live; per general CFD, the fragment's key summary."""
     local = store.check(local_groups)
     prices = PriceTable()
     shipments: dict[str, tuple[int, int]] = {}
-    groups: dict[str, Any] = {}
+    summaries: dict[str, dict] = {}
     for cfd in general_cfds:
         want_ship = cfd.name in ship_names
-        shipment, groups[cfd.name] = store.group_scan(cfd, want_ship, prices)
+        shipment, summaries[cfd.name] = store.key_summary(cfd, want_ship, prices)
         if want_ship:
             shipments[cfd.name] = shipment
-    return local, shipments, groups
+    return local, shipments, summaries
 
 
 class HorizontalBatchDetector:
@@ -108,46 +98,25 @@ class HorizontalBatchDetector:
     def detect(self) -> ViolationSet:
         """Compute ``V(Sigma, D)`` from scratch, charging shipments to the network."""
         violations = ViolationSet()
-        sites = self._cluster.sites()
+        stores = {site.site_id: site.fragment.store for site in self._cluster.sites()}
         coordinator = self._cluster.site_ids()[0]
         shipping_sites = {
             cfd.name: self._shipping_sites(cfd, coordinator)
             for cfd in self._general_cfds
         }
+        tasks = []
+        for site, store in stores.items():
+            ship_names = frozenset(n for n, shippers in shipping_sites.items() if site in shippers)
+            args = (self._local_groups, self._general_cfds, ship_names, store)
+            tasks.append(SiteTask(site, _site_summary_task, args, label="batHor"))
 
-        tasks = [
-            SiteTask(
-                site.site_id,
-                _site_batch_task,
-                (
-                    self._local_groups,
-                    self._general_cfds,
-                    frozenset(
-                        name
-                        for name, shippers in shipping_sites.items()
-                        if site.site_id in shippers
-                    ),
-                    site.fragment,
-                ),
-                label="batHor",
-            )
-            for site in sites
-        ]
-        results = self._cluster.scheduler.run(tasks)
-
-        # Merge in site order: local verdicts first, then per general CFD the
-        # site's shipment total (one ledger entry for all its matching
-        # tuples) and the group union, each decoded by the coordinator's own
-        # copy of the site's fragment.
-        fragments = {site.site_id: site.fragment for site in sites}
-        general_by_name = {cfd.name: cfd for cfd in self._general_cfds}
-        merged: dict[str, dict[tuple, dict[Any, list[Any]]]] = {
-            cfd.name: {} for cfd in self._general_cfds
-        }
-        for result in results:
-            local, shipments, groups = result.value
-            store = fragments[result.site].store
-            mark_violations(violations, store, self._local_groups, local)
+        # Round 1, merged in site order: local verdicts, then per general CFD
+        # the site's shipment total (one ledger entry for all its matching
+        # tuples) and its summary, kept for round 2.
+        by_site: dict[str, list[tuple[int, dict]]] = {cfd.name: [] for cfd in self._general_cfds}
+        for result in self._cluster.scheduler.run(tasks):
+            local, shipments, summaries = result.value
+            mark_violations(violations, stores[result.site], self._local_groups, local)
             for cfd_name, (count, nbytes) in shipments.items():
                 self._network.charge(
                     result.site,
@@ -157,17 +126,20 @@ class HorizontalBatchDetector:
                     nbytes,
                     tag=cfd_name,
                 )
-            # Each CFD's partial groups are dropped as soon as they are
-            # merged, so the wave never holds every site's copy twice.
-            while groups:
-                cfd_name, partial = groups.popitem()
-                store.merge_groups(merged[cfd_name], general_by_name[cfd_name], partial)
+            for cfd_name, summary in summaries.items():
+                by_site[cfd_name].append((result.site, summary))
 
+        # Round 2, one general CFD at a time: the sites holding a dirty key
+        # return its tids, which are marked before the next CFD's round.
         for cfd in self._general_cfds:
-            violating: list[Any] = []
-            for by_rhs in merged.pop(cfd.name).values():
-                if len(by_rhs) > 1:
-                    for tids in by_rhs.values():
-                        violating.extend(tids)
-            violations._mark_all(violating, cfd.name)
+            summaries = by_site.pop(cfd.name)
+            folded = summarize(chain.from_iterable(s.items() for _site, s in summaries))
+            dirty = {key for key, value in folded.items() if value is MULTI}
+            tasks = [
+                SiteTask(site, stores[site].dirty_tids, (cfd, mine), label="batHor")
+                for site, summary in summaries
+                if (mine := dirty.intersection(summary))
+            ]
+            for result in self._cluster.scheduler.run(tasks):
+                violations._mark_all(result.value, cfd.name)
         return violations

@@ -6,9 +6,10 @@ constant patterns and one grouped query for the variable patterns.
 :func:`fused_violation_query` emits exactly those shapes — for a whole
 same-LHS rule group, in one tagged query — against a
 :class:`~repro.sqlstore.store.SqlStore`'s ``data`` table, and the scan
-queries return the pattern- or constant-filtered projections the IDX
-builds and the batch baselines' shipment scans group and price in
-Python.
+queries return the constant-filtered projections the IDX builds and
+batVer's shipment scans price in Python.  batHor's key summary groups
+in the engine (:func:`pair_count_query`), and its dirty-tid fetch joins
+a key table (:func:`keyed_tids_query`).
 
 Every query is compiled once per (store, rule shape) through the store's
 ``cached_sql`` cache and parameterized — constants travel as bind
@@ -146,28 +147,44 @@ def fused_violation_query(
     return sql, tuple(params)
 
 
-def pattern_scan_query(
-    store: SqlStore, cfd: CFD, attributes: Sequence[str]
-) -> tuple[str, tuple[Any, ...]]:
-    """``(tid, attributes...)`` of every pattern-matching tuple, in order.
+def _pattern_key(kind: str, cfd: CFD) -> tuple:
+    """The statement-cache key of a per-CFD query: its shape, not its constants."""
+    return (kind, cfd.lhs, cfd.rhs, tuple(a for a, _ in pattern_constants(cfd)))
 
-    The horizontal batch scan: the filter runs in the engine, only the
-    projected columns come back.
-    """
+
+def pair_count_query(store: SqlStore, cfd: CFD) -> tuple[str, tuple[Any, ...]]:
+    """``(lhs..., rhs, COUNT(*))`` per distinct ``(LHS, RHS)`` of the
+    pattern-matching tuples: batHor's key summary, grouped in the engine."""
     where, params = pattern_filter(store, cfd)
-    cols = ", ".join(store.column(a) for a in attributes)
+    cols = ", ".join(store.column(a) for a in cfd.attributes)
 
     def build() -> str:
-        return f"SELECT tid, {cols} FROM data WHERE {where} ORDER BY seq"
+        return f"SELECT {cols}, COUNT(*) FROM data WHERE {where} GROUP BY {cols}"
 
-    key = (
-        "scan",
-        cfd.lhs,
-        cfd.rhs,
-        tuple(a for a, _ in pattern_constants(cfd)),
-        tuple(attributes),
-    )
-    return store.cached_sql(key, build), params
+    return store.cached_sql(_pattern_key("pairs", cfd), build), params
+
+
+def key_scan_query(store: SqlStore, cfd: CFD) -> tuple[str, tuple[Any, ...]]:
+    """The distinct stored LHS keys of the pattern-matching tuples."""
+    where, params = pattern_filter(store, cfd)
+    cols = ", ".join(store.column(a) for a in cfd.lhs)
+
+    def build() -> str:
+        return f"SELECT DISTINCT {cols} FROM data WHERE {where}"
+
+    return store.cached_sql(_pattern_key("keys", cfd), build), params
+
+
+def keyed_tids_query(store: SqlStore, cfd: CFD, table: str) -> tuple[str, tuple[Any, ...]]:
+    """The tids of the pattern-matching tuples whose stored LHS key is a row
+    of ``table`` (columns ``k0, k1, ...``), joined null-safely, in order."""
+    where, params = pattern_filter(store, cfd, alias="d")
+    on = " AND ".join(f"d.{store.column(a)} IS k.k{j}" for j, a in enumerate(cfd.lhs))
+
+    def build() -> str:
+        return f"SELECT d.tid FROM data d JOIN {table} k ON {on} WHERE {where} ORDER BY d.seq"
+
+    return store.cached_sql((*_pattern_key("keyed", cfd), table), build), params
 
 
 def constant_match_query(

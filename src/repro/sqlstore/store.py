@@ -45,12 +45,14 @@ import os
 import sqlite3
 import threading
 import uuid
+from itertools import compress
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterator, KeysView, Mapping, Sequence
 
 from repro.core.cfd import CFD
 from repro.core.schema import Schema
-from repro.core.storage import TupleStore, merge_decoded_groups
+from repro.core.storage import TupleStore, summarize
 from repro.core.tuples import Tuple
 from repro.distributed.serialization import TID_BYTES, estimate_value_bytes
 from repro.obs import profile as _prof
@@ -194,9 +196,13 @@ class SqlStore(TupleStore):
         if not self._pending:
             return
         pending, self._pending = self._pending, []
+        self._insert_all(self._insert_sql, pending)
+
+    def _insert_all(self, sql: str, rows: list[tuple]) -> None:
+        """``executemany(sql, rows)`` in one transaction."""
         self._conn.execute("BEGIN")
         try:
-            self._conn.executemany(self._insert_sql, pending)
+            self._conn.executemany(sql, rows)
             self._conn.execute("COMMIT")
         except Exception:
             self._conn.execute("ROLLBACK")
@@ -418,44 +424,46 @@ class SqlStore(TupleStore):
             if _prof.enabled:
                 _prof.note("idx.build_sql", perf_counter() - _t0, len(self))
 
-    def group_scan(
+    def key_summary(
         self, cfd: CFD, want_ship: bool, prices: Any
-    ) -> tuple[tuple[int, int], dict[tuple, dict[Any, list[Any]]]]:
-        """batHor's site scan as one pushed-down pattern filter returning
-        only ``cfd.attributes``: the ``(count, bytes)`` of those
-        projections (``(0, 0)`` unless ``want_ship``; ``prices`` estimates
-        each distinct value once) and the decoded partial groups
-        ``{lhs_key: {rhs_value: [tids]}}``."""
+    ) -> tuple[tuple[int, int], dict[tuple, Any]]:
+        """batHor's site summary: one ``GROUP BY`` (LHS, RHS) with ``COUNT(*)``;
+        each group is decoded and priced as its count times its values' sizes
+        (a group holds only values the engine finds equal, which price alike)."""
         if _prof.enabled:
             _t0 = perf_counter()
-        sql, params = compiler.pattern_scan_query(self, cfd, cfd.attributes)
-        rows = self.query_all(sql, params)
-        shipment = (0, 0)
-        groups: dict[tuple, dict[Any, list[Any]]] = {}
-        if rows:
-            tids, *lhs_cols, rhs_col = _decoded_columns(rows)
-            del rows
-            if want_ship:
-                shipment = prices.shipment(len(tids), (*lhs_cols, rhs_col))
-            # A query makes fresh tid objects; the groups of every CFD hold
-            # the index's own instead, so a wave holds each tid once.
-            stored = dict(zip(self._index, self._index))
-            for tid, key, rhs_value in zip(map(stored.__getitem__, tids), zip(*lhs_cols), rhs_col):
-                by_rhs = groups.get(key)
-                if by_rhs is None:
-                    groups[key] = {rhs_value: [tid]}
-                    continue
-                same = by_rhs.get(rhs_value)
-                if same is None:
-                    by_rhs[rhs_value] = [tid]
-                else:
-                    same.append(tid)
+        groups = self.query_all(*compiler.pair_count_query(self, cfd))
+        *columns, counts = _decoded_columns(groups) or [()] * (len(cfd.attributes) + 1)
+        shipment = prices.grouped_shipment(counts, columns) if want_ship else (0, 0)
+        summary = summarize(zip(zip(*columns[:-1]), columns[-1]))
         if _prof.enabled:
-            _prof.note("shipment.sql_scan", perf_counter() - _t0, len(self))
-        return shipment, groups
+            _prof.note("shipment.sql_summary", perf_counter() - _t0, len(self))
+        return shipment, summary
 
-    def merge_groups(self, target: dict, cfd: CFD, groups: dict) -> None:
-        merge_decoded_groups(target, groups)
+    def dirty_tids(self, cfd: CFD, dirty_keys: set[tuple]) -> list[Any]:
+        """batHor's second site round, filtered in the engine: the stored keys
+        that decode to a dirty key are joined back from a TEMP table in their
+        own encoding (a ``True`` key is a tagged blob, a ``1`` key native)."""
+        if _prof.enabled:
+            _t0 = perf_counter()
+        found: list[Any] = []
+        with self._lock:
+            keys = self.query_all(*compiler.key_scan_query(self, cfd))
+            decoded = zip(*_decoded_columns(keys))
+            stored = list(compress(keys, map(dirty_keys.__contains__, decoded)))
+            if stored:
+                width = len(cfd.lhs)
+                table, columns = f"dirty_keys{width}", ", ".join(f"k{j}" for j in range(width))
+                self._conn.execute(
+                    f"CREATE TEMP TABLE IF NOT EXISTS {table} ({columns}, UNIQUE ({columns}))"
+                )
+                self._conn.execute(f"DELETE FROM {table}")
+                self._insert_all(f"INSERT INTO {table} VALUES ({', '.join(['?'] * width)})", stored)
+                rows = self.query_all(*compiler.keyed_tids_query(self, cfd, table))
+                found = _decoded(list(map(itemgetter(0), rows)))
+        if _prof.enabled:
+            _prof.note("shipment.sql_dirty", perf_counter() - _t0, len(self))
+        return found
 
     def ship_scan(
         self, attributes: Sequence[str], constants: Mapping[str, Any], prices: Any
@@ -563,16 +571,15 @@ class SqlStore(TupleStore):
         return f"SqlStore({len(self)} rows, {len(self._attrs)} columns, {where})"
 
 
-def _decoded_columns(rows: list[tuple]) -> list[Sequence[Any]]:
-    """Raw result rows transposed into decoded columns.
+def _decoded(values: Sequence[Any]) -> Sequence[Any]:
+    """``values`` decoded: natively stored values decode to themselves, so
+    only a column holding a tagged blob is decoded value by value."""
+    return list(map(decode_value, values)) if bytes in set(map(type, values)) else values
 
-    Natively stored values decode to themselves, so only a column that
-    holds a tagged blob is decoded value by value.
-    """
-    return [
-        list(map(decode_value, col)) if bytes in set(map(type, col)) else col
-        for col in zip(*rows)
-    ]
+
+def _decoded_columns(rows: list[tuple]) -> list[Sequence[Any]]:
+    """Raw result rows transposed into decoded columns."""
+    return [_decoded(col) for col in zip(*rows)]
 
 
 def sql_store_of(relation: Any) -> SqlStore | None:

@@ -18,12 +18,15 @@ import pytest
 
 import repro
 import repro.vertical.incver as incver_module
-from repro.core.detector import detect_violations
+from repro.core.detector import CentralizedDetector, detect_violations
+from repro.core.storage import storage_backend_names
+from repro.runtime.scheduler import SiteScheduler
 
 N_TUPLES = 20_000
 SEED = 7
 #: The growth allowed from |Sigma| = 1 to |Sigma| = 10: two full tid sets.
 ALLOWED = 2 * sys.getsizeof(set(range(N_TUPLES)))
+BACKENDS = storage_backend_names()
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +98,48 @@ def test_batver_wave_transient_does_not_grow_with_rules(inputs):
         session.close()
     one_bytes, ten_bytes = measured
     assert ten_bytes - one_bytes <= ALLOWED, (one_bytes, ten_bytes, ALLOWED)
+
+
+@pytest.fixture(scope="module")
+def hosted(inputs):
+    """The relation on each backend, built once per module."""
+    _generator, relation, _cfds = inputs
+    return {backend: relation.with_storage(backend) for backend in BACKENDS}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bathor_wave_transient_does_not_grow_with_rules(inputs, hosted, backend):
+    """batHor marks one general CFD's tids before it fetches the next
+    CFD's: ten rules may add at most one tid set over one."""
+    generator, relation, cfds = inputs
+    batch = repro.generate_updates(relation, generator, 10, seed=SEED)
+    after = relation.copy()
+    batch.apply_in_place(after)
+    measured = []
+    for rules in (cfds[:1], cfds):
+        builder = repro.session(hosted[backend]).partition(generator.horizontal_partitioner(8))
+        session = builder.rules(rules).strategy("batHor").storage(backend).build()
+        _delta, used = transient(session.apply, batch)
+        measured.append(used)
+        assert session.violations == detect_violations(rules, after)
+        session.close()
+    one_bytes, ten_bytes = measured
+    assert ten_bytes - one_bytes <= ALLOWED / 2, (one_bytes, ten_bytes, ALLOWED / 2)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_centralized_scheduler_transient_tracks_plain_detect(inputs, hosted, backend):
+    """With a scheduler, ``detect`` runs one rule group per round, so its
+    growth from one rule to ten stays within ``ALLOWED`` of the plain
+    ``detect``'s."""
+    _generator, _relation, cfds = inputs
+    relation = hosted[backend]
+    growth = {}
+    for scheduler in (None, SiteScheduler()):
+        (one, one_bytes), (ten, ten_bytes) = (
+            transient(CentralizedDetector(rules, scheduler=scheduler).detect, relation)
+            for rules in (cfds[:1], cfds)
+        )
+        assert len(one) and len(ten) == N_TUPLES
+        growth[scheduler is None] = ten_bytes - one_bytes
+    assert growth[False] - growth[True] <= ALLOWED, (growth, ALLOWED)

@@ -9,18 +9,21 @@ values, with operands on every pair of backends.
 
 Every operation a detector runs through ``relation.store`` is held to
 :class:`~repro.core.storage.RowStore` over the same tuples: ``check``
-(decoded by ``tids_of``), ``build_indexes``, ``group_scan`` folded by
-``merge_groups``, ``ship_scan``, ``estimate_bytes`` and
+(decoded by ``tids_of``), ``build_indexes``, batHor's ``key_summary`` and
+``dirty_tids``, ``ship_scan``, ``estimate_bytes`` and
 ``distinct_counts``.  The inputs are the awkward ones: NULLs on both
 sides of a rule, deleted rows, an empty relation, a shared-LHS tableau
 mixing constant and variable rows, a pattern constant that only an
 insert makes reachable and one group per rule (singleton groups).  With
 ``1``, ``1.0`` and ``True`` in one column the backends differ, so each
-one's answer is pinned.  The last test checks that profiled waves note
+one's answer is pinned; batHor's two rounds, which compare values with
+Python ``==`` on every backend, are run across two fragments holding
+such values, NULLs, an absent pattern constant and nothing.  The last test checks that profiled waves note
 only hooks the benchmark harness attributes to a layer.
 """
 
 import importlib.util
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -29,7 +32,7 @@ import repro
 from repro.core.cfd import CFD
 from repro.core.relation import Relation, RelationError
 from repro.core.schema import Schema
-from repro.core.storage import RowStore, storage_backend_names
+from repro.core.storage import MULTI, RowStore, storage_backend_names, summarize
 from repro.core.tuples import Tuple
 from repro.distributed.serialization import (
     PriceTable,
@@ -286,25 +289,104 @@ def test_rows_build_indexes_equals_add_tuple(inputs):
         assert built_groups(index) == built_groups(one_by_one)
 
 
-def scanned(rel, cfd, want_ship):
-    """``group_scan`` folded into an empty target by ``merge_groups``."""
-    shipment, groups = rel.store.group_scan(cfd, want_ship, PriceTable())
-    merged = {}
-    rel.store.merge_groups(merged, cfd, groups)
-    return shipment, {
-        key: {value: set(tids) for value, tids in by_rhs.items()}
-        for key, by_rhs in merged.items()
-    }
+def summary_of(groups):
+    """``{lhs_key: rhs_value | MULTI}`` of ``{lhs_key: {rhs_value: tids}}`` groups."""
+    return {key: next(iter(by_rhs)) if len(by_rhs) == 1 else MULTI for key, by_rhs in groups.items()}
+
+
+def dirty_keys(summary):
+    return {key for key, value in summary.items() if value is MULTI}
+
+
+def summarized(rel, cfd, want_ship):
+    """batHor's two site rounds on ``rel``: ``key_summary``, then the
+    ``dirty_tids`` of its MULTI keys and of all its keys, as sets."""
+    shipment, summary = rel.store.key_summary(cfd, want_ship, PriceTable())
+    dirty = rel.store.dirty_tids(cfd, dirty_keys(summary))
+    every = rel.store.dirty_tids(cfd, set(summary))
+    assert len(set(every)) == len(every)
+    return shipment, summary, set(dirty), set(every)
 
 
 @pytest.mark.parametrize("case", SCAN_CASES)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_group_scan_and_merge_match_rows(backend, case):
+    """The group scan and its merge, as batHor's site rounds run them:
+    ``key_summary`` and ``dirty_tids`` answer as rows does, and rows as
+    the definition's LHS groups say."""
     reference, rules = build(case, "rows")
     rel, _ = build(case, backend)
+    tuples = list(reference)
     for cfd in rules:
         for want_ship in (True, False):
-            assert scanned(rel, cfd, want_ship) == scanned(reference, cfd, want_ship)
+            assert summarized(rel, cfd, want_ship) == summarized(reference, cfd, want_ship)
+        groups = by_name_groups(cfd, tuples)
+        _shipment, summary, dirty, every = summarized(reference, cfd, False)
+        assert summary == summary_of(groups)
+        tids = {key: {tid for ts in by_rhs.values() for tid in ts} for key, by_rhs in groups.items()}
+        assert every == set().union(*tids.values())
+        assert dirty == set().union(*(tids[key] for key in dirty_keys(summary)))
+
+
+#: Two fragments each, for batHor's rounds across sites: (site A rows, site
+#: B rows, rule, the folded summary, the violating tids).  Values that
+#: differ only as 1 / 1.0 / True are equal; a NULL is one more value.
+CROSS_SITE_CASES = {
+    "numbers_rhs": (
+        [(1, "x", 1, "u"), (2, "y", 1, "u"), (3, "z", 1, "u")],
+        [(4, "x", 1.0, "u"), (5, "y", True, "u"), (6, "z", 2, "u")],
+        CFD(("a",), "b"),
+        {("x",): 1, ("y",): 1, ("z",): MULTI},
+        {3, 6},
+    ),
+    "bool_and_int_key": (
+        [(1, True, "p", "u"), (2, 2, "p", "u")],
+        [(3, 1, "q", "u"), (4, 2.0, "p", "u")],
+        CFD(("a",), "b"),
+        {(1,): MULTI, (2,): "p"},
+        {1, 3},
+    ),
+    "nulls": (
+        [(1, None, None, "u"), (2, "w", None, "u"), (3, "v", None, None)],
+        [(4, None, "p", "u"), (5, "w", None, "u"), (6, "v", None, "u")],
+        CFD(("a", "c"), "b"),
+        {(None, "u"): MULTI, ("w", "u"): None, ("v", None): None, ("v", "u"): None},
+        {1, 4},
+    ),
+    "constant_absent_from_one_site": (
+        [(1, "x", "p", "u"), (2, "x", "q", "u"), (3, "y", "p", "u")],
+        [(4, "y", "q", "u")],
+        CFD(("a", "c"), "b", {"a": "x"}),
+        {("x", "u"): MULTI},
+        {1, 2},
+    ),
+    "empty_site": (
+        [(1, "x", "p", "u"), (2, "x", "q", "u"), (3, "y", "p", "u")],
+        [],
+        CFD(("a",), "b"),
+        {("x",): MULTI, ("y",): "p"},
+        {1, 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CROSS_SITE_CASES))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dirty_keys_fold_across_sites(backend, case):
+    """The coordinator folds the sites' summaries; every site then returns
+    its own tuples of each dirty key, whichever site's spelling of the key
+    it is sent (on sql a ``True`` key is stored as a tagged blob and a
+    ``1`` key natively, and both sites' rows come back)."""
+    rows_a, rows_b, cfd, expected, violating = CROSS_SITE_CASES[case]
+    sites = [relation(rows_a, backend).store, relation(rows_b, backend).store]
+    summaries = [store.key_summary(cfd, False, PriceTable())[1] for store in sites]
+    folded = summarize(chain.from_iterable(summary.items() for summary in summaries))
+    assert folded == expected
+    dirty = dirty_keys(folded)
+    for spelling in summaries:
+        keys = dirty.intersection(spelling) | dirty
+        found = [tid for store in sites for tid in store.dirty_tids(cfd, keys)]
+        assert sorted(found) == sorted(violating)
 
 
 #: (attributes, constants) of batVer's ship scans; no constants is a projection.
@@ -374,7 +456,8 @@ def mixed_layout_store():
 
 
 def by_name_groups(cfd, tuples):
-    """batHor's partial groups of ``cfd``, read attribute by attribute name."""
+    """The LHS groups ``{lhs_key: {rhs_value: [tids]}}`` of ``cfd``'s
+    pattern-matching tuples, read attribute by attribute name."""
     groups = {}
     for t in tuples:
         if cfd.lhs_matches(t):
@@ -394,8 +477,13 @@ def test_row_kernels_read_each_layout_by_position():
         expected = by_name_groups(cfd, tuples)
         matching = [t for t in tuples if cfd.lhs_matches(t)]
         shipped = (len(matching), sum(estimate_tuple_bytes(t, cfd.attributes) for t in matching))
-        assert store.group_scan(cfd, True, PriceTable()) == (shipped, expected)
-        assert store.group_scan(cfd, False, PriceTable()) == ((0, 0), expected)
+        summary = summary_of(expected)
+        assert store.key_summary(cfd, True, PriceTable()) == (shipped, summary)
+        assert store.key_summary(cfd, False, PriceTable()) == ((0, 0), summary)
+        dirty = dirty_keys(summary)
+        assert store.dirty_tids(cfd, dirty) == [
+            t.tid for t in matching if cfd.lhs_values(t) in dirty
+        ]
     for attributes, constants in [*SHIP_SPECS, (("c", "a"), {"a": 2, "c": "c1"})]:
         pinned = [(a, constants[a]) for a in attributes if a in constants]
         kept = [t for t in tuples if all(t[a] == c for a, c in pinned)]
@@ -411,7 +499,9 @@ def test_row_kernels_raise_on_a_tuple_lacking_a_checked_attribute():
     with pytest.raises(KeyError):
         store.ship_scan(("a", "c"), {}, PriceTable())
     with pytest.raises(KeyError):
-        store.group_scan(CFD(("a", "b"), "c"), False, PriceTable())
+        store.key_summary(CFD(("a", "b"), "c"), False, PriceTable())
+    with pytest.raises(KeyError):
+        store.dirty_tids(CFD(("a", "c"), "b"), {(1, "c0")})
 
 
 ALGEBRA_CASES = {
